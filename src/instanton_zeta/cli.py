@@ -126,6 +126,8 @@ def _validate(parser, args):
             parser.error("--oracle-order must not exceed --order")
     if getattr(args, "digits", None) is not None and args.digits < 10:
         parser.error("--digits must be at least 10")
+    if getattr(args, "scale", None) is not None and args.scale <= 0:
+        parser.error("--scale must be positive")
 
 
 # -- verify --------------------------------------------------------------------
@@ -150,12 +152,10 @@ def _run_suite(name, order, oracle_order):
 
 
 def cmd_verify(args):
-    from .runtime import parallel_map
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
-    for batch in parallel_map(
-            lambda s: _run_suite(s, args.order, args.oracle_order), suites):
-        reports.extend(batch)
+    for suite in suites:
+        reports.extend(_run_suite(suite, args.order, args.oracle_order))
     payload = [_report_dict(r) for r in reports]
     ok = all(r.ok for r in reports)
     if args.format == "json":

@@ -104,6 +104,20 @@ def const(v):
     return Const(Fraction(v))
 
 
+_HALF = Fraction(1, 2)
+
+# The derived forms, each defined once over the primitive leaves.  The
+# exact layer (forms.FormProvider) and the numeric one (numeric.eval_leaf)
+# both expand a derived name through its tree here.
+DERIVED_FORMS = {
+    "BigTheta": leaf("theta3", 2),
+    "P0": leaf("E4", 2),
+    "Peven": ((leaf("E4", _HALF) + leaf("E4", _HALF, 1)).scaled(_HALF)
+              - leaf("E4", 2)),
+    "Podd": (leaf("E4", _HALF) - leaf("E4", _HALF, 1)).scaled(_HALF),
+}
+
+
 def _exact(node, trunc, e2_mode, provider):
     from .forms import gen_form
     from .qseries import QQ

@@ -2,10 +2,11 @@
 relating them.
 
 Every form is produced as an exact QSeries over Q on the 1/48 exponent
-grid: the three Jacobi theta constants, Theta = theta3(2*tau), the
-quasi-modular E2, the Eisenstein E4, the eta product, the odd-divisor
-forms e1 and F, and the three weight-4 combinations P0 / Peven / Podd
-obtained from E4 by argument doubling, halving, and the half-period twist.
+grid: the three Jacobi theta constants, the quasi-modular E2, the
+Eisenstein E4, the eta product and the odd-divisor forms e1 and F.  The
+derived forms (Theta = theta3(2*tau) and the three weight-4 combinations
+P0 / Peven / Podd) are expanded from their trees in
+``formexpr.DERIVED_FORMS``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import time
 from fractions import Fraction
 
 from .errors import InstantonZetaError
+from .formexpr import DERIVED_FORMS, _exact
 from .qseries import DEFAULT_DENOM, QQ, QSeries
 from .report import IdentityResult, VerifyReport
-
-FORM_NAMES = ("theta2", "theta3", "theta4", "BigTheta", "E2", "E4",
-              "eta", "e1", "F", "P0", "Peven", "Podd")
 
 
 def sigma_table(n_max, power=1):
@@ -64,8 +63,6 @@ class FormProvider:
         if scaling <= 0:
             raise ValueError("argument scaling must be positive")
         trunc = Fraction(trunc)
-        if name == "BigTheta":
-            return self.series("theta3", trunc, 2 * scaling)
         key = (name, scaling, trunc)
         hit = self._cache.get(key)
         if hit is not None:
@@ -80,6 +77,8 @@ class FormProvider:
         return s
 
     def _base(self, name, trunc):
+        if name in DERIVED_FORMS:
+            return _exact(DERIVED_FORMS[name], trunc, "E2", self)
         n_int = int(trunc)
         if name == "E2":
             sig = sigma_table(n_int, 1)
@@ -122,16 +121,6 @@ class FormProvider:
                     QQ, [(0, 1), (n, -1)], prod.trunc, 1)
                 n += 1
             return prod.shift_exp(Fraction(1, 24)).lift(DEFAULT_DENOM)
-        elif name == "P0":
-            return self.series("E4", trunc, 2)
-        elif name == "Peven":
-            e4 = self.series("E4", 2 * trunc)
-            half_sum = (e4 + e4.half_period_shift()).dilate(Fraction(1, 2))
-            return half_sum.scale(Fraction(1, 2)) - self.series("E4", trunc, 2)
-        elif name == "Podd":
-            e4 = self.series("E4", 2 * trunc)
-            half_diff = (e4 - e4.half_period_shift()).dilate(Fraction(1, 2))
-            return half_diff.scale(Fraction(1, 2))
         else:
             raise InstantonZetaError(f"unknown form name {name!r}")
         return QSeries.from_pairs(QQ, pairs, trunc, DEFAULT_DENOM)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import PrecisionError
-from .formexpr import Add, Const, E2Slot, Leaf, Mul, Pow, Scal
+from .formexpr import DERIVED_FORMS, Add, Const, E2Slot, Leaf, Mul, Pow, Scal
 from .forms import sigma_odd_table, sigma_table
 
 MIN_IM = 0.05          # reject evaluation closer to the real axis
@@ -102,13 +102,13 @@ def _qpow(tau, exponent):
 
 
 def eval_leaf(name, tau, eps):
+    if name in DERIVED_FORMS:
+        return _eval_node(DERIVED_FORMS[name], tau, eps, "E2")
     q = mp.exp(2j * mp.pi * tau)
     if name == "eta":
         return _qpow(tau, Fraction(1, 24)) * _eta(q, eps)
     if name in ("theta2", "theta3", "theta4"):
         return _theta(tau, name, eps)
-    if name == "BigTheta":
-        return _theta(2 * tau, "theta3", eps)
     if name == "E2":
         return _eisenstein(q, -24, lambda n: sigma_table(n, 1), eps, 2)
     if name == "E4":
@@ -121,15 +121,6 @@ def eval_leaf(name, tau, eps):
                                          enumerate(sigma_table(n, 1))],
                         eps, 2)
         return f - 1
-    if name == "P0":
-        return eval_leaf("E4", 2 * tau, eps)
-    if name == "Peven":
-        return ((eval_leaf("E4", tau / 2, eps)
-                 + eval_leaf("E4", tau / 2 + mp.mpf(1) / 2, eps)) / 2
-                - eval_leaf("E4", 2 * tau, eps))
-    if name == "Podd":
-        return (eval_leaf("E4", tau / 2, eps)
-                - eval_leaf("E4", tau / 2 + mp.mpf(1) / 2, eps)) / 2
     raise ValueError(f"no numeric evaluator for leaf {name!r}")
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .assembly import proposition_series, vacuum_series
 from .errors import IntegrityError, PoleAtOneError, TruncationError
-from .formexpr import E2Slot, FormExpr, Pow, as_qseries, const, leaf
+from .formexpr import E2Slot, FormExpr, Pow, as_qseries, leaf
 from .forms import gen_form
 from .laurent import LPoly
 from .lattice import b_substituted
@@ -74,49 +74,25 @@ def ztilde(tag, trunc):
 
 
 @functools.lru_cache(maxsize=None)
-def main_closed_form(tag, trunc):
-    """The closed forms of the three unshifted partition functions
-    (holomorphic weight-2 series in the slot)."""
-    trunc = Fraction(trunc)
-    inv24 = _eta_pow_inverse(1, 24, trunc)
-    order = trunc + 1
-    e2 = gen_form("E2", order)
-    th2 = gen_form("theta2", order)
-    th3 = gen_form("theta3", order)
-    th4 = gen_form("theta4", order)
-    eighth = Fraction(1, 8)
-    if tag == "vEven":
-        bracket = (e2 * gen_form("Peven", order).scale(Fraction(1, 135))
-                   - (th2 ** 8 * (th3 ** 4 + th4 ** 4)).scale(eighth))
-    elif tag == "vOdd":
-        bracket = (e2 * gen_form("Podd", order).scale(Fraction(1, 120))
-                   - (th2 ** 4 * gen_form("E4", order)).scale(eighth))
-    elif tag == "v0":
-        bracket = (e2 * gen_form("P0", order)
-                   + (th3 ** 4 * th4 ** 4 - (th2 ** 8).scale(eighth))
-                   * (th3 ** 4 + th4 ** 4))
-    else:
-        raise ValueError(f"unknown class tag {tag!r}")
-    out = (inv24 * bracket).scale(Fraction(-1, 24)).truncate(trunc)
-    if tag == "v0":
-        out = out - _eta_pow_inverse(2, 12, trunc).scale(eighth)
-    return out
+def theorem_closed_form(lam, trunc):
+    """Closed form of an averaged partition function: its expression from
+    ``mnvw_form_expr`` expanded with the holomorphic weight-2 series in the
+    slot."""
+    return as_qseries(mnvw_form_expr(lam), trunc, e2_mode="E2")
 
 
 @functools.lru_cache(maxsize=None)
-def theorem_closed_form(lam, trunc):
-    """Closed forms of the averaged partition functions: the lambda = 0 one
-    is the v0 bracket without the eta(2 tau) correction; even and odd agree
-    with their unshifted forms."""
-    trunc = Fraction(trunc)
-    if lam == "0":
-        return (main_closed_form("v0", trunc)
-                + _eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 8)))
-    if lam == "even":
-        return main_closed_form("vEven", trunc)
-    if lam == "odd":
-        return main_closed_form("vOdd", trunc)
-    raise ValueError(f"unknown lambda label {lam!r}")
+def main_closed_form(tag, trunc):
+    """Closed forms of the three unshifted partition functions: even and odd
+    agree with their averaged forms, the trivial class differs by
+    1/(8 eta(2 tau)^12)."""
+    lam = {"v0": "0", "vEven": "even", "vOdd": "odd"}.get(tag)
+    if lam is None:
+        raise ValueError(f"unknown class tag {tag!r}")
+    out = theorem_closed_form(lam, trunc)
+    if tag == "v0":
+        out = out - _eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 8))
+    return out
 
 
 # -- limit lemmas --------------------------------------------------------------
@@ -215,6 +191,23 @@ def _double_sum(trunc, term):
 
 # -- theorem assembly ----------------------------------------------------------
 
+def partition_functions(trunc):
+    """The pipeline partition functions and those derived from them by the
+    stated relations, keyed by label."""
+    trunc = Fraction(trunc)
+    funcs = {tag: ztilde(tag, trunc) for tag in PIPELINE_LABELS}
+    v0, even, odd = (funcs[tag].series for tag in PIPELINE_LABELS)
+    f_v0 = v0 + _eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
+    for key, label, series in (
+            ("f_v0", "Zt_f_v0", f_v0), ("f_vEven", "Zt_f_vEven", even),
+            ("f_vOdd", "Zt_f_vOdd", odd),
+            ("0", "Zt_0", (v0 + f_v0).scale(Fraction(1, 2))),
+            ("even", "Zt_even", even), ("odd", "Zt_odd", odd),
+            ("v0_int", "Zt_v0_int", f_v0)):
+        funcs[key] = PartitionFunction(label, series, "relation")
+    return funcs
+
+
 def assemble_theorem(trunc):
     """Build all partition functions (pipeline + relations), compare with
     the closed forms, and run the structural checks.  Returns the report
@@ -223,25 +216,8 @@ def assemble_theorem(trunc):
     results = []
     t0 = time.perf_counter()
 
-    zt = {tag: ztilde(tag, trunc) for tag in ("v0", "vEven", "vOdd")}
+    funcs = partition_functions(trunc)
     c4 = _eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
-    c8 = _eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 8))
-
-    funcs = dict(zt)
-    funcs["f_v0"] = PartitionFunction(
-        "Zt_f_v0", zt["v0"].series + c4, "relation")
-    funcs["f_vEven"] = PartitionFunction(
-        "Zt_f_vEven", zt["vEven"].series, "relation")
-    funcs["f_vOdd"] = PartitionFunction(
-        "Zt_f_vOdd", zt["vOdd"].series, "relation")
-    funcs["0"] = PartitionFunction(
-        "Zt_0", (zt["v0"].series + funcs["f_v0"].series).scale(
-            Fraction(1, 2)), "relation")
-    funcs["even"] = PartitionFunction("Zt_even", zt["vEven"].series,
-                                      "relation")
-    funcs["odd"] = PartitionFunction("Zt_odd", zt["vOdd"].series, "relation")
-    funcs["v0_int"] = PartitionFunction(
-        "Zt_v0_int", zt["v0"].series + c4, "relation")
 
     def record(name, lhs, rhs, note=""):
         nonlocal t0
@@ -254,7 +230,7 @@ def assemble_theorem(trunc):
 
     for tag in ("vEven", "vOdd", "v0"):
         record(f"pipeline Zt_{tag} = closed form",
-               zt[tag].series, main_closed_form(tag, trunc))
+               funcs[tag].series, main_closed_form(tag, trunc))
 
     # the eta identity behind the final rewriting of the c1 = 0 form
     th4_2_12 = gen_form("theta4", trunc + 1, 2) ** 12
@@ -269,9 +245,9 @@ def assemble_theorem(trunc):
 
     # intersection-cohomology variant and the conjecture shape
     record("Zt_v0_int = Zt_v0 + 1/(4 eta(2t)^12)",
-           funcs["v0_int"].series, zt["v0"].series + c4)
+           funcs["v0_int"].series, funcs["v0"].series + c4)
     record("conjecture shape: Zt_v0_int - 1/(4 eta(2t)^12) = Zt_v0",
-           funcs["v0_int"].series - c4, zt["v0"].series)
+           funcs["v0_int"].series - c4, funcs["v0"].series)
 
     # integrality where smoothness or intersection cohomology demands it
     t1 = time.perf_counter()
@@ -321,19 +297,6 @@ def assemble_theorem(trunc):
 
 # -- gauge combinations --------------------------------------------------------
 
-def _p_weight_expr(kind):
-    if kind == "P0":
-        return leaf("E4", 2)
-    half = Fraction(1, 2)
-    plus = leaf("E4", half) + leaf("E4", half, 1)
-    minus = leaf("E4", half) - leaf("E4", half, 1)
-    if kind == "Peven":
-        return plus.scaled(half) - leaf("E4", 2)
-    if kind == "Podd":
-        return minus.scaled(half)
-    raise ValueError(kind)
-
-
 def mnvw_form_expr(lam):
     """The three closed partition-function expressions with the weight-2
     slot left unresolved."""
@@ -341,14 +304,14 @@ def mnvw_form_expr(lam):
     inv24 = Pow(leaf("eta"), -24)
     eighth = Fraction(1, 8)
     if lam == "0":
-        bracket = (E2Slot() * _p_weight_expr("P0")
+        bracket = (E2Slot() * leaf("P0")
                    + (th3 ** 4 * th4 ** 4 - (th2 ** 8).scaled(eighth))
                    * (th3 ** 4 + th4 ** 4))
     elif lam == "even":
-        bracket = (E2Slot() * _p_weight_expr("Peven").scaled(Fraction(1, 135))
+        bracket = (E2Slot() * leaf("Peven").scaled(Fraction(1, 135))
                    - (th2 ** 8 * (th3 ** 4 + th4 ** 4)).scaled(eighth))
     elif lam == "odd":
-        bracket = (E2Slot() * _p_weight_expr("Podd").scaled(Fraction(1, 120))
+        bracket = (E2Slot() * leaf("Podd").scaled(Fraction(1, 120))
                    - (th2 ** 4 * leaf("E4")).scaled(eighth))
     else:
         raise ValueError(f"unknown lambda label {lam!r}")
@@ -422,9 +385,9 @@ def euler_table(class_tag, max_delta):
             f"max_delta {max_delta} below the first grid point {offset}")
 
     if lam:
-        _, funcs = assemble_theorem(max_delta)
-        series = funcs[{"lambda0": "0", "lambdaEven": "even",
-                        "lambdaOdd": "odd"}[class_tag]].series
+        series = partition_functions(max_delta)[
+            {"lambda0": "0", "lambdaEven": "even",
+             "lambdaOdd": "odd"}[class_tag]].series
         prop = None
     else:
         series = ztilde(base, max_delta).series

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigurationError
-from .lattice import _D8_ROWS
+from .lattice import _D8_ROWS, _fraction_inverse
 
 DIM = 10
 _SIGNS = (1,) + (-1,) * 9
@@ -69,7 +69,7 @@ class SurfaceData:
         # Gram of the e-basis under the star pairing, and its inverse
         self.e_gram = tuple(tuple(star(a, b) for b in self.e)
                             for a in self.e)
-        self._e_gram_inv = _frac_inv(self.e_gram)
+        self._e_gram_inv = _fraction_inverse(self.e_gram)
 
     def _check(self):
         if pair(self.f, self.f) != 0 or pair(self.g, self.g) != 0:
@@ -138,22 +138,6 @@ def _int_det(gram):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     assert det.denominator == 1
     return int(det)
-
-
-def _frac_inv(gram):
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] +
-         [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 SURFACE = SurfaceData()

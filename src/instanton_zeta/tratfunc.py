@@ -210,13 +210,3 @@ def _reduce(num, den):
 
 ZERO = TRatFunc.const(0)
 ONE = TRatFunc.const(1)
-
-
-def t_one_limit_order(f: TRatFunc) -> int:
-    """Order of vanishing of the denominator of f at t = 1 (0 if regular)."""
-    rem = list(f.den.num)
-    order = 0
-    while sum(rem) == 0 and rem:
-        rem = poly_divexact_z(rem, list(_MINUS_ONE_ONE))
-        order += 1
-    return order

@@ -91,6 +91,15 @@ def test_table_v0_singular_flags(capsys):
     assert chi0["euler"] == "-1/4"   # exact fraction string, never a float
 
 
+@pytest.mark.parametrize("cls", ["lambda0", "lambdaEven"])
+def test_table_lambda_first_grid_point(capsys, cls):
+    # Delta = 0 is the first grid point; the odd series is still empty there
+    assert main(["table", "--class", cls, "--max-delta", "0",
+                 "--order", "0", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [row["delta"] for row in data["rows"]] == ["0"]
+
+
 def test_table_max_delta_beyond_order(capsys):
     assert main(["table", "--class", "odd", "--max-delta", "9/2",
                  "--order", "4"]) == 1
@@ -119,6 +128,14 @@ def test_eval_numeric(capsys):
     data = json.loads(capsys.readouterr().out)
     assert abs(data["value"]["re"] - 1.0864348112133080) < 1e-12
     assert abs(data["value"]["im"]) < 1e-12
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_eval_nonpositive_scale_usage_error(scale):
+    code, out, err = run_cli("eval", "--form", "E2", "--series",
+                             f"--scale={scale}")
+    assert code == 2
+    assert "--scale must be positive" in err
 
 
 def test_eval_requires_target(capsys):
@@ -158,15 +175,6 @@ def test_sduality_real_tau_exit_two(capsys):
 def test_sduality_digits_floor():
     code, out, err = run_cli("sduality", "--tau", "i", "--digits", "5")
     assert code == 2
-
-
-def test_thread_cap_env(monkeypatch):
-    from instanton_zeta.runtime import parallel_map, thread_cap
-    monkeypatch.setenv("INSTANTON_ZETA_THREADS", "3")
-    assert thread_cap() == 3
-    assert parallel_map(lambda x: x * x, [1, 2, 3, 4]) == [1, 4, 9, 16]
-    monkeypatch.setenv("INSTANTON_ZETA_THREADS", "junk")
-    assert thread_cap() == 1
 
 
 def test_sduality_negative_real_part_equals_form(capsys):

@@ -5,11 +5,13 @@ import mpmath as mp
 import pytest
 
 from instanton_zeta.errors import PrecisionError
-from instanton_zeta.formexpr import E2Slot, Mul, Pow, leaf
+from instanton_zeta.formexpr import (DERIVED_FORMS, E2Slot, Mul, Pow,
+                                     as_qseries, leaf)
 from instanton_zeta.forms import gen_form
 from instanton_zeta.numeric import (eval_exact_series_at, eval_form,
                                     sduality_check)
-from instanton_zeta.results import zw_forms
+from instanton_zeta.results import (gauge_partition_functions,
+                                    mnvw_form_expr, zw_forms)
 
 TAU = mp.mpc(0.13, 1.21)
 
@@ -69,6 +71,28 @@ def test_exact_vs_numeric_consistency_eisenstein():
         num_val = eval_form(leaf("E4"), TAU, digits=40)
         # tail bound: |q|^61 * growth margin, far below 1e-30 at Im = 1.21
         assert abs(series_val - num_val) < mp.mpf(10) ** -30
+
+
+def _closed_exprs():
+    su2, so3 = gauge_partition_functions()
+    exprs = {name: leaf(name) for name in DERIVED_FORMS}
+    exprs.update({"Z0": mnvw_form_expr("0"), "Z_even": mnvw_form_expr("even"),
+                  "Z_odd": mnvw_form_expr("odd"), "Z_SU2": su2.expr,
+                  "Z_SO3": so3.expr})
+    return exprs
+
+
+@pytest.mark.parametrize("name", sorted(_closed_exprs()))
+def test_exact_vs_numeric_derived_and_closed_forms(name):
+    # both evaluators read the same tree; the q^12 truncation tail is far
+    # below 1e-30 at Im tau >= 2
+    expr = _closed_exprs()[name]
+    series = as_qseries(expr, 12, e2_mode="E2")
+    with mp.workdps(55):
+        for tau in (mp.mpc(0, 2), mp.mpc(0.3, 2.5)):
+            exact = eval_exact_series_at(series, tau)
+            num = eval_form(expr, tau, 40, e2_mode="E2")
+            assert abs(exact - num) < mp.mpf(10) ** -30 * abs(num), tau
 
 
 def test_min_im_rejected():
