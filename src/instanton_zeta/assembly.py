@@ -13,16 +13,15 @@ from __future__ import annotations
 import functools
 import time
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 from .errors import ConfigurationError, IntegrityError
 from .forms import gen_form
 from .laurent import LPoly
-from .lattice import _D8_ROWS, zn_shell_counts, zn_shell_counts_dp
+from .lattice import ShiftVector, coset_points, zn_coset_counts
 from .qseries import QQ, QSeries, TRAT
 from .report import IdentityResult, VerifyReport
-from .surface import (CLASSES, SURFACE, C1Class, pair, star, vec_add,
-                      vec_scale)
+from .surface import CLASSES, SURFACE, C1Class, pair, vec_add, vec_scale
 from .tratfunc import TRatFunc
 
 _BETTI = {"X": (1, 10, 1), "Sigma1": (1, 2, 1)}
@@ -144,25 +143,14 @@ def pochhammer16_inverse(trunc):
 
 # -- rank-8 coset thetas under u = t^2 q --------------------------------------
 
-def _shift_ambient_from_e(e_coords):
-    out = [Fraction(0)] * 8
-    for c, row in zip(e_coords, _D8_ROWS):
-        for i in range(8):
-            out[i] += Fraction(c) * row[i]
-    return tuple(out)
-
-
-def theta_coset_sub(e_coords, trunc, method="dp"):
+def theta_coset_sub(e_coords, trunc):
     """Theta of the even-sum rank-8 lattice coset (shift in e-basis
     coordinates), evaluated at u^2 with u = t^2 q: the norm-j shell
     contributes (count) * t^(2j) q^j."""
     trunc = Fraction(trunc)
-    amb = _shift_ambient_from_e(e_coords)
-    parities = tuple(int(2 * a) % 2 for a in amb)
-    target4 = int(2 * sum(amb)) % 4
+    amb = SURFACE.e_lattice.to_ambient(ShiftVector(e_coords))
     max_q = int(4 * trunc)  # doubled-coordinate norms: 4 * (x, x)
-    fn = zn_shell_counts_dp if method == "dp" else zn_shell_counts
-    counts = fn(parities, target4, max_q)
+    counts = zn_coset_counts(amb, True, max_q, dp=True)
     pairs = []
     for qq, c in counts.items():
         norm = Fraction(qq, 4)
@@ -301,65 +289,27 @@ def smoothness_report(tag, trunc):
 
 # -- the independent wall-sum oracle ------------------------------------------
 
-def _coset_vectors(e_coords, max_norm):
-    """All 10-dim classes delta in (rank-8 lattice) + shift with
-    (delta, delta)_* <= max_norm, built from raw e-basis enumeration."""
-    gram = SURFACE.e_gram
-    from .lattice import _ldl
-    n = 8
-    d, c = _ldl(gram)
-    shift = [Fraction(x) for x in e_coords]
-    out = []
-    coords = [Fraction(0)] * n
-
-    def rec(i, budget):
-        di = d[i]
-        t = Fraction(0)
-        for j in range(i + 1, n):
-            if c[i][j]:
-                t += c[i][j] * coords[j]
-        r = budget / di
-        root = isqrt(r.numerator * r.denominator) // r.denominator + 1
-        # lattice coordinate x = k + shift_i, |x + t| <= root (padded window
-        # with an exact budget filter)
-        lo = int(-root - t - shift[i]) - 1
-        hi = int(root - t - shift[i]) + 1
-        for k in range(lo, hi + 1):
-            x = k + shift[i]
-            contrib = di * (x + t) ** 2
-            if contrib > budget:
-                continue
-            coords[i] = x
-            if i == 0:
-                out.append(tuple(coords))
-            else:
-                rec(i - 1, budget - contrib)
-        coords[i] = Fraction(0)
-
-    rec(n - 1, Fraction(max_norm))
-    return [SURFACE.from_e_coords(v) for v in out]
-
-
 def wall_sum_oracle(tag, trunc):
     """Direct evaluation of the wall-crossing difference: the two
     mixed-sign cone sums and the boundary-filtration term, computed from
     raw 10-dimensional classes xi = a f + b g + delta with every pairing
-    taken in the full intersection form.  Degenerate rays (a = 0, the
-    q-power independent of b) are summed as geometric series in t."""
+    taken in the full intersection form.  Classes are carried doubled,
+    2 xi = A f + B g + 2 delta with A = 2a, B = 2b, so every coordinate is
+    an integer.  Degenerate rays (a = 0, the q-power independent of b) are
+    summed as geometric series in t."""
     c1 = CLASSES[tag]
     s = SURFACE
     trunc = Fraction(trunc)
-    half = Fraction(1, 2)
+    max_q = 4 * trunc   # bound on 4 (delta, delta)_* and on -(2 xi, 2 xi)
 
     # coset self-check: representatives must be integral classes and the
     # glue must recover a unimodular overlattice (checked in SurfaceData);
     # here: each stratum representative lies in H^2 + l/2.
     for eps1, eps2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        rep = vec_add(vec_scale(Fraction(eps1, 2), s.f),
-                      vec_scale(Fraction(eps2, 2), s.g),
-                      _ambient10(_coset_shift(c1, eps1, eps2)))
-        diff = vec_add(rep, vec_scale(Fraction(-1, 2), c1.rep))
-        if any(Fraction(x).denominator != 1 for x in diff):
+        shift2 = [2 * x for x in _coset_shift(c1, eps1, eps2)]
+        rep2 = vec_add(vec_scale(eps1, s.f), vec_scale(eps2, s.g),
+                       s.from_e_coords(shift2))
+        if any((x - r) % 2 for x, r in zip(rep2, c1.rep)):
             raise ConfigurationError(
                 f"stratum ({eps1},{eps2}) does not lie in H^2 + l/2")
 
@@ -376,52 +326,51 @@ def wall_sum_oracle(tag, trunc):
                        LPoly.from_pairs([(2, 1), (0, -1)]))   # b half-odd
 
     for eps1, eps2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        a_min = half if eps1 else Fraction(1)
-        b_min = half if eps2 else Fraction(1)
-        deltas = _coset_vectors(_coset_shift(c1, eps1, eps2), trunc)
-        for dv in deltas:
-            dn = star(dv, dv)
-            if dn > trunc:
-                continue
-            if pair(dv, s.f) or pair(dv, s.g):
+        A_min = 1 if eps1 else 2   # smallest positive A
+        B_min = 1 if eps2 else 2   # smallest positive B
+        for y, qd in coset_points(s.e_gram, _coset_shift(c1, eps1, eps2),
+                                  max_q):
+            d2 = s.from_e_coords(y)   # 2 delta, (2 delta, 2 delta)_* = qd
+            if pair(d2, s.f) or pair(d2, s.g):
                 raise ConfigurationError("delta not orthogonal to <f, g>")
 
-            def emit(a, b, sign):
-                xi = vec_add(vec_scale(a, s.f), vec_scale(b, s.g), dv)
-                qexp = Fraction(-pair(xi, xi))
-                tpow = 2 * qexp + pair(xi, s.K)
-                assert tpow.denominator == 1 and qexp == 4 * a * (-b) + dn
-                mono = LPoly.t_pow(int(tpow))
-                add_term(finite, qexp, mono if sign > 0 else -mono)
+            def emit(A, B, sign):
+                xi2 = vec_add(vec_scale(A, s.f), vec_scale(B, s.g), d2)
+                norm4 = -pair(xi2, xi2)   # 4 q-exponent
+                tpow2 = norm4 + pair(xi2, s.K)
+                assert tpow2 % 2 == 0 and norm4 == -4 * A * B + qd
+                mono = LPoly.t_pow(tpow2 // 2)
+                add_term(finite, Fraction(norm4, 4),
+                         mono if sign > 0 else -mono)
 
-            # first cone: (xi, g) > 0, (xi, f) < 0, i.e. a > 0 > b
-            a = a_min
-            while 4 * a * b_min + dn <= trunc:
-                b = -b_min
-                while 4 * a * (-b) + dn <= trunc:
-                    emit(a, b, +1)
-                    b -= 1
-                a += 1
-            # second cone: (xi, g) < 0 < (xi, f); the a = 0 boundary of the
+            # first cone: (xi, g) > 0, (xi, f) < 0, i.e. A > 0 > B
+            A = A_min
+            while 4 * A * B_min + qd <= max_q:
+                B = -B_min
+                while 4 * A * (-B) + qd <= max_q:
+                    emit(A, B, +1)
+                    B -= 2
+                A += 2
+            # second cone: (xi, g) < 0 < (xi, f); the A = 0 boundary of the
             # (xi, g) <= 0 condition is the degenerate ray handled below
-            a = -a_min
-            while 4 * (-a) * b_min + dn <= trunc:
-                b = b_min
-                while 4 * (-a) * b + dn <= trunc:
-                    emit(a, b, -1)
-                    b += 1
-                a -= 1
+            A = -A_min
+            while 4 * (-A) * B_min + qd <= max_q:
+                B = B_min
+                while 4 * (-A) * B + qd <= max_q:
+                    emit(A, B, -1)
+                    B += 2
+                A -= 2
             if eps1 == 0:
                 # degenerate ray a = 0, b > 0: q-power = (delta, delta)_*,
                 # t-power 2*(that) - 2b summed geometrically over b
+                assert qd % 2 == 0
+                dn = Fraction(qd, 4)
                 geo = geo_odd if eps2 else geo_even
-                base = TRatFunc.t_pow(int(2 * dn)) if (
-                    2 * dn).denominator == 1 else None
-                assert base is not None
+                base = TRatFunc.t_pow(qd // 2)
                 ray[dn] = ray.get(dn, TRAT.zero) - base * geo
-                if eps2 == 0 and dn <= trunc:
+                if eps2 == 0:
                     # middle stratum contribution only from a = b = 0
-                    add_term(middle, dn, LPoly.t_pow(int(2 * dn)))
+                    add_term(middle, dn, LPoly.t_pow(qd // 2))
 
     pref_wall = TRatFunc(LPoly.const(1),
                          LPoly.from_pairs([(2, 1), (1, -1)]))  # 1/(t(t-1))
@@ -440,10 +389,6 @@ def wall_sum_oracle(tag, trunc):
     bracket = (to_series(finite) + to_series(ray)).scale(pref_wall)
     bracket = bracket + to_series(middle).scale(pref_mid)
     return mg_series(tag, trunc) + zeta_product_x(trunc) * bracket
-
-
-def _ambient10(e_coords):
-    return SURFACE.from_e_coords(e_coords)
 
 
 def verify_wall_oracle(trunc):

@@ -122,7 +122,8 @@ def _validate(parser, args):
     if getattr(args, "oracle_order", None) is not None:
         if args.oracle_order < 0:
             parser.error("--oracle-order must be nonnegative")
-        if args.oracle_order > args.order:
+        if (args.suite in ("wall-oracle", "all")
+                and args.oracle_order > args.order):
             parser.error("--oracle-order must not exceed --order")
     if getattr(args, "digits", None) is not None and args.digits < 10:
         parser.error("--digits must be at least 10")

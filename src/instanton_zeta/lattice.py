@@ -4,7 +4,9 @@ Points are counted exactly.  Three engines exist:
 
 * a generic recursive enumerator working from an exact LDL^T decomposition
   of the Gram matrix (rational arithmetic, no floats), usable for any
-  positive-definite lattice and shift;
+  positive-definite lattice and shift; it yields the points themselves
+  (``coset_points``), and is the only enumerator that does, so the
+  wall-sum oracle walks its cosets with it;
 * an integer enumerator for lattices realized inside Z^m with a
   coordinate-sum parity constraint (the rank-8 even-sum lattice and Z^m
   itself): doubling coordinates turns every bound into plain integer
@@ -176,20 +178,20 @@ def e8():
 
 # -- exact enumeration -------------------------------------------------------
 
-def generic_shell_counts(gram, shift_coords, max_q):
-    """Counts of doubled norms Q(y) = (2x)^T G (2x) <= max_q over lattice
-    points x in Z^n + shift.  Exact rational LDL bounds; every candidate is
-    re-checked against the budget before recursing."""
+def coset_points(gram, shift_coords, max_q):
+    """Yield (y, Q) for every y = 2x with x in Z^n + shift and doubled norm
+    Q = y^T G y <= max_q; y is a tuple of integers and Q an integer.
+    Exact rational LDL bounds; every candidate is re-checked against the
+    budget before recursing."""
     n = len(gram)
     d, c = _ldl(gram)
-    # quadruple the form: work on y = 2x, integer with fixed parities
     par = []
     for s in shift_coords:
         two = 2 * Fraction(s)
         if two.denominator != 1:
             raise ConfigurationError("shift must have half-integer entries")
         par.append(int(two) % 2)
-    counts = {}
+    max_q = Fraction(max_q)
     ys = [0] * n
 
     def rec(i, budget):
@@ -210,22 +212,28 @@ def generic_shell_counts(gram, shift_coords, max_q):
             contrib = di * (y + t) ** 2
             if contrib > budget:
                 continue
+            ys[i] = y
             if i == 0:
-                q = max_q_frac - (budget - contrib)
+                q = max_q - (budget - contrib)
                 if q.denominator != 1:
                     raise ConfigurationError("non-integral doubled norm")
-                qi = int(q)
-                counts[qi] = counts.get(qi, 0) + 1
+                yield tuple(ys), int(q)
             else:
-                ys[i] = y
-                rec(i - 1, budget - contrib)
+                yield from rec(i - 1, budget - contrib)
         ys[i] = 0
 
-    max_q_frac = Fraction(max_q)
     if n:
-        rec(n - 1, max_q_frac)
+        yield from rec(n - 1, max_q)
     else:
-        counts[0] = 1
+        yield (), 0
+
+
+def generic_shell_counts(gram, shift_coords, max_q):
+    """Counts of doubled norms Q(y) = (2x)^T G (2x) <= max_q over lattice
+    points x in Z^n + shift."""
+    counts = {}
+    for _, q in coset_points(gram, shift_coords, max_q):
+        counts[q] = counts.get(q, 0) + 1
     return counts
 
 
@@ -306,6 +314,19 @@ def zn_shell_counts_dp(parities, target4, max_q):
     return {q: c for q, c in enumerate(total) if c}
 
 
+def zn_coset_counts(shift_ambient, even_sum, max_q, dp):
+    """Counts of doubled norms sum(y_i^2) <= max_q over y = 2x, x in the
+    coset (lattice + shift_ambient) of Z^m, or of its even-sum sublattice
+    when even_sum is set; dp selects the convolution engine."""
+    two = [2 * Fraction(a) for a in shift_ambient]
+    if any(v.denominator != 1 for v in two):
+        raise ConfigurationError("shift must have half-integer entries")
+    parities = tuple(int(v) % 2 for v in two)
+    target4 = int(sum(two)) % 4 if even_sum else None
+    fn = zn_shell_counts_dp if dp else zn_shell_counts
+    return fn(parities, target4, max_q)
+
+
 def _counts_to_series(counts, trunc):
     pairs = [(Fraction(q, 8), c) for q, c in counts.items()]
     return QSeries.from_pairs(QQ, pairs, Fraction(trunc),
@@ -322,13 +343,9 @@ def shifted_theta(lattice, shift=None, trunc=10, method="auto"):
         raise ConfigurationError("shift rank mismatch")
     max_q = int(8 * trunc)
     if lattice.zn_rows is not None and method != "generic":
-        amb = lattice.to_ambient(shift)
-        parities = tuple(int(2 * a) % 2 for a in amb)
-        target4 = (int(2 * sum(amb)) % 4) if lattice.zn_even_sum else None
-        if method == "dp" or (method == "auto" and max_q > 96):
-            counts = zn_shell_counts_dp(parities, target4, max_q)
-        else:
-            counts = zn_shell_counts(parities, target4, max_q)
+        dp = method == "dp" or (method == "auto" and max_q > 96)
+        counts = zn_coset_counts(lattice.to_ambient(shift),
+                                 lattice.zn_even_sum, max_q, dp=dp)
     else:
         counts = generic_shell_counts(lattice.gram, shift.coords, max_q)
     return _counts_to_series(counts, trunc)
@@ -499,13 +516,8 @@ def d8_theta_ambient(shift_ambient, trunc, method="auto"):
     """Theta of the even-sum sublattice of Z^8 shifted by an ambient
     half-integer vector."""
     trunc = Fraction(trunc)
-    max_q = int(8 * trunc)
-    parities = tuple(int(2 * Fraction(a)) % 2 for a in shift_ambient)
-    target4 = int(2 * sum(Fraction(a) for a in shift_ambient)) % 4
-    if method == "dp":
-        counts = zn_shell_counts_dp(parities, target4, max_q)
-    else:
-        counts = zn_shell_counts(parities, target4, max_q)
+    counts = zn_coset_counts(shift_ambient, True, int(8 * trunc),
+                             dp=method == "dp")
     return _counts_to_series(counts, trunc)
 
 

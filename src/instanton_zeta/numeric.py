@@ -224,6 +224,12 @@ def sduality_check(tau, digits=40, resolution="anomaly"):
     su2, so3 = gauge_partition_functions()
     with mp.workdps(digits + 15):
         tau_dual = -1 / tau
+        for name, point in (("tau", tau), ("-1/tau", tau_dual)):
+            if mp.im(point) < MIN_IM:
+                raise PrecisionError(
+                    f"Im({name}) = {mp.nstr(mp.im(point), 5)} below the "
+                    f"configured minimum {MIN_IM} for the given tau = "
+                    f"{mp.nstr(tau, 5)}")
         lhs = eval_form(su2.expr, tau_dual, digits, e2_mode=resolution)
         so3_val = eval_form(so3.expr, tau, digits, e2_mode=resolution)
         rhs = -(tau / 1j) ** (-6) / 64 * so3_val

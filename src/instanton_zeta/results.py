@@ -270,14 +270,17 @@ def assemble_theorem(trunc):
         note="; ".join(f"{l}[q^{e}]={c}" for l, e, c in bad[:4]),
         seconds=time.perf_counter() - t1))
 
-    # grid structure: leading exponents of the even and odd families
+    # grid structure: leading exponents of the even and odd families; the
+    # odd family is empty below its first term at q^(1/2)
     t1 = time.perf_counter()
     lead_even = funcs["even"].series.leading()[0]
-    lead_odd = funcs["odd"].series.leading()[0]
+    lead_odd = (None if funcs["odd"].series.is_zero()
+                else funcs["odd"].series.leading()[0])
+    want_odd = Fraction(1, 2) if trunc >= Fraction(1, 2) else None
     results.append(IdentityResult(
         name="leading exponents: even at q^0, odd at q^(1/2)",
         max_exponent=trunc,
-        passed=(lead_even == 0 and lead_odd == Fraction(1, 2)),
+        passed=(lead_even == 0 and lead_odd == want_odd),
         note=f"even: {lead_even}, odd: {lead_odd}",
         seconds=time.perf_counter() - t1))
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import ConfigurationError
-from .lattice import _D8_ROWS, _fraction_inverse
+from .lattice import _fraction_inverse, _ldl, d8
 
 DIM = 10
 _SIGNS = (1,) + (-1,) * 9
@@ -65,10 +66,12 @@ class SurfaceData:
         self.betti = (1, 10, 1)
         self.sigma1_betti = (1, 2, 1)
         self.chi = 12
-        self._check()
-        # Gram of the e-basis under the star pairing, and its inverse
+        # Gram of the e-basis under the star pairing, and its inverse; the
+        # e-basis spans the even-sum rank-8 lattice realized in Z^8
         self.e_gram = tuple(tuple(star(a, b) for b in self.e)
                             for a in self.e)
+        self.e_lattice = d8()
+        self._check()
         self._e_gram_inv = _fraction_inverse(self.e_gram)
 
     def _check(self):
@@ -79,10 +82,7 @@ class SurfaceData:
         for v in self.e:
             if pair(v, self.f) != 0 or pair(v, self.g) != 0:
                 raise ConfigurationError("e-basis not orthogonal to <f, g>")
-        gram = tuple(tuple(star(a, b) for b in self.e) for a in self.e)
-        zn_gram = tuple(tuple(sum(x * y for x, y in zip(r1, r2))
-                              for r2 in _D8_ROWS) for r1 in _D8_ROWS)
-        if gram != zn_gram:
+        if self.e_gram != self.e_lattice.gram:
             raise ConfigurationError(
                 "e-basis Gram does not match the even-sum rank-8 lattice")
         # glue vectors must be integral classes
@@ -94,7 +94,7 @@ class SurfaceData:
         # definite summand recovers a unimodular overlattice
         disc_fg = abs(pair(self.f, self.f) * pair(self.g, self.g)
                       - pair(self.f, self.g) ** 2)
-        disc_d8 = _int_det(gram)
+        disc_d8 = prod(_ldl(self.e_gram)[0])
         if Fraction(disc_fg * disc_d8, 4 ** 2) != 1:
             raise ConfigurationError("glue index does not give determinant 1")
 
@@ -113,31 +113,10 @@ class SurfaceData:
                          for j in range(8)) for i in range(8))
 
     def from_e_coords(self, coords):
-        out = (Fraction(0),) * DIM
+        out = (0,) * DIM
         for c, v in zip(coords, self.e):
-            out = vec_add(out, vec_scale(Fraction(c), v))
+            out = vec_add(out, vec_scale(c, v))
         return out
-
-
-def _int_det(gram):
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
 
 
 SURFACE = SurfaceData()

@@ -56,6 +56,20 @@ def test_verify_oracle_order_exceeding_order_rejected():
     assert code == 2
 
 
+def test_verify_oracle_order_ignored_by_suites_without_oracle(capsys):
+    # the default --oracle-order (6) exceeds --order, but smoothness never
+    # runs the oracle
+    assert main(["verify", "--suite", "smoothness", "--order", "1"]) == 0
+
+
+@pytest.mark.parametrize("order", ["0", "1/4"])
+def test_verify_theorem_below_first_odd_term(order, capsys):
+    # the odd family is empty below q^(1/2)
+    assert main(["verify", "--suite", "theorem", "--order", order,
+                 "--oracle-order", "0"]) == 0
+    assert "odd: None" in capsys.readouterr().out
+
+
 def test_table_json_round_trip(capsys):
     assert main(["table", "--class", "odd", "--max-delta", "7/2",
                  "--order", "7/2", "--format", "json"]) == 0
@@ -170,6 +184,14 @@ def test_sduality_holomorphic_diagnostic(capsys):
 
 def test_sduality_real_tau_exit_two(capsys):
     assert main(["sduality", "--tau", "1.0"]) == 2
+
+
+def test_sduality_dual_point_too_close_names_it(capsys):
+    # Im(tau) = 30 is fine; Im(-1/tau) = 1/30 is below the minimum
+    assert main(["sduality", "--tau", "30i"]) == 1
+    err = capsys.readouterr().err
+    assert "Im(-1/tau) = 0.033333" in err
+    assert "Im(tau)" not in err
 
 
 def test_sduality_digits_floor():

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from instanton_zeta.errors import ConfigurationError
 from instanton_zeta.forms import gen_form
 from instanton_zeta.lattice import (D8_SHIFT_E1_HALF, D8_SHIFT_P, D8_SHIFT_Q,
                                     IntegralLattice, ShiftVector, a1,
                                     a1_theta_with_char, b0_product_formula,
-                                    b_substituted, box_shell_counts, d8,
+                                    b_substituted, box_shell_counts,
+                                    coset_points, d8,
                                     d8_theta_ambient, e8, e8_theta_series,
                                     generic_shell_counts, shifted_theta,
                                     verify_d8_decompositions, zn,
@@ -101,6 +104,40 @@ def test_random_lattices_against_box_search():
         want = {k: v for k, v in box_shell_counts(gram, shift, 8).items()
                 if k <= 32}
         assert got == want
+
+
+@st.composite
+def _gram_and_shift(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    gram = tuple(tuple(sum(m[k][i] * m[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+    try:
+        IntegralLattice("rnd", gram)
+    except ConfigurationError:
+        assume(False)
+    shift = tuple(Fraction(draw(st.integers(-1, 1)), 2) for _ in range(n))
+    return gram, shift
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_gram_and_shift(), st.integers(0, 24))
+def test_coset_points_properties(gram_shift, max_q):
+    gram, shift = gram_shift
+    n = len(gram)
+    points = list(coset_points(gram, shift, max_q))
+    ys = [y for y, _ in points]
+    assert len(set(ys)) == len(ys)
+    counts = {}
+    for y, q in points:
+        assert len(y) == n
+        assert all((yi - 2 * si) % 2 == 0 for yi, si in zip(y, shift))
+        norm = sum(y[i] * gram[i][j] * y[j]
+                   for i in range(n) for j in range(n))
+        assert norm == q <= max_q
+        counts[q] = counts.get(q, 0) + 1
+    assert counts == box_shell_counts(gram, shift, Fraction(max_q, 4))
 
 
 def test_zn_counts_enumeration_vs_dp():

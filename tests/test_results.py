@@ -7,8 +7,8 @@ from instanton_zeta.formexpr import as_qseries
 from instanton_zeta.forms import gen_form
 from instanton_zeta.results import (assemble_theorem, check_limit_lemmas,
                                     euler_table, gauge_partition_functions,
-                                    main_closed_form, mnvw_form_expr,
-                                    theorem_closed_form, ztilde, zw_forms)
+                                    main_closed_form, theorem_closed_form,
+                                    ztilde, zw_forms)
 
 ORDER = 10
 
@@ -42,15 +42,6 @@ def test_pipeline_matches_closed_forms():
         z = ztilde(tag, ORDER).series
         closed = main_closed_form(tag, ORDER)
         assert z.first_difference(closed, upto=ORDER) is None, tag
-
-
-def test_closed_form_equals_expression_layer():
-    # the theorem forms as expression trees (slot resolved holomorphically)
-    # agree with the direct closed-form construction
-    for lam in ("0", "even", "odd"):
-        expr_series = as_qseries(mnvw_form_expr(lam), 6, e2_mode="E2")
-        assert expr_series.first_difference(
-            theorem_closed_form(lam, 6)) is None
 
 
 def test_check_limit_lemmas():
