@@ -16,11 +16,11 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConfigurationError, IntegrityError
-from .forms import gen_form
+from .forms import eta_pow_inverse, gen_form, sieve
 from .laurent import LPoly
 from .lattice import ShiftVector, coset_points, zn_coset_counts
 from .qseries import QQ, QSeries, TRAT
-from .report import IdentityResult, VerifyReport
+from .report import IdentityResult, VerifyReport, compare
 from .surface import CLASSES, SURFACE, C1Class, pair, vec_add, vec_scale
 from .tratfunc import TRatFunc
 
@@ -128,14 +128,11 @@ def a_sum(i, trunc):
 
 @functools.lru_cache(maxsize=None)
 def pochhammer16_inverse(trunc):
-    """1 / prod_{a >= 1} (1 - u^a)^16 under u = t^2 q."""
+    """1 / prod_{a >= 1} (1 - u^a)^16 under u = t^2 q, read off
+    q^(2/3) / eta^16."""
     trunc = Fraction(trunc)
-    euler = QSeries.constant(QQ, 1, trunc)
-    a = 1
-    while a <= trunc:
-        euler = euler * QSeries.from_pairs(QQ, [(0, 1), (a, -1)], trunc, 1)
-        a += 1
-    inv16 = (euler ** 16).inverse()
+    shift = Fraction(2, 3)
+    inv16 = eta_pow_inverse(1, 16, trunc - shift).shift_exp(shift)
     pairs = [(e, TRatFunc.t_pow(2 * int(e), int(c)))
              for e, c in inv16.pairs()]
     return QSeries.from_pairs(TRAT, pairs, trunc, 1)
@@ -227,14 +224,9 @@ def proposition_series(tag, trunc, validate=True):
     return out
 
 
-def _is_smooth(tag, delta):
-    # moduli are singular only for c1 = 0 at even integer discriminant
-    return tag != "v0" or delta % 2 == 1
-
-
 def _validate_smooth(tag, series):
     for delta, coeff in series.pairs():
-        if _is_smooth(tag, delta) and not coeff.is_polynomial():
+        if CLASSES[tag].is_smooth(delta) and not coeff.is_polynomial():
             raise IntegrityError(
                 f"{tag}: coefficient at Delta = {delta} is not a Laurent "
                 f"polynomial despite smoothness")
@@ -253,7 +245,7 @@ def smoothness_report(tag, trunc):
     t0 = time.perf_counter()
     while delta <= trunc:
         coeff = series.coeff(delta)
-        smooth = _is_smooth(tag, delta)
+        smooth = c1.is_smooth(delta)
         problems = []
         dim = 4 * delta - 3
         if smooth:
@@ -395,38 +387,24 @@ def verify_wall_oracle(trunc):
     """Exact coefficientwise comparison of the closed assemblies against
     the raw wall-sum oracle for all three classes."""
     trunc = Fraction(trunc)
-    results = []
-    for tag in ("v0", "vEven", "vOdd"):
-        t0 = time.perf_counter()
-        closed = proposition_series(tag, trunc)
-        oracle = wall_sum_oracle(tag, trunc)
-        diff = closed.first_difference(oracle, upto=trunc)
-        results.append(IdentityResult(
-            name=f"closed assembly = wall-sum oracle [{tag}]",
-            max_exponent=trunc, passed=diff is None, first_difference=diff,
-            seconds=time.perf_counter() - t0))
-    return VerifyReport(suite="wall-oracle", results=results)
+    return VerifyReport(suite="wall-oracle", results=[
+        compare(f"closed assembly = wall-sum oracle [{tag}]",
+                lambda: (proposition_series(tag, trunc),
+                         wall_sum_oracle(tag, trunc)), trunc)
+        for tag in ("v0", "vEven", "vOdd")])
 
 
 def check_asum_closed_forms(trunc):
     """The four double sums at t = 1 against their E2-dilate closed forms
     and their raw divisor-sum expressions."""
     trunc = Fraction(trunc)
-    e2_2 = gen_form("E2", trunc, 2)
-    e2_4 = gen_form("E2", trunc, 4)
     one = QSeries.constant(QQ, 1, trunc)
-    ff = gen_form("F", trunc)
+
+    def e2(scaling):
+        return gen_form("E2", trunc, scaling)
 
     def at_one(i):
         return a_sum(i, trunc).map_coeffs(lambda c: c.eval_one(), QQ)
-
-    def sieve(fn):
-        pairs = []
-        for n in range(1, int(trunc) + 1):
-            v = fn(n)
-            if v:
-                pairs.append((n, v))
-        return QSeries.from_pairs(QQ, pairs, trunc, 1)
 
     def sigma1(n):
         return sum(d for d in range(1, n + 1) if n % d == 0)
@@ -435,30 +413,28 @@ def check_asum_closed_forms(trunc):
         return sum(d for d in range(1, n + 1, 2) if n % d == 0)
 
     cases = [
-        ("A1(1,q) = (1 - E2(4t))/6", at_one(1),
-         (one - e2_4).scale(Fraction(1, 6))),
-        ("A1(1,q) = 4 sum sigma1(n) q^(4n)", at_one(1),
-         sieve(lambda n: 4 * sigma1(n // 4) if n % 4 == 0 else 0)),
-        ("A2(1,q) = (E2(4t) - E2(2t))/6", at_one(2),
-         (e2_4 - e2_2).scale(Fraction(1, 6))),
-        ("A2(1,q) = 4 sum_(m,n) m q^(2m(2n-1))", at_one(2),
-         sieve(lambda n: 4 * sum(m for m in range(1, n + 1)
-                                 if n % (2 * m) == 0
-                                 and (n // (2 * m)) % 2 == 1))),
-        ("A3(1,q) = (-E2(2t) + 2E2(4t) - 1)/12", at_one(3),
-         (e2_4.scale(2) - e2_2 - one).scale(Fraction(1, 12))),
-        ("A3(1,q) = 2 sum sigma1_odd(n) q^(2n)", at_one(3),
-         sieve(lambda n: 2 * sigma1_odd(n // 2) if n % 2 == 0 else 0)),
-        ("A4(1,q) = 2 F", at_one(4), ff.scale(2)),
-        ("A4(1,q) = sum 2(2m-1) q^((2m-1)(2n-1))", at_one(4),
-         sieve(lambda n: 2 * sum(d for d in range(1, n + 1, 2)
-                                 if n % d == 0 and (n // d) % 2 == 1))),
+        ("A1(1,q) = (1 - E2(4t))/6", 1,
+         lambda: (one - e2(4)).scale(Fraction(1, 6))),
+        ("A1(1,q) = 4 sum sigma1(n) q^(4n)", 1,
+         lambda: sieve(trunc, lambda n: 4 * sigma1(n // 4)
+                       if n % 4 == 0 else 0)),
+        ("A2(1,q) = (E2(4t) - E2(2t))/6", 2,
+         lambda: (e2(4) - e2(2)).scale(Fraction(1, 6))),
+        ("A2(1,q) = 4 sum_(m,n) m q^(2m(2n-1))", 2,
+         lambda: sieve(trunc, lambda n: 4 * sum(
+             m for m in range(1, n + 1)
+             if n % (2 * m) == 0 and (n // (2 * m)) % 2 == 1))),
+        ("A3(1,q) = (-E2(2t) + 2E2(4t) - 1)/12", 3,
+         lambda: (e2(4).scale(2) - e2(2) - one).scale(Fraction(1, 12))),
+        ("A3(1,q) = 2 sum sigma1_odd(n) q^(2n)", 3,
+         lambda: sieve(trunc, lambda n: 2 * sigma1_odd(n // 2)
+                       if n % 2 == 0 else 0)),
+        ("A4(1,q) = 2 F", 4, lambda: gen_form("F", trunc).scale(2)),
+        ("A4(1,q) = sum 2(2m-1) q^((2m-1)(2n-1))", 4,
+         lambda: sieve(trunc, lambda n: 2 * sum(
+             d for d in range(1, n + 1, 2)
+             if n % d == 0 and (n // d) % 2 == 1))),
     ]
-    results = []
-    for name, lhs, rhs in cases:
-        t0 = time.perf_counter()
-        diff = lhs.first_difference(rhs, upto=trunc)
-        results.append(IdentityResult(
-            name=name, max_exponent=trunc, passed=diff is None,
-            first_difference=diff, seconds=time.perf_counter() - t0))
-    return VerifyReport(suite="a-sums", results=results)
+    return VerifyReport(suite="a-sums", results=[
+        compare(name, lambda: (at_one(i), rhs()), trunc)
+        for name, i, rhs in cases])

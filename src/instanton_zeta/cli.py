@@ -125,6 +125,9 @@ def _validate(parser, args):
         if (args.suite in ("wall-oracle", "all")
                 and args.oracle_order > args.order):
             parser.error("--oracle-order must not exceed --order")
+        if args.suite in ("section1", "d8", "all") and args.order < 1:
+            parser.error(f"--order must be at least 1 for --suite "
+                         f"{args.suite}")
     if getattr(args, "digits", None) is not None and args.digits < 10:
         parser.error("--digits must be at least 10")
     if getattr(args, "scale", None) is not None and args.scale <= 0:
@@ -138,7 +141,7 @@ def _run_suite(name, order, oracle_order):
     if name == "section1":
         return [forms.verify_section1(order)]
     if name == "d8":
-        return [lattice.verify_d8_decompositions(order)]
+        return [lattice.verify_d8_decompositions(order, method="dp")]
     if name == "limit-lemmas":
         return [assembly.check_asum_closed_forms(order),
                 results.check_limit_lemmas(order)]

@@ -11,13 +11,13 @@ P0 / Peven / Podd) are expanded from their trees in
 
 from __future__ import annotations
 
-import time
+import functools
 from fractions import Fraction
 
 from .errors import InstantonZetaError
 from .formexpr import DERIVED_FORMS, _exact
 from .qseries import DEFAULT_DENOM, QQ, QSeries
-from .report import IdentityResult, VerifyReport
+from .report import VerifyReport, compare
 
 
 def sigma_table(n_max, power=1):
@@ -139,6 +139,23 @@ def p_weight(kind, trunc, provider=None):
     return (provider or _DEFAULT).series(kind, trunc)
 
 
+def sieve(trunc, fn):
+    """The series sum of fn(n) q^n over 1 <= n <= trunc."""
+    pairs = [(n, fn(n)) for n in range(1, int(trunc) + 1)]
+    return QSeries.from_pairs(QQ, [(e, c) for e, c in pairs if c],
+                              Fraction(trunc), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def eta_pow_inverse(scale, power, trunc):
+    """1 / eta(scale * tau)^power, exact to trunc."""
+    trunc = Fraction(trunc)
+    scale = Fraction(scale)
+    lead = Fraction(power, 24) * scale
+    eta = gen_form("eta", trunc + 2 * lead, scale)
+    return (eta ** power).inverse().truncate(trunc)
+
+
 def verify_section1(trunc, provider=None, e8_theta_fn=None):
     """Check the quasi-modular and theta identities coefficientwise up to
     the requested order.  ``e8_theta_fn(trunc)`` supplies the rank-8 root
@@ -149,76 +166,72 @@ def verify_section1(trunc, provider=None, e8_theta_fn=None):
         raise ValueError("trunc must be at least 1")
     p = provider or _DEFAULT
 
-    def f(name, scaling=1, order=trunc):
-        return p.series(name, order, scaling)
+    def f(name, scaling=1):
+        return p.series(name, trunc, scaling)
 
     def divisor_lhs(signed):
-        n_int = int(trunc)
-        pairs = []
-        for n in range(1, n_int + 1):
-            total = 0
-            for d in range(1, n + 1):
-                if n % d == 0 and (n // d) % 2 == 1:
-                    total += (-d if (signed and d % 2) else d)
-            pairs.append((n, total))
-        return QSeries.from_pairs(QQ, pairs, trunc, 1)
+        def total(n):
+            return sum(-d if (signed and d % 2) else d
+                       for d in range(1, n + 1)
+                       if n % d == 0 and (n // d) % 2 == 1)
+        return sieve(trunc, total)
 
-    sixth = Fraction(1, 6)
-
-    def checks():
-        e2, e2_2, e2_4 = f("E2"), f("E2", 2), f("E2", 4)
-        yield ("e1 = -(1/6)(-E2 + 2 E2(2t))",
-               f("e1"), (-(-e2 + e2_2.scale(2))).scale(sixth))
-        yield ("F = -(1/24)(E2 - 3 E2(2t) + 2 E2(4t))",
-               f("F"),
-               (e2 - e2_2.scale(3) + e2_4.scale(2)).scale(Fraction(-1, 24)))
-        yield ("sum over odd-cofactor divisors = (E2(2t) - E2)/24",
-               divisor_lhs(False), (e2_2 - e2).scale(Fraction(1, 24)))
-        yield ("signed odd-cofactor sum = (E2 - 5 E2(2t) + 4 E2(4t))/24",
-               divisor_lhs(True),
-               (e2 - e2_2.scale(5) + e2_4.scale(4)).scale(Fraction(1, 24)))
-        th2, th3, th4 = f("theta2"), f("theta3"), f("theta4")
-        big = f("BigTheta")
-        ff = f("F")
-        yield ("-6 e1 = (theta3^4 + theta4^4)/2",
-               f("e1").scale(-6), (th3 ** 4 + th4 ** 4).scale(Fraction(1, 2)))
-        yield ("-6 e1 = Theta^4 + 16 F",
-               f("e1").scale(-6), big ** 4 + ff.scale(16))
-        yield ("theta4(2t)^4 = Theta^4 - 16 F",
-               f("theta4", 2) ** 4, big ** 4 - ff.scale(16))
-        yield ("theta2(2t)^4 = 16 F", f("theta2", 2) ** 4, ff.scale(16))
-        yield ("theta2^8 = 256 Theta^4 F",
-               th2 ** 8, (big ** 4 * ff).scale(256))
-        yield ("theta2^4 = theta3^4 - theta4^4",
-               th2 ** 4, th3 ** 4 - th4 ** 4)
-        e4 = f("E4")
-        yield ("(theta2^8 + theta3^8 + theta4^8)/2 = E4",
-               (th2 ** 8 + th3 ** 8 + th4 ** 8).scale(Fraction(1, 2)), e4)
+    def e8():
         if e8_theta_fn is None:
             from .lattice import e8_theta_series
-            e8 = e8_theta_series(trunc)
-        else:
-            e8 = e8_theta_fn(trunc)
-        yield ("Theta_E8 = E4", e8, e4)
-        t2d, t3d, t4d = f("theta2", 2), f("theta3", 2), f("theta4", 2)
-        yield ("P0 = (theta2(2t)^8 + theta3(2t)^8 + theta4(2t)^8)/2",
-               f("P0"),
-               (t2d ** 8 + t3d ** 8 + t4d ** 8).scale(Fraction(1, 2)))
-        yield ("Peven = 135 (theta2(2t)^8 + theta3(2t)^8 - theta4(2t)^8)/2",
-               f("Peven"),
-               (t2d ** 8 + t3d ** 8 - t4d ** 8).scale(Fraction(135, 2)))
-        yield ("Podd = 120 (theta2(2t)^6 theta3(2t)^2 + "
-               "theta2(2t)^2 theta3(2t)^6)/2",
-               f("Podd"),
-               (t2d ** 6 * t3d ** 2 + t2d ** 2 * t3d ** 6)
-               .scale(Fraction(120, 2)))
+            return e8_theta_series(trunc)
+        return e8_theta_fn(trunc)
 
-    results = []
-    for name, lhs, rhs in checks():
-        t0 = time.perf_counter()
-        diff = lhs.first_difference(rhs, upto=trunc)
-        max_e = min(lhs.trunc, rhs.trunc, trunc)
-        results.append(IdentityResult(
-            name=name, max_exponent=max_e, passed=diff is None,
-            first_difference=diff, seconds=time.perf_counter() - t0))
-    return VerifyReport(suite="section1", results=results)
+    half = Fraction(1, 2)
+    identities = [
+        ("e1 = -(1/6)(-E2 + 2 E2(2t))", lambda: (
+            f("e1"),
+            (-(-f("E2") + f("E2", 2).scale(2))).scale(Fraction(1, 6)))),
+        ("F = -(1/24)(E2 - 3 E2(2t) + 2 E2(4t))", lambda: (
+            f("F"),
+            (f("E2") - f("E2", 2).scale(3) + f("E2", 4).scale(2))
+            .scale(Fraction(-1, 24)))),
+        ("sum over odd-cofactor divisors = (E2(2t) - E2)/24", lambda: (
+            divisor_lhs(False),
+            (f("E2", 2) - f("E2")).scale(Fraction(1, 24)))),
+        ("signed odd-cofactor sum = (E2 - 5 E2(2t) + 4 E2(4t))/24", lambda: (
+            divisor_lhs(True),
+            (f("E2") - f("E2", 2).scale(5) + f("E2", 4).scale(4))
+            .scale(Fraction(1, 24)))),
+        ("-6 e1 = (theta3^4 + theta4^4)/2", lambda: (
+            f("e1").scale(-6),
+            (f("theta3") ** 4 + f("theta4") ** 4).scale(half))),
+        ("-6 e1 = Theta^4 + 16 F", lambda: (
+            f("e1").scale(-6), f("BigTheta") ** 4 + f("F").scale(16))),
+        ("theta4(2t)^4 = Theta^4 - 16 F", lambda: (
+            f("theta4", 2) ** 4, f("BigTheta") ** 4 - f("F").scale(16))),
+        ("theta2(2t)^4 = 16 F", lambda: (
+            f("theta2", 2) ** 4, f("F").scale(16))),
+        ("theta2^8 = 256 Theta^4 F", lambda: (
+            f("theta2") ** 8, (f("BigTheta") ** 4 * f("F")).scale(256))),
+        ("theta2^4 = theta3^4 - theta4^4", lambda: (
+            f("theta2") ** 4, f("theta3") ** 4 - f("theta4") ** 4)),
+        ("(theta2^8 + theta3^8 + theta4^8)/2 = E4", lambda: (
+            (f("theta2") ** 8 + f("theta3") ** 8 + f("theta4") ** 8)
+            .scale(half),
+            f("E4"))),
+        ("Theta_E8 = E4", lambda: (e8(), f("E4"))),
+        ("P0 = (theta2(2t)^8 + theta3(2t)^8 + theta4(2t)^8)/2", lambda: (
+            f("P0"),
+            (f("theta2", 2) ** 8 + f("theta3", 2) ** 8
+             + f("theta4", 2) ** 8).scale(half))),
+        ("Peven = 135 (theta2(2t)^8 + theta3(2t)^8 - theta4(2t)^8)/2",
+         lambda: (
+             f("Peven"),
+             (f("theta2", 2) ** 8 + f("theta3", 2) ** 8
+              - f("theta4", 2) ** 8).scale(Fraction(135, 2)))),
+        ("Podd = 120 (theta2(2t)^6 theta3(2t)^2 + "
+         "theta2(2t)^2 theta3(2t)^6)/2", lambda: (
+             f("Podd"),
+             (f("theta2", 2) ** 6 * f("theta3", 2) ** 2
+              + f("theta2", 2) ** 2 * f("theta3", 2) ** 6)
+             .scale(Fraction(120, 2)))),
+    ]
+    return VerifyReport(suite="section1",
+                        results=[compare(name, build, trunc)
+                                 for name, build in identities])

@@ -21,14 +21,13 @@ search in the test suite.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from math import isqrt
 
 from .errors import ConfigurationError
 from .laurent import LPoly
 from .qseries import QQ, QSeries, TRAT
-from .report import IdentityResult, VerifyReport
+from .report import VerifyReport, compare
 from .tratfunc import TRatFunc
 
 
@@ -530,48 +529,40 @@ def verify_d8_decompositions(trunc, method="enumerate", provider=None):
     if trunc < 1:
         raise ValueError("trunc must be at least 1")
 
-    th2 = gen_form("theta2", trunc, provider=provider)
-    th3 = gen_form("theta3", trunc, provider=provider)
-    th4 = gen_form("theta4", trunc, provider=provider)
-    half = Fraction(1, 2)
+    def th(name):
+        return gen_form(name, trunc, provider=provider)
 
+    half = Fraction(1, 2)
     zero = (Fraction(0),) * 8
     p, q, e1h = D8_SHIFT_P, D8_SHIFT_Q, D8_SHIFT_E1_HALF
     cases = [
         ("Theta_D8 = (theta^8 + theta~^8)/2", zero,
-         (th3 ** 8 + th4 ** 8).scale(half)),
+         lambda: (th("theta3") ** 8 + th("theta4") ** 8).scale(half)),
         ("Theta_D8|q = (theta^8 - theta~^8)/2", q,
-         (th3 ** 8 - th4 ** 8).scale(half)),
-        ("Theta_D8|p = theta_half^8/2", p, (th2 ** 8).scale(half)),
+         lambda: (th("theta3") ** 8 - th("theta4") ** 8).scale(half)),
+        ("Theta_D8|p = theta_half^8/2", p,
+         lambda: (th("theta2") ** 8).scale(half)),
         ("Theta_D8|(p+q) = theta_half^8/2", _add_vec(p, q),
-         (th2 ** 8).scale(half)),
+         lambda: (th("theta2") ** 8).scale(half)),
         ("Theta_D8|(e1/2) = theta^6 theta_half^2/2", e1h,
-         (th3 ** 6 * th2 ** 2).scale(half)),
+         lambda: (th("theta3") ** 6 * th("theta2") ** 2).scale(half)),
         ("Theta_D8|(e1/2+q) = theta^6 theta_half^2/2", _add_vec(e1h, q),
-         (th3 ** 6 * th2 ** 2).scale(half)),
+         lambda: (th("theta3") ** 6 * th("theta2") ** 2).scale(half)),
         ("Theta_D8|(e1/2+p) = theta^2 theta_half^6/2", _add_vec(e1h, p),
-         (th3 ** 2 * th2 ** 6).scale(half)),
+         lambda: (th("theta3") ** 2 * th("theta2") ** 6).scale(half)),
         ("Theta_D8|(e1/2+p+q) = theta^2 theta_half^6/2", _add_vec(e1h, p, q),
-         (th3 ** 2 * th2 ** 6).scale(half)),
+         lambda: (th("theta3") ** 2 * th("theta2") ** 6).scale(half)),
     ]
-    results = []
-    for name, shift, rhs in cases:
-        t0 = time.perf_counter()
-        lhs = d8_theta_ambient(shift, trunc, method=method)
-        diff = lhs.first_difference(rhs, upto=trunc)
-        results.append(IdentityResult(
-            name=name, max_exponent=trunc, passed=diff is None,
-            first_difference=diff, seconds=time.perf_counter() - t0))
+    results = [compare(name, lambda: (d8_theta_ambient(shift, trunc, method),
+                                      rhs()), trunc)
+               for name, shift, rhs in cases]
 
     # bridge: (Theta_D8 + Theta_D8|q)(0, u^2) = B0(1, u)^8
-    t0 = time.perf_counter()
-    half_order = trunc / 2
-    lhs = (d8_theta_ambient(zero, half_order, method=method)
-           + d8_theta_ambient(q, half_order, method=method)).dilate(2)
-    rhs = gen_form("theta3", trunc, 2, provider=provider) ** 8
-    diff = lhs.first_difference(rhs, upto=trunc)
-    results.append(IdentityResult(
-        name="(Theta_D8 + Theta_D8|q)(0,u^2) = B0(1,u)^8",
-        max_exponent=trunc, passed=diff is None,
-        first_difference=diff, seconds=time.perf_counter() - t0))
+    def bridge():
+        lhs = (d8_theta_ambient(zero, trunc / 2, method)
+               + d8_theta_ambient(q, trunc / 2, method)).dilate(2)
+        return lhs, gen_form("theta3", trunc, 2, provider=provider) ** 8
+
+    results.append(compare("(Theta_D8 + Theta_D8|q)(0,u^2) = B0(1,u)^8",
+                           bridge, trunc))
     return VerifyReport(suite="d8", results=results)

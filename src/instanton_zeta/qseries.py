@@ -17,7 +17,7 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .errors import (FractionalExponentError, NotInvertibleError,
                      RingMismatchError, TruncationError)
@@ -285,7 +285,7 @@ class QSeries:
         # r = (series / lead) - 1, supported on positive offsets
         r = {k - lead_k: c0_inv * c for k, c in self.terms.items()
              if k != lead_k}
-        span = int(self.trunc * self.denom) - lead_k
+        span = floor(self.trunc * self.denom) - lead_k
         g = 0
         for d in r:
             g = gcd(g, d)
@@ -304,8 +304,7 @@ class QSeries:
                 else:
                     inv.append(-acc)
             out = {j * g: c for j, c in enumerate(inv) if c}
-        trunc = Fraction(int(self.trunc * self.denom) - 2 * lead_k,
-                         self.denom)
+        trunc = self.trunc - Fraction(2 * lead_k, self.denom)
         terms = {k - lead_k: c0_inv * c for k, c in out.items()}
         return QSeries(self.ring, self.denom, trunc, terms, _checked=True)
 

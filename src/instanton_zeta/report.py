@@ -1,7 +1,9 @@
-"""Small result containers shared by the verification suites."""
+"""Small result containers shared by the verification suites, and the one
+routine that compares the two sides of an identity."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,3 +46,23 @@ class VerifyReport:
 
     def failures(self):
         return [r for r in self.results if not r.passed]
+
+
+def compare(name, build, upto):
+    """Build both sides of an identity with ``build() -> (lhs, rhs)`` and
+    compare them coefficientwise up to ``upto``.
+
+    ``seconds`` covers the build and the comparison.  ``max_exponent`` is
+    the bound actually compared, ``min(lhs.trunc, rhs.trunc, upto)``; when
+    a side stops short of ``upto`` the identity fails with a note naming
+    that bound."""
+    upto = Fraction(upto)
+    t0 = time.perf_counter()
+    lhs, rhs = build()
+    bound = min(lhs.trunc, rhs.trunc, upto)
+    diff = lhs.first_difference(rhs, upto=bound)
+    short = bound < upto
+    return IdentityResult(
+        name=name, max_exponent=bound, passed=diff is None and not short,
+        first_difference=diff, seconds=time.perf_counter() - t0,
+        note=f"compared only to q^{bound} of q^{upto}" if short else "")

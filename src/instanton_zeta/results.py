@@ -19,12 +19,12 @@ from fractions import Fraction
 from .assembly import proposition_series, vacuum_series
 from .errors import IntegrityError, PoleAtOneError, TruncationError
 from .formexpr import E2Slot, FormExpr, Pow, as_qseries, leaf
-from .forms import gen_form
+from .forms import eta_pow_inverse, gen_form, sieve
 from .laurent import LPoly
 from .lattice import b_substituted
 from .qseries import QQ, QSeries
-from .report import IdentityResult, VerifyReport
-from .surface import CLASSES
+from .report import IdentityResult, VerifyReport, compare
+from .surface import CLASSES, V0
 from .tratfunc import TRatFunc
 
 PIPELINE_LABELS = {"v0": "Zt_v0", "vEven": "Zt_vEven", "vOdd": "Zt_vOdd"}
@@ -36,16 +36,6 @@ class PartitionFunction:
     series: QSeries | None
     provenance: str                 # "pipeline" | "closed-form" | "relation"
     expr: FormExpr | None = None
-
-
-@functools.lru_cache(maxsize=None)
-def _eta_pow_inverse(scale, power, trunc):
-    """1 / eta(scale * tau)^power, exact to trunc."""
-    trunc = Fraction(trunc)
-    scale = Fraction(scale)
-    lead = Fraction(power, 24) * scale
-    eta = gen_form("eta", trunc + 2 * lead, scale)
-    return (eta ** power).inverse().truncate(trunc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,8 +55,7 @@ def ztilde(tag, trunc):
     series = prop.map_coeffs(limit, QQ).shift_exp(-1)
     for e, c in series.pairs():
         delta = e + 1
-        smooth = tag != "v0" or delta % 2 == 1
-        if smooth and c.denominator != 1:
+        if CLASSES[tag].is_smooth(delta) and c.denominator != 1:
             raise IntegrityError(
                 f"{tag}: non-integer Euler characteristic {c} at "
                 f"Delta = {delta}")
@@ -91,7 +80,7 @@ def main_closed_form(tag, trunc):
         raise ValueError(f"unknown class tag {tag!r}")
     out = theorem_closed_form(lam, trunc)
     if tag == "v0":
-        out = out - _eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 8))
+        out = out - eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 8))
     return out
 
 
@@ -107,68 +96,59 @@ def check_limit_lemmas(trunc):
     each computed by exact rational-function division and evaluation
     against an independently summed right-hand side."""
     trunc = Fraction(trunc)
-    results = []
-
-    def record(name, lhs, rhs, t0):
-        diff = lhs.first_difference(rhs, upto=trunc)
-        results.append(IdentityResult(
-            name=name, max_exponent=min(trunc, lhs.trunc, rhs.trunc),
-            passed=diff is None, first_difference=diff,
-            seconds=time.perf_counter() - t0))
 
     # vacuum limit: G(1, q) = (1 - E2)/12 * prod(1 - q^n)^(-8); the eta
     # normalization q^(-1/3) G(1,q) = (1 - E2)/(12 eta^8) is the same
     # statement after cancelling q^(1/3)
-    t0 = time.perf_counter()
-    g = vacuum_series("G", trunc)
-    g1 = g.map_coeffs(lambda c: c.eval_one(), QQ)
-    euler = QSeries.constant(QQ, 1, trunc)
-    n = 1
-    while n <= trunc:
-        euler = euler * QSeries.from_pairs(QQ, [(0, 1), (n, -1)], trunc, 1)
-        n += 1
-    inv8 = (euler ** 8).inverse()
-    one = QSeries.constant(QQ, 1, trunc)
-    rhs = ((one - gen_form("E2", trunc)).scale(Fraction(1, 12)) * inv8)
-    record("G(1,q) = (1 - E2)/(12 q^(-1/3) eta^8)", g1, rhs, t0)
+    def vacuum_at_one():
+        return vacuum_series("G", trunc).map_coeffs(
+            lambda c: c.eval_one(), QQ)
 
-    t0 = time.perf_counter()
-    sig = _sieve(trunc, lambda nn: sum(d for d in range(1, nn + 1)
-                                       if nn % d == 0))
-    rhs2 = sig.scale(2) * inv8
-    record("G(1,q) = 2 sum sigma1(n) q^n / q^(-1/3) eta^8", g1, rhs2, t0)
+    def inv8():
+        third = Fraction(1, 3)
+        return eta_pow_inverse(1, 8, trunc - third).shift_exp(third)
+
+    def vacuum_e2():
+        one = QSeries.constant(QQ, 1, trunc)
+        return vacuum_at_one(), ((one - gen_form("E2", trunc))
+                                 .scale(Fraction(1, 12)) * inv8())
+
+    def vacuum_sigma():
+        sig = sieve(trunc, lambda nn: sum(d for d in range(1, nn + 1)
+                                          if nn % d == 0))
+        return vacuum_at_one(), sig.scale(2) * inv8()
 
     # blow-up limit, unshifted factor
-    t0 = time.perf_counter()
-    b0t = b_substituted(0, trunc)
-    b01 = b_substituted(0, trunc, char=False)
-    lhs = (b0t - b01).map_coeffs(
-        lambda c: (c * _DIV_BLOWUP).eval_one(), QQ)
-    s1 = _double_sum(trunc, lambda m, n: (m * (2 * n - 1),
-                                          (-1) ** m * m))
-    rhs = s1.scale(Fraction(-1, 2)) * gen_form("theta3", trunc, 2)
-    record("lim (B0(t,t^2 q) - B0(1,t^2 q))/((t+1)(t-1)^2)", lhs, rhs, t0)
+    def blowup_unshifted():
+        b0t = b_substituted(0, trunc)
+        b01 = b_substituted(0, trunc, char=False)
+        lhs = (b0t - b01).map_coeffs(
+            lambda c: (c * _DIV_BLOWUP).eval_one(), QQ)
+        s1 = _double_sum(trunc, lambda m, n: (m * (2 * n - 1),
+                                              (-1) ** m * m))
+        return lhs, s1.scale(Fraction(-1, 2)) * gen_form("theta3", trunc, 2)
 
     # blow-up limit, half-shifted factor (with the -1/8 correction); the
     # character-free side has half-odd t-powers, so the whole difference
     # is computed in s = t^(1/2) and evaluated at s = 1
-    t0 = time.perf_counter()
-    b1t = b_substituted(Fraction(1, 2), trunc, t_scale=2)
-    b11 = b_substituted(Fraction(1, 2), trunc, char=False, t_scale=2)
-    div_s = _DIV_BLOWUP.stretch(2)
-    lhs = (b1t - b11).map_coeffs(
-        lambda c: (c * div_s).eval_one(), QQ)
-    s2 = _double_sum(trunc, lambda m, n: (2 * m * n, (-1) ** m * m))
-    rhs = ((s2 - Fraction(1, 8)).scale(Fraction(-1, 2))
-           * gen_form("theta2", trunc, 2))
-    record("lim (B1(t,t^2 q) - B1(1,t^2 q))/((t+1)(t-1)^2)", lhs, rhs, t0)
-    return VerifyReport(suite="limit-lemmas", results=results)
+    def blowup_half():
+        b1t = b_substituted(Fraction(1, 2), trunc, t_scale=2)
+        b11 = b_substituted(Fraction(1, 2), trunc, char=False, t_scale=2)
+        div_s = _DIV_BLOWUP.stretch(2)
+        lhs = (b1t - b11).map_coeffs(
+            lambda c: (c * div_s).eval_one(), QQ)
+        s2 = _double_sum(trunc, lambda m, n: (2 * m * n, (-1) ** m * m))
+        return lhs, ((s2 - Fraction(1, 8)).scale(Fraction(-1, 2))
+                     * gen_form("theta2", trunc, 2))
 
-
-def _sieve(trunc, fn):
-    pairs = [(n, fn(n)) for n in range(1, int(trunc) + 1)]
-    return QSeries.from_pairs(QQ, [(e, c) for e, c in pairs if c],
-                              Fraction(trunc), 1)
+    return VerifyReport(suite="limit-lemmas", results=[
+        compare(name, build, trunc) for name, build in (
+            ("G(1,q) = (1 - E2)/(12 q^(-1/3) eta^8)", vacuum_e2),
+            ("G(1,q) = 2 sum sigma1(n) q^n / q^(-1/3) eta^8", vacuum_sigma),
+            ("lim (B0(t,t^2 q) - B0(1,t^2 q))/((t+1)(t-1)^2)",
+             blowup_unshifted),
+            ("lim (B1(t,t^2 q) - B1(1,t^2 q))/((t+1)(t-1)^2)",
+             blowup_half))])
 
 
 def _double_sum(trunc, term):
@@ -197,7 +177,7 @@ def partition_functions(trunc):
     trunc = Fraction(trunc)
     funcs = {tag: ztilde(tag, trunc) for tag in PIPELINE_LABELS}
     v0, even, odd = (funcs[tag].series for tag in PIPELINE_LABELS)
-    f_v0 = v0 + _eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
+    f_v0 = v0 + eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
     for key, label, series in (
             ("f_v0", "Zt_f_v0", f_v0), ("f_vEven", "Zt_f_vEven", even),
             ("f_vOdd", "Zt_f_vOdd", odd),
@@ -213,44 +193,40 @@ def assemble_theorem(trunc):
     the closed forms, and run the structural checks.  Returns the report
     and the functions keyed by label."""
     trunc = Fraction(trunc)
-    results = []
-    t0 = time.perf_counter()
-
-    funcs = partition_functions(trunc)
-    c4 = _eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
-
-    def record(name, lhs, rhs, note=""):
-        nonlocal t0
-        diff = lhs.first_difference(rhs, upto=trunc)
-        results.append(IdentityResult(
-            name=name, max_exponent=trunc, passed=diff is None,
-            first_difference=diff, seconds=time.perf_counter() - t0,
-            note=note))
-        t0 = time.perf_counter()
-
-    for tag in ("vEven", "vOdd", "v0"):
-        record(f"pipeline Zt_{tag} = closed form",
-               funcs[tag].series, main_closed_form(tag, trunc))
+    results = [compare(f"pipeline Zt_{tag} = closed form",
+                       lambda: (ztilde(tag, trunc).series,
+                                main_closed_form(tag, trunc)), trunc)
+               for tag in ("vEven", "vOdd", "v0")]
+    funcs = partition_functions(trunc)   # the pipeline part is cached now
 
     # the eta identity behind the final rewriting of the c1 = 0 form
-    th4_2_12 = gen_form("theta4", trunc + 1, 2) ** 12
-    eta2_12 = gen_form("eta", trunc + 1, 2) ** 12
-    eta_24 = gen_form("eta", trunc + 1) ** 24
-    record("theta4(2t)^12 eta(2t)^12 = eta^24",
-           (th4_2_12 * eta2_12).truncate(trunc), eta_24.truncate(trunc))
+    def eta_identity():
+        th4_2_12 = gen_form("theta4", trunc + 1, 2) ** 12
+        eta2_12 = gen_form("eta", trunc + 1, 2) ** 12
+        eta_24 = gen_form("eta", trunc + 1) ** 24
+        return (th4_2_12 * eta2_12).truncate(trunc), eta_24.truncate(trunc)
 
-    for lam in ("0", "even", "odd"):
-        record(f"Zt_{lam} = theorem closed form",
-               funcs[lam].series, theorem_closed_form(lam, trunc))
+    results.append(compare("theta4(2t)^12 eta(2t)^12 = eta^24",
+                           eta_identity, trunc))
+    results += [compare(f"Zt_{lam} = theorem closed form",
+                        lambda: (funcs[lam].series,
+                                 theorem_closed_form(lam, trunc)), trunc)
+                for lam in ("0", "even", "odd")]
 
     # intersection-cohomology variant and the conjecture shape
-    record("Zt_v0_int = Zt_v0 + 1/(4 eta(2t)^12)",
-           funcs["v0_int"].series, funcs["v0"].series + c4)
-    record("conjecture shape: Zt_v0_int - 1/(4 eta(2t)^12) = Zt_v0",
-           funcs["v0_int"].series - c4, funcs["v0"].series)
+    v0, v0_int = funcs["v0"].series, funcs["v0_int"].series
+
+    def c4():
+        return eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
+
+    results.append(compare("Zt_v0_int = Zt_v0 + 1/(4 eta(2t)^12)",
+                           lambda: (v0_int, v0 + c4()), trunc))
+    results.append(compare(
+        "conjecture shape: Zt_v0_int - 1/(4 eta(2t)^12) = Zt_v0",
+        lambda: (v0_int - c4(), v0), trunc))
 
     # integrality where smoothness or intersection cohomology demands it
-    t1 = time.perf_counter()
+    t0 = time.perf_counter()
     integral_labels = ["vEven", "vOdd", "f_v0", "f_vEven", "f_vOdd",
                        "even", "odd", "v0_int"]
     bad = []
@@ -260,7 +236,7 @@ def assemble_theorem(trunc):
                 bad.append((funcs[key].label, e, c))
     for key in ("v0", "0"):
         for e, c in funcs[key].series.pairs():
-            if (e + 1) % 2 == 1 and c.denominator != 1:
+            if V0.is_smooth(e + 1) and c.denominator != 1:
                 bad.append((funcs[key].label, e, c))
     results.append(IdentityResult(
         name="integrality of Euler characteristics (smooth and "
@@ -268,11 +244,11 @@ def assemble_theorem(trunc):
              "singular family)",
         max_exponent=trunc, passed=not bad,
         note="; ".join(f"{l}[q^{e}]={c}" for l, e, c in bad[:4]),
-        seconds=time.perf_counter() - t1))
+        seconds=time.perf_counter() - t0))
 
     # grid structure: leading exponents of the even and odd families; the
     # odd family is empty below its first term at q^(1/2)
-    t1 = time.perf_counter()
+    t0 = time.perf_counter()
     lead_even = funcs["even"].series.leading()[0]
     lead_odd = (None if funcs["odd"].series.is_zero()
                 else funcs["odd"].series.leading()[0])
@@ -282,18 +258,18 @@ def assemble_theorem(trunc):
         max_exponent=trunc,
         passed=(lead_even == 0 and lead_odd == want_odd),
         note=f"even: {lead_even}, odd: {lead_odd}",
-        seconds=time.perf_counter() - t1))
+        seconds=time.perf_counter() - t0))
 
     # diagnostic: the singular-space discrepancy series (difference between
     # the pipeline average and the closed form with the slot holomorphic)
-    t1 = time.perf_counter()
+    t0 = time.perf_counter()
     disc = funcs["0"].series - theorem_closed_form("0", trunc)
     results.append(IdentityResult(
         name="singular-discrepancy series (diagnostic, not asserted)",
         max_exponent=trunc, passed=True,
         note=("zero" if disc.is_zero() else
               f"nonzero from q^{disc.leading()[0]}"),
-        seconds=time.perf_counter() - t1))
+        seconds=time.perf_counter() - t0))
 
     return VerifyReport(suite="theorem", results=results), funcs
 
@@ -403,7 +379,7 @@ def euler_table(class_tag, max_delta):
         assert dim.denominator == 1
         dim = int(dim)
         euler = series.coeff(delta - 1)
-        singular = base == "v0" and delta % 2 == 0
+        singular = not CLASSES[base].is_smooth(delta)
         betti = None
         if prop is not None and not singular and dim >= 0:
             coeff = prop.coeff(delta)

@@ -131,6 +131,11 @@ class C1Class:
     grid_offset: Fraction  # discriminants live on Z + grid_offset
     blowup_parity: int     # number of C_i (2 <= i <= 9) pairing oddly
 
+    def is_smooth(self, delta):
+        """Whether the moduli at discriminant ``delta`` are smooth: they
+        are singular only for the trivial class at even discriminant."""
+        return self.tag != "v0" or delta % 2 == 1
+
     @property
     def half_rep_e_coords(self):
         return tuple(Fraction(c, 2) for c in SURFACE.e_coords(self.rep))

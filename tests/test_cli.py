@@ -51,6 +51,18 @@ def test_verify_negative_order_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "d8", "--order", "1/2"],
+    ["--suite", "section1", "--order", "0"],
+    ["--suite", "all", "--order", "1/2", "--oracle-order", "0"],
+])
+def test_verify_order_below_one_names_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert "--order must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_oracle_order_exceeding_order_rejected():
     code, out, err = run_cli("verify", "--order", "4", "--oracle-order", "6")
     assert code == 2

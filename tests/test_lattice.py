@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -68,7 +69,9 @@ def test_shift_by_full_lattice_vector_is_translation_invariant():
 
 
 def test_engines_agree_on_d8_cosets():
-    for shift in ((0,) * 8, D8_SHIFT_Q, D8_SHIFT_P, D8_SHIFT_E1_HALF):
+    for eps1, eps2, half in itertools.product((0, 1), repeat=3):
+        shift = tuple(a * eps1 + b * eps2 + c * half for a, b, c in zip(
+            D8_SHIFT_P, D8_SHIFT_Q, D8_SHIFT_E1_HALF))
         enum = d8_theta_ambient(shift, 5, method="enumerate")
         dp = d8_theta_ambient(shift, 5, method="dp")
         assert enum.first_difference(dp) is None

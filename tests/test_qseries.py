@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instanton_zeta.errors import (FractionalExponentError,
                                    NotInvertibleError, RingMismatchError,
@@ -95,6 +98,50 @@ def test_inverse_roundtrip_randomized():
         prod = a * a.inverse()
         one = QSeries.constant(QQ, 1, prod.trunc)
         assert prod.first_difference(one) is None
+
+
+@st.composite
+def _invertible_series(draw):
+    """A series on the 1/denom grid with a possibly negative leading
+    exponent and a possibly fractional truncation, over Q or Q(t)."""
+    ring = draw(st.sampled_from([QQ, TRAT]))
+    denom = draw(st.sampled_from([1, 2]))
+    lead_k = draw(st.integers(-3 * denom, 2 * denom))
+    trunc = Fraction(lead_k, denom) + draw(st.fractions(
+        min_value=0, max_value=4, max_denominator=6))
+    ks = draw(st.lists(st.integers(lead_k + 1, floor(trunc * denom)),
+                       max_size=4)) if trunc * denom >= lead_k + 1 else []
+
+    def coeff():
+        if ring is QQ:
+            return draw(st.fractions(min_value=-4, max_value=4,
+                                     max_denominator=3).filter(bool))
+        return TRatFunc(LPoly.from_pairs(
+            [(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))]))
+
+    pairs = [(Fraction(k, denom), coeff()) for k in [lead_k] + ks]
+    return QSeries.from_pairs(ring, pairs, trunc, denom), Fraction(lead_k,
+                                                                   denom)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_invertible_series())
+def test_inverse_truncation_bound(series_lead):
+    a, lead = series_lead
+    inv = a.inverse()
+    assert inv.trunc == a.trunc - 2 * lead
+    assert all(e <= inv.trunc for e in inv.exponents())
+    prod = a * inv
+    assert prod.trunc == min(a.trunc, a.trunc - 2 * lead)
+    one = QSeries.constant(a.ring, 1, prod.trunc)
+    assert prod.first_difference(one) is None
+    # the bound is honest: a tail beyond the truncation cannot move any
+    # coefficient the inverse reports
+    first_unknown = Fraction(floor(a.trunc * a.denom) + 1, a.denom)
+    tail = QSeries.from_pairs(a.ring, [(first_unknown, 1)], a.trunc + 2,
+                              a.denom)
+    extended = QSeries(a.ring, a.denom, a.trunc + 2, a.terms) + tail
+    assert extended.inverse().first_difference(inv, upto=inv.trunc) is None
 
 
 def test_ring_axioms_randomized():
