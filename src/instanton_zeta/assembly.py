@@ -5,7 +5,8 @@ brute-force oracle that recomputes the wall terms from raw degree-2
 cohomology classes.
 
 Everything here is a QSeries over the rational-function-in-t ring; the
-substitution u = t^2 q is baked into each constructor.
+substitution u = t^2 q is baked into each constructor.  The wall-crossing
+terms are built as polynomial numerators over the one denominator DEN.
 """
 
 from __future__ import annotations
@@ -61,33 +62,39 @@ def zeta_product_x(trunc):
     return out
 
 
-_PREF_VACUUM = TRatFunc(
-    LPoly.const(1),
-    LPoly.from_pairs([(3, 1), (2, -1), (1, -1), (0, 1)]))  # 1/((t^2-1)(t-1))
+# Every rational prefactor of the assembly divides one polynomial,
+# DEN = 2 t (t-1)^2 (t+1).  Terms are carried as Laurent-polynomial
+# numerators over DEN, so the products stay polynomial and the general
+# gcd runs only when the finished terms are divided.
+_T = LPoly.t_pow(1)
+DEN = 2 * _T * (_T - 1) ** 2 * (_T + 1)
+PREF_RULED = TRatFunc(2 * _T, DEN)   # 1/((t^2-1)(t-1)) = 1/((t+1)(t-1)^2)
+
+
+@functools.lru_cache(maxsize=None)
+def _vacuum_product(kind, trunc):
+    """The two vacuum products over the ruled surface before their
+    1/((t^2-1)(t-1)) prefactor: F is the product of Z(Sigma1, t^(2a-2) q^a)
+    Z(Sigma1, t^(2a) q^a) over a >= 1, G is F less the product of
+    Z(Sigma1, t^(2a-1) q^a)^2."""
+    trunc = Fraction(trunc)
+    if kind not in ("F", "G"):
+        raise ValueError(f"unknown vacuum kind {kind!r}")
+    shifts = (-2, 0) if kind == "F" else (-1, -1)
+    out = QSeries.constant(TRAT, 1, trunc)
+    a = 1
+    while a <= trunc:
+        for s in shifts:
+            out = out * zeta_factor("Sigma1", 2 * a + s, a, trunc)
+        a += 1
+    return out if kind == "F" else _vacuum_product("F", trunc) - out
 
 
 @functools.lru_cache(maxsize=None)
 def vacuum_series(kind, trunc):
     """The two vacuum products over the ruled surface, with the
     1/((t^2-1)(t-1)) prefactor."""
-    trunc = Fraction(trunc)
-    one = QSeries.constant(TRAT, 1, trunc)
-    main = one
-    a = 1
-    while a <= trunc:
-        main = main * zeta_factor("Sigma1", 2 * a - 2, a, trunc)
-        main = main * zeta_factor("Sigma1", 2 * a, a, trunc)
-        a += 1
-    if kind == "F":
-        return main.scale(_PREF_VACUUM)
-    if kind == "G":
-        sub = one
-        a = 1
-        while a <= trunc:
-            sub = sub * zeta_factor("Sigma1", 2 * a - 1, a, trunc) ** 2
-            a += 1
-        return (main - sub).scale(_PREF_VACUUM)
-    raise ValueError(f"unknown vacuum kind {kind!r}")
+    return _vacuum_product(kind, trunc).scale(PREF_RULED)
 
 
 def _odd_gap_ratio(k):
@@ -172,38 +179,38 @@ def _coset_shift(c1: C1Class, eps1, eps2):
 
 # -- the three closed assemblies ----------------------------------------------
 
-_PRE_RAY_EVEN = TRatFunc(      # -1/(t (t^2-1)(t-1)), even-b degenerate ray
-    LPoly.const(-1),
-    LPoly.from_pairs([(4, 1), (3, -1), (2, -1), (1, 1)]))
-_PRE_RAY_ODD = TRatFunc(       # -1/((t^2-1)(t-1)), odd-b degenerate ray
-    LPoly.const(-1),
-    LPoly.from_pairs([(3, 1), (2, -1), (1, -1), (0, 1)]))
-_PRE_MIDDLE = TRatFunc(        # -1/(2 t (t-1)), boundary filtration term
-    LPoly.const(-1),
-    LPoly.from_pairs([(2, 2), (1, -2)]))
-_INV_T = TRatFunc.t_pow(-1)
+# numerators over DEN of the closed wall-crossing bracket
+_RAY_EVEN = LPoly.const(-2)    # -1/(t (t^2-1)(t-1)), even-b degenerate ray
+_RAY_ODD = -2 * _T             # -1/((t^2-1)(t-1)), odd-b degenerate ray
+_A_SUMS = 2 * (_T - 1) ** 2 * (_T + 1)   # 1/t, the four double sums
+_MIDDLE = 1 - _T ** 2          # -1/(2 t (t-1)), boundary filtration term
 
 
 @functools.lru_cache(maxsize=None)
 def mg_series(tag, trunc):
     """Ruling-semistable generating series: vacuum F times the character
     theta powers B0^(8-n) B1^n at u = t^2 q over the 16-fold partition
-    denominator."""
+    denominator.  The product stays polynomial; the 1/((t^2-1)(t-1))
+    prefactor of F divides each coefficient last."""
     from .lattice import b_substituted
     c1 = CLASSES[tag]
     trunc = Fraction(trunc)
     n = c1.blowup_parity
-    out = vacuum_series("F", trunc)
-    b0 = b_substituted(0, trunc)
-    out = out * b0 ** (8 - n)
+    out = _vacuum_product("F", trunc) * b_substituted(0, trunc) ** (8 - n)
     if n:
-        b1 = b_substituted(Fraction(1, 2), trunc)
-        out = out * b1 ** n
-    return out * pochhammer16_inverse(trunc)
+        out = out * b_substituted(Fraction(1, 2), trunc) ** n
+    return (out * pochhammer16_inverse(trunc)).scale(PREF_RULED)
+
+
+def _assemble(tag, trunc, bracket):
+    """The ruling-semistable series plus the zeta product times a wall
+    bracket whose coefficients are numerators over DEN."""
+    return mg_series(tag, trunc) + (zeta_product_x(trunc) * bracket).scale(
+        TRatFunc(1, DEN))
 
 
 @functools.lru_cache(maxsize=None)
-def proposition_series(tag, trunc, validate=True):
+def proposition_series(tag, trunc):
     """Sum over discriminants of the Poincare polynomial of the moduli of
     rank-2 sheaves with the given first Chern class, as a q-series with
     rational-function coefficients.  Smooth-case coefficients are checked
@@ -212,15 +219,12 @@ def proposition_series(tag, trunc, validate=True):
     trunc = Fraction(trunc)
     theta = {eps: theta_coset_sub(_coset_shift(c1, *eps), trunc)
              for eps in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    bracket = theta[(0, 0)].scale(_PRE_RAY_EVEN)
-    bracket = bracket + theta[(0, 1)].scale(_PRE_RAY_ODD)
-    asum_pairing = {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (1, 1)}
-    for i, eps in asum_pairing.items():
-        bracket = bracket + (a_sum(i, trunc) * theta[eps]).scale(_INV_T)
-    bracket = bracket + theta[(0, 0)].scale(_PRE_MIDDLE)
-    out = mg_series(tag, trunc) + zeta_product_x(trunc) * bracket
-    if validate:
-        _validate_smooth(tag, out)
+    asums = sum(a_sum(i, trunc) * theta[eps] for i, eps in
+                ((1, (0, 0)), (2, (1, 0)), (3, (0, 1)), (4, (1, 1))))
+    bracket = (theta[(0, 0)].scale(_RAY_EVEN) + theta[(0, 1)].scale(_RAY_ODD)
+               + asums.scale(_A_SUMS) + theta[(0, 0)].scale(_MIDDLE))
+    out = _assemble(tag, trunc, bracket)
+    _validate_smooth(tag, out)
     return out
 
 
@@ -238,11 +242,11 @@ def smoothness_report(tag, trunc):
     vanishing when that degree is negative, constant term 1 when
     nonempty."""
     trunc = Fraction(trunc)
+    t0 = time.perf_counter()   # the first line's time includes the build
     series = proposition_series(tag, trunc)
     results = []
     c1 = CLASSES[tag]
     delta = c1.grid_offset
-    t0 = time.perf_counter()
     while delta <= trunc:
         coeff = series.coeff(delta)
         smooth = c1.is_smooth(delta)
@@ -305,17 +309,13 @@ def wall_sum_oracle(tag, trunc):
             raise ConfigurationError(
                 f"stratum ({eps1},{eps2}) does not lie in H^2 + l/2")
 
-    finite = {}   # q-exponent -> LPoly in t (mixed-sign cone terms)
-    ray = {}      # q-exponent -> TRatFunc (degenerate rays)
-    middle = {}   # q-exponent -> LPoly (boundary term)
+    # q-exponent -> numerator over DEN; the wall prefactor 1/(t (t-1)) is
+    # 2 (t^2-1)/DEN
+    num = {}
+    wall = 2 * (_T ** 2 - 1)
 
-    def add_term(bucket, qexp, tpoly):
-        bucket[qexp] = bucket.get(qexp, LPoly()) + tpoly
-
-    geo_even = TRatFunc(LPoly.const(1),
-                        LPoly.from_pairs([(2, 1), (0, -1)]))  # sum t^-2b, b>=1
-    geo_odd = TRatFunc(LPoly.t_pow(1),
-                       LPoly.from_pairs([(2, 1), (0, -1)]))   # b half-odd
+    def add_term(qexp, tpoly):
+        num[qexp] = num.get(qexp, LPoly()) + tpoly
 
     for eps1, eps2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         A_min = 1 if eps1 else 2   # smallest positive A
@@ -331,9 +331,7 @@ def wall_sum_oracle(tag, trunc):
                 norm4 = -pair(xi2, xi2)   # 4 q-exponent
                 tpow2 = norm4 + pair(xi2, s.K)
                 assert tpow2 % 2 == 0 and norm4 == -4 * A * B + qd
-                mono = LPoly.t_pow(tpow2 // 2)
-                add_term(finite, Fraction(norm4, 4),
-                         mono if sign > 0 else -mono)
+                add_term(Fraction(norm4, 4), wall.shift(tpow2 // 2) * sign)
 
             # first cone: (xi, g) > 0, (xi, f) < 0, i.e. A > 0 > B
             A = A_min
@@ -354,33 +352,18 @@ def wall_sum_oracle(tag, trunc):
                 A -= 2
             if eps1 == 0:
                 # degenerate ray a = 0, b > 0: q-power = (delta, delta)_*,
-                # t-power 2*(that) - 2b summed geometrically over b
+                # t-power 2*(that) - 2b; the sum of t^(-2b) over b is
+                # t^eps2/(t^2-1), which times the wall prefactor leaves
+                # -2 t^eps2 over DEN
                 assert qd % 2 == 0
                 dn = Fraction(qd, 4)
-                geo = geo_odd if eps2 else geo_even
-                base = TRatFunc.t_pow(qd // 2)
-                ray[dn] = ray.get(dn, TRAT.zero) - base * geo
+                add_term(dn, LPoly.t_pow(qd // 2 + eps2, -2))
                 if eps2 == 0:
                     # middle stratum contribution only from a = b = 0
-                    add_term(middle, dn, LPoly.t_pow(qd // 2))
+                    add_term(dn, _MIDDLE.shift(qd // 2))
 
-    pref_wall = TRatFunc(LPoly.const(1),
-                         LPoly.from_pairs([(2, 1), (1, -1)]))  # 1/(t(t-1))
-    pref_mid = _PRE_MIDDLE
-
-    def to_series(bucket):
-        pairs = []
-        for e, v in bucket.items():
-            c = TRatFunc(v) if isinstance(v, LPoly) else v
-            if c:
-                pairs.append((e, c))
-        denom = 1 if all(Fraction(e).denominator == 1 for e, _ in pairs) \
-            else 4
-        return QSeries.from_pairs(TRAT, pairs, trunc, denom)
-
-    bracket = (to_series(finite) + to_series(ray)).scale(pref_wall)
-    bracket = bracket + to_series(middle).scale(pref_mid)
-    return mg_series(tag, trunc) + zeta_product_x(trunc) * bracket
+    return _assemble(tag, trunc,
+                     QSeries.from_pairs(TRAT, num.items(), trunc, 4))
 
 
 def verify_wall_oracle(trunc):

@@ -16,16 +16,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .assembly import proposition_series, vacuum_series
+from .assembly import PREF_RULED, proposition_series, vacuum_series
 from .errors import IntegrityError, PoleAtOneError, TruncationError
 from .formexpr import E2Slot, FormExpr, Pow, as_qseries, leaf
 from .forms import eta_pow_inverse, gen_form, sieve
-from .laurent import LPoly
 from .lattice import b_substituted
 from .qseries import QQ, QSeries
 from .report import IdentityResult, VerifyReport, compare
 from .surface import CLASSES, V0
-from .tratfunc import TRatFunc
 
 PIPELINE_LABELS = {"v0": "Zt_v0", "vEven": "Zt_vEven", "vOdd": "Zt_vOdd"}
 
@@ -86,11 +84,6 @@ def main_closed_form(tag, trunc):
 
 # -- limit lemmas --------------------------------------------------------------
 
-_DIV_BLOWUP = TRatFunc(
-    LPoly.const(1),
-    LPoly.from_pairs([(3, 1), (2, -1), (1, -1), (0, 1)]))  # 1/((t+1)(t-1)^2)
-
-
 def check_limit_lemmas(trunc):
     """The ruled-surface vacuum limit and the two blow-up factor limits,
     each computed by exact rational-function division and evaluation
@@ -123,7 +116,7 @@ def check_limit_lemmas(trunc):
         b0t = b_substituted(0, trunc)
         b01 = b_substituted(0, trunc, char=False)
         lhs = (b0t - b01).map_coeffs(
-            lambda c: (c * _DIV_BLOWUP).eval_one(), QQ)
+            lambda c: (c * PREF_RULED).eval_one(), QQ)
         s1 = _double_sum(trunc, lambda m, n: (m * (2 * n - 1),
                                               (-1) ** m * m))
         return lhs, s1.scale(Fraction(-1, 2)) * gen_form("theta3", trunc, 2)
@@ -134,7 +127,7 @@ def check_limit_lemmas(trunc):
     def blowup_half():
         b1t = b_substituted(Fraction(1, 2), trunc, t_scale=2)
         b11 = b_substituted(Fraction(1, 2), trunc, char=False, t_scale=2)
-        div_s = _DIV_BLOWUP.stretch(2)
+        div_s = PREF_RULED.stretch(2)
         lhs = (b1t - b11).map_coeffs(
             lambda c: (c * div_s).eval_one(), QQ)
         s2 = _double_sum(trunc, lambda m, n: (2 * m * n, (-1) ** m * m))
@@ -370,7 +363,9 @@ def euler_table(class_tag, max_delta):
         prop = None
     else:
         series = ztilde(base, max_delta).series
-        prop = proposition_series(base, max_delta)
+        # ztilde built the assembly one order further; its coefficients up
+        # to max_delta are the same, so this is a cache hit
+        prop = proposition_series(base, max_delta + 1)
 
     rows = []
     delta = offset

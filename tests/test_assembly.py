@@ -169,3 +169,18 @@ def test_wall_finite_terms_strictly_positive_q_power():
     # at q^0 the wall part is purely the degenerate-ray/middle prefactors
     c0 = wall_part.coeff(0)
     assert not c0.is_polynomial()
+
+
+def test_smoothness_clock_covers_the_build(monkeypatch):
+    import time
+
+    from instanton_zeta import assembly
+    build = assembly.proposition_series
+
+    def slow_build(tag, trunc):
+        time.sleep(0.05)
+        return build(tag, trunc)
+
+    monkeypatch.setattr(assembly, "proposition_series", slow_build)
+    report = smoothness_report("vEven", 2)
+    assert sum(r.seconds for r in report.results) >= 0.05

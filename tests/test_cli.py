@@ -1,18 +1,25 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import instanton_zeta
 from instanton_zeta.cli import main, parse_tau, table_from_dict, table_to_dict
 from instanton_zeta.results import euler_table
 
+# the child interpreter imports the package this test imported, whether it
+# is installed or only on the path that pytest was given
+_SRC = os.path.dirname(os.path.dirname(instanton_zeta.__file__))
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "instanton_zeta.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
 
 

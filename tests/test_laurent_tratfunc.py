@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instanton_zeta.errors import PoleAtOneError
 from instanton_zeta.laurent import (LPoly, _conv_kronecker, _conv_school,
                                     poly_divexact_z, poly_gcd_z)
+from instanton_zeta.qseries import QSeries, TRAT
 from instanton_zeta.tratfunc import TRatFunc
 
 
@@ -118,3 +121,60 @@ def test_tratfunc_hash_consistency():
     a = TRatFunc(lp((2, 2), (0, -2)), lp((1, 4), (0, -4)))
     b = TRatFunc(lp((1, Fraction(1, 2)), (0, Fraction(1, 2))))
     assert a == b and hash(a) == hash(b)
+
+
+_T = LPoly.t_pow(1)
+_DEN_FACTORS = (_T, _T - 1, _T + 1, LPoly.const(2))
+
+
+@st.composite
+def _lpolys(draw):
+    return LPoly(draw(st.integers(-2, 2)),
+                 draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4)),
+                 draw(st.integers(1, 3)))
+
+
+@st.composite
+def _denominators(draw):
+    """A random nonzero polynomial times factors t, t-1, t+1 and 2."""
+    d = draw(_lpolys().filter(bool))
+    for f in draw(st.lists(st.sampled_from(_DEN_FACTORS), max_size=4)):
+        d = d * f
+    return d
+
+
+@st.composite
+def _tratfuncs(draw):
+    return TRatFunc(draw(_lpolys()), draw(_denominators()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lpolys(), _lpolys(), _lpolys(),
+       _denominators(), _denominators(), _denominators())
+def test_tratfunc_canonical_form_is_structural(a, b, c, d1, d2, d3):
+    # a b / (d1 d2) + c / d3, reduced in one step and built term by term
+    one_step = TRatFunc(a * b * d3 + c * d1 * d2, d1 * d2 * d3)
+    by_terms = TRatFunc(a, d1) * TRatFunc(b, d2) + TRatFunc(c, d3)
+    assert one_step == by_terms
+    assert hash(one_step) == hash(by_terms)
+    den = one_step.den
+    assert den.low() == 0 and den.coeff(den.degree()) == 1
+
+
+@st.composite
+def _trat_series(draw):
+    denom = draw(st.sampled_from([1, 2]))
+    trunc = Fraction(draw(st.integers(0, 4 * denom)), denom)
+    ks = draw(st.lists(st.integers(0, int(trunc * denom)), max_size=4))
+    return QSeries.from_pairs(
+        TRAT, [(Fraction(k, denom), draw(_tratfuncs())) for k in ks],
+        trunc, denom)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_trat_series(), _trat_series(), _tratfuncs(), _tratfuncs())
+def test_trat_series_scale_laws(a, b, x, y):
+    for lhs, rhs in (((a.scale(x) * b).scale(y), (a * b).scale(x * y)),
+                     ((a + b).scale(x), a.scale(x) + b.scale(x))):
+        assert lhs.trunc == rhs.trunc
+        assert lhs.first_difference(rhs) is None

@@ -130,3 +130,11 @@ def test_smooth_chi_equals_poincare_at_one():
     z = ztilde("vEven", 5).series
     for delta in range(1, 6):
         assert prop.coeff(delta).eval_one() == z.coeff(delta - 1)
+
+
+def test_euler_table_builds_the_assembly_once():
+    from instanton_zeta.assembly import proposition_series
+    proposition_series.cache_clear()
+    ztilde.cache_clear()
+    euler_table("v0", 3)
+    assert proposition_series.cache_info().misses == 1
