@@ -19,7 +19,8 @@ from math import comb
 from .errors import ConfigurationError, IntegrityError
 from .forms import eta_pow_inverse, gen_form, sieve
 from .laurent import LPoly
-from .lattice import ShiftVector, coset_points, zn_coset_counts
+from .lattice import (coset_parities, coset_points, d8_ambient,
+                      zn_shell_counts_dp)
 from .qseries import QQ, QSeries, TRAT
 from .report import IdentityResult, VerifyReport, compare
 from .surface import CLASSES, SURFACE, C1Class, pair, vec_add, vec_scale
@@ -152,9 +153,8 @@ def theta_coset_sub(e_coords, trunc):
     coordinates), evaluated at u^2 with u = t^2 q: the norm-j shell
     contributes (count) * t^(2j) q^j."""
     trunc = Fraction(trunc)
-    amb = SURFACE.e_lattice.to_ambient(ShiftVector(e_coords))
     max_q = int(4 * trunc)  # doubled-coordinate norms: 4 * (x, x)
-    counts = zn_coset_counts(amb, True, max_q, dp=True)
+    counts = zn_shell_counts_dp(*coset_parities(d8_ambient(e_coords)), max_q)
     pairs = []
     for qq, c in counts.items():
         norm = Fraction(qq, 4)

@@ -26,6 +26,10 @@ FORM_LEAVES = ("theta2", "theta3", "theta4", "BigTheta", "E2", "E2hat",
                "E4", "eta", "e1", "F", "P0", "Peven", "Podd")
 FORM_LABELS = ("Z_SU2", "Z_SO3", "Z0", "Z_even", "Z_odd", "Zw0", "Zw1")
 
+# working precision range of eval and sduality: sduality at tau = i takes
+# under a second at the cap, while 10^8 digits ran over a minute unanswered
+MIN_DIGITS, MAX_DIGITS = 10, 1000
+
 
 def _fraction(text):
     try:
@@ -36,12 +40,13 @@ def _fraction(text):
 
 
 _TAU_FULL = re.compile(
-    r"^(?P<re>[+-]?\d+(?:\.\d+)?)(?P<im>[+-]\d*(?:\.\d+)?)[ij]$")
+    r"^(?P<re>[+-]?\d+(?:\.\d+)?)(?:(?P<im>[+-]\d*(?:\.\d+)?)[ij])?$")
 _TAU_IMAG = re.compile(r"^(?P<im>[+-]?\d*(?:\.\d+)?)[ij]$")
 
 
 def parse_tau(text):
-    """Parse 'a+bi' (also 'i', '2j', '-0.2+0.9i'); upper half-plane only."""
+    """Parse 'a+bi' (also 'i', '2j', '-0.2+0.9i'); upper half-plane only.
+    A real number parses, and is rejected as off the half-plane."""
     compact = text.replace(" ", "")
     m = _TAU_FULL.match(compact)
     if m:
@@ -53,14 +58,17 @@ def parse_tau(text):
             raise ValueError(f"cannot parse tau from {text!r}")
         re_part = 0.0
         im_raw = m.group("im")
-    if im_raw in ("", "+"):
+    if im_raw is None:
+        im_part = 0.0
+    elif im_raw in ("", "+"):
         im_part = 1.0
     elif im_raw == "-":
         im_part = -1.0
     else:
         im_part = float(im_raw)
     if im_part <= 0:
-        raise ValueError("tau must have positive imaginary part")
+        raise ValueError(f"tau = {text} is not in the upper half-plane "
+                         f"(Im(tau) must be positive)")
     return complex(re_part, im_part)
 
 
@@ -128,8 +136,10 @@ def _validate(parser, args):
         if args.suite in ("section1", "d8", "all") and args.order < 1:
             parser.error(f"--order must be at least 1 for --suite "
                          f"{args.suite}")
-    if getattr(args, "digits", None) is not None and args.digits < 10:
-        parser.error("--digits must be at least 10")
+    if getattr(args, "digits", None) is not None and not (
+            MIN_DIGITS <= args.digits <= MAX_DIGITS):
+        parser.error(f"--digits must be between {MIN_DIGITS} and "
+                     f"{MAX_DIGITS}")
     if getattr(args, "scale", None) is not None and args.scale <= 0:
         parser.error("--scale must be positive")
 
@@ -141,7 +151,7 @@ def _run_suite(name, order, oracle_order):
     if name == "section1":
         return [forms.verify_section1(order)]
     if name == "d8":
-        return [lattice.verify_d8_decompositions(order, method="dp")]
+        return [lattice.verify_d8_decompositions(order)]
     if name == "limit-lemmas":
         return [assembly.check_asum_closed_forms(order),
                 results.check_limit_lemmas(order)]
@@ -221,16 +231,6 @@ def table_to_dict(table):
             "singular": r.singular,
         } for r in table.rows],
     }
-
-
-def table_from_dict(data):
-    from .results import EulerTable, TableRow
-    rows = [TableRow(delta=Fraction(r["delta"]), dim=int(r["dim"]),
-                     euler=Fraction(r["euler"]),
-                     betti=None if r["betti"] is None else list(r["betti"]),
-                     singular=bool(r["singular"]))
-            for r in data["rows"]]
-    return EulerTable(label=data["class"], rows=rows)
 
 
 def cmd_table(args):

@@ -133,12 +133,6 @@ def gen_form(name, trunc, scaling=1, provider=None):
     return (provider or _DEFAULT).series(name, trunc, scaling)
 
 
-def p_weight(kind, trunc, provider=None):
-    if kind not in ("P0", "Peven", "Podd"):
-        raise InstantonZetaError(f"unknown weight kind {kind!r}")
-    return (provider or _DEFAULT).series(kind, trunc)
-
-
 def sieve(trunc, fn):
     """The series sum of fn(n) q^n over 1 <= n <= trunc."""
     pairs = [(n, fn(n)) for n in range(1, int(trunc) + 1)]
@@ -156,11 +150,10 @@ def eta_pow_inverse(scale, power, trunc):
     return (eta ** power).inverse().truncate(trunc)
 
 
-def verify_section1(trunc, provider=None, e8_theta_fn=None):
+def verify_section1(trunc, provider=None):
     """Check the quasi-modular and theta identities coefficientwise up to
-    the requested order.  ``e8_theta_fn(trunc)`` supplies the rank-8 root
-    lattice theta series; the import happens lazily to keep this module
-    free of the lattice machinery."""
+    the requested order.  The rank-8 root lattice theta series is imported
+    lazily to keep this module free of the lattice machinery."""
     trunc = Fraction(trunc)
     if trunc < 1:
         raise ValueError("trunc must be at least 1")
@@ -177,10 +170,8 @@ def verify_section1(trunc, provider=None, e8_theta_fn=None):
         return sieve(trunc, total)
 
     def e8():
-        if e8_theta_fn is None:
-            from .lattice import e8_theta_series
-            return e8_theta_series(trunc)
-        return e8_theta_fn(trunc)
+        from .lattice import e8_theta_series
+        return e8_theta_series(trunc)
 
     half = Fraction(1, 2)
     identities = [

@@ -1,22 +1,19 @@
-"""Positive-definite lattice theta series with half-vector shifts.
+"""Exact theta series of positive-definite lattices with half-vector shifts.
 
-Points are counted exactly.  Three engines exist:
+Plain functions of a Gram matrix and a shift tuple in basis coordinates,
+or of a shift in ambient Z^m coordinates.  Points are counted exactly, one
+engine per job:
 
-* a generic recursive enumerator working from an exact LDL^T decomposition
-  of the Gram matrix (rational arithmetic, no floats), usable for any
-  positive-definite lattice and shift; it yields the points themselves
-  (``coset_points``), and is the only enumerator that does, so the
+* ``coset_points`` yields the points of any coset from an exact LDL^T
+  decomposition of the Gram matrix (rational arithmetic, no floats); the
   wall-sum oracle walks its cosets with it;
-* an integer enumerator for lattices realized inside Z^m with a
-  coordinate-sum parity constraint (the rank-8 even-sum lattice and Z^m
-  itself): doubling coordinates turns every bound into plain integer
-  arithmetic;
-* a shell-counting convolution over coordinates for the same realized
-  lattices, used where truncations make point-by-point enumeration
-  wasteful (the rank-8 root lattice theta at high order).
+* ``zn_shell_counts_dp`` counts the shells of a coset of Z^m, or of its
+  even-sum sublattice, by a convolution over coordinates in doubled
+  integer coordinates; the rank-8 coset thetas use it.
 
-The engines are cross-checked against each other and against a box
-search in the test suite.
+``zn_shell_counts`` counts the same shells point by point.  It is the
+reference engine: the tests and the rank-8 acceptance check compare the
+convolution against it.
 """
 
 from __future__ import annotations
@@ -25,15 +22,20 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import ConfigurationError
-from .laurent import LPoly
 from .qseries import QQ, QSeries, TRAT
 from .report import VerifyReport, compare
 from .tratfunc import TRatFunc
 
 
 def _ldl(gram):
-    """Exact LDL^T data: Q(y) = sum_i d[i] * (y_i + sum_{j>i} c[i][j] y_j)^2."""
+    """Exact LDL^T data: Q(y) = sum_i d[i] * (y_i + sum_{j>i} c[i][j] y_j)^2.
+    Rejects a Gram matrix that is not square, symmetric and positive
+    definite."""
     n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise ConfigurationError("Gram matrix is not square")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise ConfigurationError("Gram matrix is not symmetric")
     a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
     d = [Fraction(0)] * n
     c = [[Fraction(0)] * n for _ in range(n)]
@@ -49,94 +51,20 @@ def _ldl(gram):
     return d, c
 
 
-class ShiftVector:
-    """Coset offset in lattice-basis coordinates; entries in (1/2)Z."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(Fraction(x) for x in coords)
-        for x in coords:
-            if (2 * x).denominator != 1:
-                raise ConfigurationError(
-                    f"shift coordinate {x} is not a half-integer")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ShiftVector is immutable")
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __add__(self, other):
-        return ShiftVector(tuple(a + b for a, b in
-                                 zip(self.coords, other.coords)))
-
-    def __eq__(self, other):
-        return isinstance(other, ShiftVector) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-
-class IntegralLattice:
-    """Positive-definite integral lattice given by its Gram matrix, with an
-    optional realization inside Z^m (basis rows plus an even-coordinate-sum
-    membership constraint)."""
-
-    def __init__(self, name, gram, zn_rows=None, zn_even_sum=False):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
-        n = len(gram)
-        for i in range(n):
-            if len(gram[i]) != n:
-                raise ConfigurationError("Gram matrix is not square")
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ConfigurationError("Gram matrix is not symmetric")
-        _ldl(gram)  # positive-definiteness check
-        self.name = name
-        self.rank = n
-        self.gram = gram
-        self.zn_rows = (tuple(tuple(r) for r in zn_rows)
-                        if zn_rows is not None else None)
-        self.zn_even_sum = zn_even_sum
-        if self.zn_rows is not None:
-            m = len(self.zn_rows[0])
-            dots = tuple(tuple(sum(a * b for a, b in zip(ri, rj))
-                               for rj in self.zn_rows) for ri in self.zn_rows)
-            if dots != gram:
-                raise ConfigurationError(
-                    "Z^m realization does not reproduce the Gram matrix")
-            if zn_even_sum:
-                for r in self.zn_rows:
-                    if sum(r) % 2:
-                        raise ConfigurationError(
-                            "basis row violates the even-sum constraint")
-            self.zn_dim = m
-
-    def zero_shift(self):
-        return ShiftVector((0,) * self.rank)
-
-    def to_ambient(self, shift):
-        """Map basis-coordinate shift to ambient Z^m/2 coordinates."""
-        if self.zn_rows is None:
-            raise ConfigurationError(f"{self.name} has no Z^m realization")
-        m = self.zn_dim
-        out = [Fraction(0)] * m
-        for coef, row in zip(shift.coords, self.zn_rows):
-            for i in range(m):
-                out[i] += coef * row[i]
-        return tuple(out)
-
-
-def zn(n):
-    rows = tuple(tuple(1 if i == j else 0 for j in range(n))
-                 for i in range(n))
-    return IntegralLattice(f"Z{n}", rows, zn_rows=rows, zn_even_sum=False)
-
-
-def a1():
-    return IntegralLattice("A1", ((2,),))
+def _fraction_inverse(gram):
+    n = len(gram)
+    a = [[Fraction(gram[i][j]) for j in range(n)] +
+         [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
 
 
 # Simple-root rows of the even-sum sublattice of Z^8: a chain of seven
@@ -152,27 +80,15 @@ _D8_ROWS = (
     (0, 0, 0, 0, 0, 0, 1, 1),
 )
 
-
-def d8():
-    gram = tuple(tuple(sum(a * b for a, b in zip(ri, rj)) for rj in _D8_ROWS)
-                 for ri in _D8_ROWS)
-    return IntegralLattice("D8", gram, zn_rows=_D8_ROWS, zn_even_sum=True)
+D8_GRAM = tuple(tuple(sum(a * b for a, b in zip(ri, rj)) for rj in _D8_ROWS)
+                for ri in _D8_ROWS)
 
 
-_E8_CARTAN = (
-    (2, -1, 0, 0, 0, 0, 0, 0),
-    (-1, 2, -1, 0, 0, 0, 0, 0),
-    (0, -1, 2, -1, 0, 0, 0, 0),
-    (0, 0, -1, 2, -1, 0, 0, 0),
-    (0, 0, 0, -1, 2, -1, 0, -1),
-    (0, 0, 0, 0, -1, 2, -1, 0),
-    (0, 0, 0, 0, 0, -1, 2, 0),
-    (0, 0, 0, 0, -1, 0, 0, 2),
-)
-
-
-def e8():
-    return IntegralLattice("E8", _E8_CARTAN)
+def d8_ambient(coords):
+    """Ambient Z^8 coordinates of the vector with the given coordinates in
+    the basis ``_D8_ROWS``."""
+    return tuple(sum(c * row[i] for c, row in zip(coords, _D8_ROWS))
+                 for i in range(8))
 
 
 # -- exact enumeration -------------------------------------------------------
@@ -227,15 +143,6 @@ def coset_points(gram, shift_coords, max_q):
         yield (), 0
 
 
-def generic_shell_counts(gram, shift_coords, max_q):
-    """Counts of doubled norms Q(y) = (2x)^T G (2x) <= max_q over lattice
-    points x in Z^n + shift."""
-    counts = {}
-    for _, q in coset_points(gram, shift_coords, max_q):
-        counts[q] = counts.get(q, 0) + 1
-    return counts
-
-
 def zn_shell_counts(parities, target4, max_q):
     """Counts of sum(y_i^2) <= max_q over integer vectors with prescribed
     coordinate parities and (optionally) sum(y) congruent to target mod 4.
@@ -278,7 +185,7 @@ def zn_shell_counts(parities, target4, max_q):
 
     if n:
         rec(n - 1, max_q, 0)
-    else:
+    elif target4 is None or target4 % 4 == 0:
         counts[0] = 1
     return {q: c for q, c in enumerate(counts) if c}
 
@@ -313,41 +220,21 @@ def zn_shell_counts_dp(parities, target4, max_q):
     return {q: c for q, c in enumerate(total) if c}
 
 
-def zn_coset_counts(shift_ambient, even_sum, max_q, dp):
-    """Counts of doubled norms sum(y_i^2) <= max_q over y = 2x, x in the
-    coset (lattice + shift_ambient) of Z^m, or of its even-sum sublattice
-    when even_sum is set; dp selects the convolution engine."""
+def coset_parities(shift_ambient):
+    """Coordinate parities of y = 2x and the residue of sum(y) mod 4 for x
+    in the coset (even-sum sublattice of Z^m) + shift_ambient: the
+    arguments (parities, target4) of ``zn_shell_counts`` and
+    ``zn_shell_counts_dp``."""
     two = [2 * Fraction(a) for a in shift_ambient]
     if any(v.denominator != 1 for v in two):
         raise ConfigurationError("shift must have half-integer entries")
-    parities = tuple(int(v) % 2 for v in two)
-    target4 = int(sum(two)) % 4 if even_sum else None
-    fn = zn_shell_counts_dp if dp else zn_shell_counts
-    return fn(parities, target4, max_q)
+    return tuple(int(v) % 2 for v in two), int(sum(two)) % 4
 
 
 def _counts_to_series(counts, trunc):
     pairs = [(Fraction(q, 8), c) for q, c in counts.items()]
     return QSeries.from_pairs(QQ, pairs, Fraction(trunc),
                               denom=8).normalize_denom()
-
-
-def shifted_theta(lattice, shift=None, trunc=10, method="auto"):
-    """Theta series sum over lattice + shift of u^((n,n)/2), exact to the
-    requested truncation."""
-    trunc = Fraction(trunc)
-    if shift is None:
-        shift = lattice.zero_shift()
-    if len(shift) != lattice.rank:
-        raise ConfigurationError("shift rank mismatch")
-    max_q = int(8 * trunc)
-    if lattice.zn_rows is not None and method != "generic":
-        dp = method == "dp" or (method == "auto" and max_q > 96)
-        counts = zn_coset_counts(lattice.to_ambient(shift),
-                                 lattice.zn_even_sum, max_q, dp=dp)
-    else:
-        counts = generic_shell_counts(lattice.gram, shift.coords, max_q)
-    return _counts_to_series(counts, trunc)
 
 
 def e8_theta_series(trunc):
@@ -361,89 +248,7 @@ def e8_theta_series(trunc):
     return _counts_to_series(counts, trunc)
 
 
-def box_shell_counts(gram, shift_coords, max_norm):
-    """Brute-force oracle: exhaustive box search with Cauchy-Schwarz
-    coordinate bounds from the inverse Gram matrix.  Returns counts keyed
-    by 4*(x,x) like the other engines (with max_norm = max over (x,x))."""
-    n = len(gram)
-    inv = _fraction_inverse(gram)
-    shift = [Fraction(s) for s in shift_coords]
-    bounds = []
-    for i in range(n):
-        r = inv[i][i] * max_norm
-        bounds.append(isqrt(r.numerator * r.denominator) // r.denominator + 1)
-    counts = {}
-
-    def rec(i, coords):
-        if i == n:
-            norm = Fraction(0)
-            for a in range(n):
-                for b in range(n):
-                    norm += coords[a] * gram[a][b] * coords[b]
-            if norm <= max_norm:
-                key = 4 * norm
-                assert key.denominator == 1
-                counts[int(key)] = counts.get(int(key), 0) + 1
-            return
-        for v in range(-bounds[i], bounds[i] + 1):
-            coords[i] = v + shift[i]
-            rec(i + 1, coords)
-        coords[i] = 0
-
-    rec(0, [Fraction(0)] * n)
-    return counts
-
-
-def _fraction_inverse(gram):
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] +
-         [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 # -- one-dimensional theta with character (B series) -------------------------
-
-def a1_theta_with_char(shift, trunc):
-    """B series: sum over n in Z (+ 1/2 when shift = 1/2) of u^(n^2) t^n.
-
-    Returns (series, t_den): coefficients are Laurent polynomials in
-    t^(1/t_den), encoded with integer exponents in s = t^(1/t_den).
-    The unshifted series has t_den = 1, the half-shifted one t_den = 2."""
-    trunc = Fraction(trunc)
-    shift = Fraction(shift)
-    if shift not in (0, Fraction(1, 2)):
-        raise ConfigurationError("shift must be 0 or 1/2")
-    pairs = []
-    if shift == 0:
-        t_den = 1
-        pairs.append((0, TRatFunc.const(1)))
-        n = 1
-        while n * n <= trunc:
-            coeff = TRatFunc(LPoly.from_pairs([(n, 1), (-n, 1)]))
-            pairs.append((n * n, coeff))
-            n += 1
-        denom = 1
-    else:
-        t_den = 2
-        k = 0
-        while Fraction((2 * k + 1) ** 2, 4) <= trunc:
-            m = 2 * k + 1  # s-exponent of t^(k + 1/2) with s = t^(1/2)
-            coeff = TRatFunc(LPoly.from_pairs([(m, 1), (-m, 1)]))
-            pairs.append((Fraction(m * m, 4), coeff))
-            k += 1
-        denom = 4
-    series = QSeries.from_pairs(TRAT, pairs, trunc, denom)
-    return series, t_den
-
 
 def b_substituted(shift, trunc, char=True, t_scale=1):
     """B series after the substitution u = t^2 q: exponent n^2 in q and
@@ -483,19 +288,18 @@ def b_substituted(shift, trunc, char=True, t_scale=1):
 
 
 def b0_product_formula(trunc):
-    """Triple-product form of the unshifted B series (in u, with character),
-    used as an independent cross-check of the lattice sum."""
+    """Triple-product form of the unshifted B series with the character at
+    u = t^2 q, prod_m (1 - t^(4m) q^(2m)) (1 + t^(4m-1) q^(2m-1))
+    (1 + t^(4m-3) q^(2m-1)): an independent cross-check of the lattice sum
+    ``b_substituted(0, trunc)``."""
     trunc = Fraction(trunc)
-    one = QSeries.constant(TRAT, 1, trunc)
-    prod = one
+    prod = QSeries.constant(TRAT, 1, trunc)
     m = 1
     while 2 * m - 1 <= trunc:
-        t = TRatFunc.t_pow(1)
-        tinv = TRatFunc.t_pow(-1)
-        f1 = QSeries.from_pairs(TRAT, [(0, 1), (2 * m, -1)], trunc, 1)
-        f2 = QSeries.from_pairs(TRAT, [(0, 1), (2 * m - 1, t)], trunc, 1)
-        f3 = QSeries.from_pairs(TRAT, [(0, 1), (2 * m - 1, tinv)], trunc, 1)
-        prod = prod * f1 * f2 * f3
+        for e, c in ((2 * m, -TRatFunc.t_pow(4 * m)),
+                     (2 * m - 1, TRatFunc.t_pow(4 * m - 1)),
+                     (2 * m - 1, TRatFunc.t_pow(4 * m - 3))):
+            prod = prod * QSeries.from_pairs(TRAT, [(0, 1), (e, c)], trunc, 1)
         m += 1
     return prod
 
@@ -511,16 +315,16 @@ def _add_vec(*vecs):
     return tuple(sum(col) for col in zip(*vecs))
 
 
-def d8_theta_ambient(shift_ambient, trunc, method="auto"):
+def d8_theta_ambient(shift_ambient, trunc):
     """Theta of the even-sum sublattice of Z^8 shifted by an ambient
     half-integer vector."""
     trunc = Fraction(trunc)
-    counts = zn_coset_counts(shift_ambient, True, int(8 * trunc),
-                             dp=method == "dp")
+    counts = zn_shell_counts_dp(*coset_parities(shift_ambient),
+                                int(8 * trunc))
     return _counts_to_series(counts, trunc)
 
 
-def verify_d8_decompositions(trunc, method="enumerate", provider=None):
+def verify_d8_decompositions(trunc, provider=None):
     """Check the eight coset thetas of the even-sum rank-8 lattice against
     their one-dimensional theta expressions, plus the bridge identity used
     by the wall-crossing assembly."""
@@ -553,14 +357,14 @@ def verify_d8_decompositions(trunc, method="enumerate", provider=None):
         ("Theta_D8|(e1/2+p+q) = theta^2 theta_half^6/2", _add_vec(e1h, p, q),
          lambda: (th("theta3") ** 2 * th("theta2") ** 6).scale(half)),
     ]
-    results = [compare(name, lambda: (d8_theta_ambient(shift, trunc, method),
+    results = [compare(name, lambda: (d8_theta_ambient(shift, trunc),
                                       rhs()), trunc)
                for name, shift, rhs in cases]
 
     # bridge: (Theta_D8 + Theta_D8|q)(0, u^2) = B0(1, u)^8
     def bridge():
-        lhs = (d8_theta_ambient(zero, trunc / 2, method)
-               + d8_theta_ambient(q, trunc / 2, method)).dilate(2)
+        lhs = (d8_theta_ambient(zero, trunc / 2)
+               + d8_theta_ambient(q, trunc / 2)).dilate(2)
         return lhs, gen_form("theta3", trunc, 2, provider=provider) ** 8
 
     results.append(compare("(Theta_D8 + Theta_D8|q)(0,u^2) = B0(1,u)^8",

@@ -166,16 +166,6 @@ class LPoly:
         return [(self.off + i, Fraction(c, self.den))
                 for i, c in enumerate(self.num) if c]
 
-    def is_constant(self):
-        return len(self.num) <= 1 and self.off == 0
-
-    def as_fraction(self):
-        if not self.num:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return Fraction(self.num[0], self.den)
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod

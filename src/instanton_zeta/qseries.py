@@ -379,6 +379,3 @@ class QSeries:
         if not diffs:
             return None
         return Fraction(min(diffs), a.denom)
-
-    def agrees_with(self, other, upto=None):
-        return self.first_difference(other, upto) is None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import ConfigurationError
-from .lattice import _fraction_inverse, _ldl, d8
+from .lattice import D8_GRAM, _fraction_inverse, _ldl
 
 DIM = 10
 _SIGNS = (1,) + (-1,) * 9
@@ -70,7 +70,6 @@ class SurfaceData:
         # e-basis spans the even-sum rank-8 lattice realized in Z^8
         self.e_gram = tuple(tuple(star(a, b) for b in self.e)
                             for a in self.e)
-        self.e_lattice = d8()
         self._check()
         self._e_gram_inv = _fraction_inverse(self.e_gram)
 
@@ -82,7 +81,7 @@ class SurfaceData:
         for v in self.e:
             if pair(v, self.f) != 0 or pair(v, self.g) != 0:
                 raise ConfigurationError("e-basis not orthogonal to <f, g>")
-        if self.e_gram != self.e_lattice.gram:
+        if self.e_gram != D8_GRAM:
             raise ConfigurationError(
                 "e-basis Gram does not match the even-sum rank-8 lattice")
         # glue vectors must be integral classes
@@ -99,12 +98,6 @@ class SurfaceData:
             raise ConfigurationError("glue index does not give determinant 1")
 
     # -- decomposition helpers ---------------------------------------------
-
-    def fg_components(self, x):
-        """Coefficients (a, b) with x = a f + b g + (e-part)."""
-        b = Fraction(pair(x, self.f), 2)
-        a = Fraction(pair(x, self.g), 2)
-        return a, b
 
     def e_coords(self, x):
         """Coordinates of the <f,g>-orthogonal part of x in the e-basis."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import PoleAtOneError
-from .laurent import LPoly, poly_divexact_z, poly_gcd_z
+from .laurent import ONE as _POLY_ONE, LPoly, poly_divexact_z, poly_gcd_z
 
 _MINUS_ONE_ONE = (-1, 1)  # the polynomial t - 1, low-to-high
 
@@ -25,7 +25,7 @@ class TRatFunc:
         if not isinstance(num, LPoly):
             num = LPoly.const(num)
         if den is None:
-            den = LPoly.const(1)
+            den = _POLY_ONE
         elif not isinstance(den, LPoly):
             den = LPoly.const(den)
         if den.is_zero:
@@ -42,18 +42,18 @@ class TRatFunc:
 
     @staticmethod
     def const(value):
-        return TRatFunc(LPoly.const(value), LPoly.const(1), _reduced=True)
+        return TRatFunc(LPoly.const(value), _POLY_ONE, _reduced=True)
 
     @staticmethod
     def t_pow(k, coeff=1):
-        return TRatFunc(LPoly.t_pow(k, coeff), LPoly.const(1), _reduced=True)
+        return TRatFunc(LPoly.t_pow(k, coeff), _POLY_ONE, _reduced=True)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, TRatFunc):
             return x
         if isinstance(x, LPoly):
-            return TRatFunc(x, LPoly.const(1), _reduced=True)
+            return TRatFunc(x, _POLY_ONE, _reduced=True)
         if isinstance(x, (int, Fraction)):
             return TRatFunc.const(x)
         return None
@@ -69,7 +69,7 @@ class TRatFunc:
 
     def is_polynomial(self):
         """True when the reduced denominator is 1 (Laurent polynomial)."""
-        return self.den == LPoly.const(1)
+        return self.den == _POLY_ONE
 
     def as_lpoly(self):
         if not self.is_polynomial():
@@ -115,8 +115,7 @@ class TRatFunc:
         if other is None:
             return NotImplemented
         if self.is_polynomial() and other.is_polynomial():
-            return TRatFunc(self.num * other.num, LPoly.const(1),
-                            _reduced=True)
+            return TRatFunc(self.num * other.num, _POLY_ONE, _reduced=True)
         return TRatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -189,7 +188,7 @@ def _reduce(num, den):
     """Canonical reduction: clear t-units from den, cancel the polynomial
     gcd, make den monic at its top power."""
     if num.is_zero:
-        return LPoly(), LPoly.const(1)
+        return LPoly(), _POLY_ONE
     # move any power of t from den into num
     if den.low() != 0:
         num = num.shift(-den.low())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import instanton_zeta
-from instanton_zeta.cli import main, parse_tau, table_from_dict, table_to_dict
+from instanton_zeta.cli import main, parse_tau, table_to_dict
 from instanton_zeta.results import euler_table
 
 # the child interpreter imports the package this test imported, whether it
@@ -97,11 +97,8 @@ def test_table_json_round_trip(capsys):
     deltas = [row["delta"] for row in data["rows"]]
     assert deltas == ["1/2", "3/2", "5/2", "7/2"]
     assert data["rows"][1]["euler"] == "20"
-    # exact JSON round trip back to the in-memory table
-    rebuilt = table_from_dict(data)
-    direct = euler_table("odd", Fraction(7, 2))
-    assert table_to_dict(rebuilt) == table_to_dict(direct)
-    assert rebuilt.rows == direct.rows
+    # the JSON carries the in-memory table exactly
+    assert data == table_to_dict(euler_table("odd", Fraction(7, 2)))
 
 
 def test_table_betti_palindromes(capsys):
@@ -202,7 +199,11 @@ def test_sduality_holomorphic_diagnostic(capsys):
 
 
 def test_sduality_real_tau_exit_two(capsys):
-    assert main(["sduality", "--tau", "1.0"]) == 2
+    for tau in ("1.0", "0", "-2"):
+        assert main(["sduality", f"--tau={tau}"]) == 2
+        err = capsys.readouterr().err
+        assert f"tau = {tau} is not in the upper half-plane" in err
+        assert "cannot parse" not in err
 
 
 def test_sduality_dual_point_too_close_names_it(capsys):
@@ -216,6 +217,14 @@ def test_sduality_dual_point_too_close_names_it(capsys):
 def test_sduality_digits_floor():
     code, out, err = run_cli("sduality", "--tau", "i", "--digits", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["sduality"], ["eval", "--form", "E4"]])
+def test_digits_above_cap_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tau", "i", "--digits", "1001"])
+    assert exc.value.code == 2
+    assert "--digits must be between 10 and 1000" in capsys.readouterr().err
 
 
 def test_sduality_negative_real_part_equals_form(capsys):

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from instanton_zeta.errors import InstantonZetaError
-from instanton_zeta.forms import (FormProvider, gen_form, p_weight,
-                                  verify_section1)
+from instanton_zeta.forms import FormProvider, gen_form, verify_section1
 from instanton_zeta.lattice import zn_shell_counts_dp
 
 
@@ -39,17 +38,17 @@ def test_bigtheta_is_dilated_theta3():
 
 
 def test_p0_expansion():
-    p0 = p_weight("P0", 2)
+    p0 = gen_form("P0", 2)
     assert p0.pairs() == [(0, 1), (2, 240)]
 
 
 def test_podd_leading():
-    podd = p_weight("Podd", Fraction(1, 2))
+    podd = gen_form("Podd", Fraction(1, 2))
     assert podd.pairs() == [(Fraction(1, 2), 240)]
 
 
 def test_peven_constant_vanishes_and_q1():
-    pev = p_weight("Peven", 2)
+    pev = gen_form("Peven", 2)
     assert pev.coeff(0) == 0
     assert pev.coeff(1) == 240 * 9  # 240 * sigma3(2)
 
@@ -58,7 +57,7 @@ def test_peven_via_explicit_composition():
     e4 = gen_form("E4", 4)
     comp = ((e4 + e4.half_period_shift()).dilate(Fraction(1, 2))
             .scale(Fraction(1, 2)) - e4.dilate(2))
-    assert comp.first_difference(p_weight("Peven", 2), upto=2) is None
+    assert comp.first_difference(gen_form("Peven", 2), upto=2) is None
 
 
 def test_unknown_form_rejected():

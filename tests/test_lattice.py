@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,37 +10,100 @@ from hypothesis import strategies as st
 
 from instanton_zeta.errors import ConfigurationError
 from instanton_zeta.forms import gen_form
-from instanton_zeta.lattice import (D8_SHIFT_E1_HALF, D8_SHIFT_P, D8_SHIFT_Q,
-                                    IntegralLattice, ShiftVector, a1,
-                                    a1_theta_with_char, b0_product_formula,
-                                    b_substituted, box_shell_counts,
-                                    coset_points, d8,
-                                    d8_theta_ambient, e8, e8_theta_series,
-                                    generic_shell_counts, shifted_theta,
-                                    verify_d8_decompositions, zn,
+from instanton_zeta.lattice import (D8_GRAM, D8_SHIFT_E1_HALF, D8_SHIFT_P,
+                                    D8_SHIFT_Q, _counts_to_series,
+                                    _fraction_inverse, _ldl,
+                                    b0_product_formula, b_substituted,
+                                    coset_parities, coset_points, d8_ambient,
+                                    d8_theta_ambient, e8_theta_series,
+                                    verify_d8_decompositions,
                                     zn_shell_counts, zn_shell_counts_dp)
 from instanton_zeta.qseries import QQ
 
+_A1_GRAM = ((2,),)
+_E8_CARTAN = (
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, 0),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, -1),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, 0, 0, -1, 0, 0, 2),
+)
+
+
+def box_shell_counts(gram, shift_coords, max_norm):
+    """Brute-force oracle: exhaustive box search with Cauchy-Schwarz
+    coordinate bounds from the inverse Gram matrix.  Returns counts keyed
+    by 4*(x,x) like the other engines (with max_norm = max over (x,x))."""
+    n = len(gram)
+    inv = _fraction_inverse(gram)
+    shift = [Fraction(s) for s in shift_coords]
+    bounds = []
+    for i in range(n):
+        r = inv[i][i] * max_norm
+        bounds.append(isqrt(r.numerator * r.denominator) // r.denominator + 1)
+    counts = {}
+
+    def rec(i, coords):
+        if i == n:
+            norm = Fraction(0)
+            for a in range(n):
+                for b in range(n):
+                    norm += coords[a] * gram[a][b] * coords[b]
+            if norm <= max_norm:
+                key = 4 * norm
+                assert key.denominator == 1
+                counts[int(key)] = counts.get(int(key), 0) + 1
+            return
+        for v in range(-bounds[i], bounds[i] + 1):
+            coords[i] = v + shift[i]
+            rec(i + 1, coords)
+        coords[i] = 0
+
+    rec(0, [Fraction(0)] * n)
+    return counts
+
+
+def coset_theta(gram, shift, trunc):
+    """Theta series sum of u^((x,x)/2) over x in Z^n + shift, from the
+    points of coset_points."""
+    counts = Counter(q for _, q in coset_points(gram, shift, int(8 * trunc)))
+    return _counts_to_series(counts, trunc)
+
+
+def d8_cosets():
+    """The eight ambient shifts eps1 p + eps2 q + half e1/2 of the cosets
+    read by the rank-8 decomposition suite."""
+    for eps1, eps2, half in itertools.product((0, 1), repeat=3):
+        yield tuple(a * eps1 + b * eps2 + c * half for a, b, c in zip(
+            D8_SHIFT_P, D8_SHIFT_Q, D8_SHIFT_E1_HALF))
+
 
 def test_shift_vector_validation():
-    ShiftVector([Fraction(1, 2), 0, Fraction(-3, 2)])
+    list(coset_points(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                      (Fraction(1, 2), 0, Fraction(-3, 2)), 16))
     with pytest.raises(ConfigurationError):
-        ShiftVector([Fraction(1, 3)])
+        list(coset_points(_A1_GRAM, (Fraction(1, 3),), 4))
+    coset_parities((Fraction(-3, 2),) + (0,) * 7)
+    with pytest.raises(ConfigurationError):
+        coset_parities((Fraction(1, 3),) + (0,) * 7)
 
 
 def test_lattice_validation():
     with pytest.raises(ConfigurationError):
-        IntegralLattice("bad", ((1, 2), (3, 1)))      # not symmetric
+        _ldl(((1, 2), (3, 1)))      # not symmetric
     with pytest.raises(ConfigurationError):
-        IntegralLattice("bad", ((0, 1), (1, 0)))      # not positive definite
-
-
-def test_a1_gram():
-    assert a1().gram == ((2,),)
+        _ldl(((0, 1), (1, 0)))      # not positive definite
+    with pytest.raises(ConfigurationError):
+        _ldl(((2, 1), (1,)))        # not square
+    with pytest.raises(ConfigurationError):
+        list(coset_points(((1, 2), (3, 1)), (0, 0), 4))
 
 
 def test_d8_theta_low_shells():
-    th = shifted_theta(d8(), None, 3)
+    th = d8_theta_ambient((0,) * 8, 3)
     assert th.coeff(0) == 1
     assert th.coeff(1) == 112
     assert th.coeff(2) == 1136
@@ -51,40 +116,37 @@ def test_e8_equals_e4():
 
 
 def test_e8_cartan_generic_enumeration_matches_glue():
-    th_generic = shifted_theta(e8(), None, 4, method="generic")
+    th_generic = coset_theta(_E8_CARTAN, (0,) * 8, 4)
     assert th_generic.first_difference(e8_theta_series(4)) is None
 
 
 def test_a1_half_shift_leading():
-    th = shifted_theta(a1(), ShiftVector([Fraction(1, 2)]), 3)
+    th = coset_theta(_A1_GRAM, (Fraction(1, 2),), 3)
     assert th.pairs() == [(Fraction(1, 4), 2), (Fraction(9, 4), 2)]
 
 
 def test_shift_by_full_lattice_vector_is_translation_invariant():
-    lat = d8()
-    th0 = shifted_theta(lat, None, 5)
-    th_shifted = shifted_theta(
-        lat, ShiftVector([2, 0, 0, -2, 0, 0, 0, 2]), 5)
+    th0 = d8_theta_ambient((0,) * 8, 5)
+    th_shifted = d8_theta_ambient(d8_ambient((2, 0, 0, -2, 0, 0, 0, 2)), 5)
     assert th0.first_difference(th_shifted) is None
 
 
 def test_engines_agree_on_d8_cosets():
-    for eps1, eps2, half in itertools.product((0, 1), repeat=3):
-        shift = tuple(a * eps1 + b * eps2 + c * half for a, b, c in zip(
-            D8_SHIFT_P, D8_SHIFT_Q, D8_SHIFT_E1_HALF))
-        enum = d8_theta_ambient(shift, 5, method="enumerate")
-        dp = d8_theta_ambient(shift, 5, method="dp")
-        assert enum.first_difference(dp) is None
+    # the convolution behind d8_theta_ambient against point enumeration
+    for shift in d8_cosets():
+        enum = _counts_to_series(zn_shell_counts(*coset_parities(shift), 40),
+                                 5)
+        assert enum.first_difference(d8_theta_ambient(shift, 5)) is None
 
 
 def test_generic_engine_agrees_with_ambient_integer_engine():
-    lat = d8()
-    th_gen = shifted_theta(lat, None, 4, method="generic")
+    th_gen = coset_theta(D8_GRAM, (0,) * 8, 4)
     th_amb = d8_theta_ambient((0,) * 8, 4)
     assert th_gen.first_difference(th_amb) is None
     # a shifted coset through the basis-coordinate route
-    shift = ShiftVector([Fraction(1, 2)] + [0] * 7)  # e1/2 in basis coords
-    th_gen = shifted_theta(lat, shift, 4, method="generic")
+    shift = (Fraction(1, 2),) + (0,) * 7  # e1/2 in basis coords
+    assert d8_ambient(shift) == D8_SHIFT_E1_HALF
+    th_gen = coset_theta(D8_GRAM, shift, 4)
     th_amb = d8_theta_ambient(D8_SHIFT_E1_HALF, 4)
     assert th_gen.first_difference(th_amb) is None
 
@@ -98,12 +160,12 @@ def test_random_lattices_against_box_search():
         gram = tuple(tuple(sum(m[k][i] * m[k][j] for k in range(n))
                            for j in range(n)) for i in range(n))
         try:
-            IntegralLattice("rnd", gram)
+            _ldl(gram)
         except ConfigurationError:
             continue
         trials += 1
         shift = tuple(Fraction(rng.randint(0, 1), 2) for _ in range(n))
-        got = generic_shell_counts(gram, shift, 32)
+        got = Counter(q for _, q in coset_points(gram, shift, 32))
         want = {k: v for k, v in box_shell_counts(gram, shift, 8).items()
                 if k <= 32}
         assert got == want
@@ -117,7 +179,7 @@ def _gram_and_shift(draw):
     gram = tuple(tuple(sum(m[k][i] * m[k][j] for k in range(n))
                        for j in range(n)) for i in range(n))
     try:
-        IntegralLattice("rnd", gram)
+        _ldl(gram)
     except ConfigurationError:
         assume(False)
     shift = tuple(Fraction(draw(st.integers(-1, 1)), 2) for _ in range(n))
@@ -143,51 +205,49 @@ def test_coset_points_properties(gram_shift, max_q):
     assert counts == box_shell_counts(gram, shift, Fraction(max_q, 4))
 
 
-def test_zn_counts_enumeration_vs_dp():
-    rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        parities = tuple(rng.randint(0, 1) for _ in range(n))
-        target = rng.choice([None, 0, 1, 2, 3])
-        max_q = rng.randint(4, 30)
-        assert zn_shell_counts(parities, target, max_q) == \
-            zn_shell_counts_dp(parities, target, max_q)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 8).flatmap(
+           lambda n: st.tuples(*[st.integers(0, 1)] * n)),
+       st.sampled_from([None, 0, 1, 2, 3]), st.integers(0, 40))
+def test_zn_counts_enumeration_vs_dp(parities, target4, max_q):
+    assert zn_shell_counts(parities, target4, max_q) == \
+        zn_shell_counts_dp(parities, target4, max_q)
 
 
 def test_b0_series_low_terms():
-    b0, t_den = a1_theta_with_char(0, 4)
-    assert t_den == 1
-    pairs = dict(b0.pairs())
+    # u^(n^2) t^n at u = t^2 q: the q^(n^2) coefficient is t^(2n^2+n)
+    pairs = dict(b_substituted(0, 4).pairs())
     assert pairs[Fraction(0)].as_lpoly().pairs() == [(0, 1)]
-    assert sorted(pairs[Fraction(1)].as_lpoly().pairs()) == [(-1, 1), (1, 1)]
-    assert sorted(pairs[Fraction(4)].as_lpoly().pairs()) == [(-2, 1), (2, 1)]
+    assert sorted(pairs[Fraction(1)].as_lpoly().pairs()) == [(1, 1), (3, 1)]
+    assert sorted(pairs[Fraction(4)].as_lpoly().pairs()) == [(6, 1),
+                                                            (10, 1)]
 
 
 def test_b1_series_low_terms():
-    b1, t_den = a1_theta_with_char(Fraction(1, 2), Fraction(9, 4))
-    assert t_den == 2
-    pairs = dict(b1.pairs())
-    # s = t^(1/2): the u^(1/4) coefficient is t^(1/2) + t^(-1/2)
-    assert sorted(pairs[Fraction(1, 4)].as_lpoly().pairs()) == [(-1, 1),
+    pairs = dict(b_substituted(Fraction(1, 2), Fraction(9, 4)).pairs())
+    # n = +-1/2 gives t^1 and t^0, n = +-3/2 gives t^6 and t^3
+    assert sorted(pairs[Fraction(1, 4)].as_lpoly().pairs()) == [(0, 1),
                                                                 (1, 1)]
-    assert sorted(pairs[Fraction(9, 4)].as_lpoly().pairs()) == [(-3, 1),
-                                                                (3, 1)]
+    assert sorted(pairs[Fraction(9, 4)].as_lpoly().pairs()) == [(3, 1),
+                                                                (6, 1)]
+    # with the character at 1 in s = t^(1/2): 2 t^(1/2) and 2 t^(9/2)
+    at1 = dict(b_substituted(Fraction(1, 2), Fraction(9, 4), char=False,
+                             t_scale=2).pairs())
+    assert at1[Fraction(1, 4)].as_lpoly().pairs() == [(1, 2)]
+    assert at1[Fraction(9, 4)].as_lpoly().pairs() == [(9, 2)]
 
 
 def test_b0_product_formula_matches_sum():
     prod = b0_product_formula(10)
-    summed, _ = a1_theta_with_char(0, 10)
-    assert prod.first_difference(summed) is None
+    assert prod.first_difference(b_substituted(0, 10)) is None
 
 
 def test_b_series_at_char_one_match_shifted_theta():
-    b0, _ = a1_theta_with_char(0, 9)
-    at1 = b0.map_coeffs(lambda c: c.eval_one(), QQ)
-    assert at1.first_difference(shifted_theta(a1(), None, 9)) is None
-    b1, _ = a1_theta_with_char(Fraction(1, 2), 9)
-    at1 = b1.map_coeffs(lambda c: c.eval_one(), QQ)
-    th = shifted_theta(a1(), ShiftVector([Fraction(1, 2)]), 9)
-    assert at1.first_difference(th) is None
+    # at t = 1 the B series is the theta series of the rank-1 lattice <2>
+    for shift in (0, Fraction(1, 2)):
+        at1 = b_substituted(shift, 9).map_coeffs(lambda c: c.eval_one(), QQ)
+        th = coset_theta(_A1_GRAM, (shift,), 9)
+        assert at1.first_difference(th) is None
 
 
 def test_b_substituted_grids():
@@ -211,6 +271,8 @@ def test_d8_spinor_coset_leading_count():
 
 
 def test_zn_lattice_theta_is_theta3_power():
-    th = shifted_theta(zn(3), None, 6)
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     want = gen_form("theta3", 6) ** 3
-    assert th.first_difference(want) is None
+    assert coset_theta(identity, (0, 0, 0), 6).first_difference(want) is None
+    counts = zn_shell_counts_dp((0, 0, 0), None, 48)
+    assert _counts_to_series(counts, 6).first_difference(want) is None

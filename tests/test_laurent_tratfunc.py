@@ -28,7 +28,7 @@ def test_lpoly_basic_arithmetic():
 def test_lpoly_laurent_offsets():
     m = LPoly.t_pow(-3, Fraction(5, 2))
     assert m.low() == -3 and m.degree() == -3
-    assert (m * LPoly.t_pow(3)).as_fraction() == Fraction(5, 2)
+    assert m * LPoly.t_pow(3) == LPoly.const(Fraction(5, 2))
     assert m.eval_at(Fraction(2)) == Fraction(5, 2) / 8
 
 
@@ -107,6 +107,22 @@ def test_eval_at_one_examples():
     with pytest.raises(PoleAtOneError) as err:
         TRatFunc(lp((0, 1)), lp((1, 1), (0, -1)) ** 3).eval_one()
     assert err.value.order == 3
+
+
+def test_polynomial_tratfunc_arithmetic_builds_no_constant(monkeypatch):
+    # the trivial denominator is one shared LPoly, never rebuilt
+    a = TRatFunc(lp((0, 1), (1, 2)))
+    b = TRatFunc(lp((-1, 3), (2, -1)))
+    calls = []
+    const = LPoly.const
+    monkeypatch.setattr(LPoly, "const",
+                        staticmethod(lambda v: calls.append(v) or const(v)))
+    prod, total, zero = a * b, a + b, a - a
+    flags = [x.is_polynomial() for x in (prod, total, zero)]
+    assert calls == []
+    assert flags == [True, True, True]
+    assert prod.num == a.num * b.num and total.num == a.num + b.num
+    assert zero.is_zero
 
 
 def test_tratfunc_field_operations():

@@ -72,8 +72,11 @@ def test_e_coordinate_roundtrip():
 def test_fg_components():
     s = SURFACE
     x = vec_add(vec_scale(2, s.f), vec_scale(-1, s.g), s.e[3])
-    a, b = s.fg_components(x)
+    # x = a f + b g + (e-part) with (f, g) = 2: a = (x, g)/2, b = (x, f)/2
+    a, b = Fraction(pair(x, s.g), 2), Fraction(pair(x, s.f), 2)
     assert (a, b) == (2, -1)
+    rest = vec_add(x, vec_scale(-a, s.f), vec_scale(-b, s.g))
+    assert s.e_coords(rest) == (0, 0, 0, 1, 0, 0, 0, 0)
 
 
 def test_unknown_class_tag():
