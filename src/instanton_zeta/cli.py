@@ -263,23 +263,25 @@ def cmd_table(args):
 # -- eval ----------------------------------------------------------------------
 
 def _form_expr(name, scale):
-    from .formexpr import E2Slot, leaf
+    """The tree of the named form at the argument ``scale * tau``."""
+    from .formexpr import E2Slot, leaf, rescaled
     from .results import gauge_partition_functions, mnvw_form_expr, zw_forms
     if name in FORM_LEAVES:
-        if name == "E2hat":
-            return E2Slot(Fraction(scale))
-        return leaf(name, scale)
-    if name in ("Z0", "Z_even", "Z_odd"):
-        return mnvw_form_expr({"Z0": "0", "Z_even": "even",
+        expr = E2Slot() if name == "E2hat" else leaf(name)
+    elif name in ("Z0", "Z_even", "Z_odd"):
+        expr = mnvw_form_expr({"Z0": "0", "Z_even": "even",
                                "Z_odd": "odd"}[name])
-    if name in ("Z_SU2", "Z_SO3"):
+    elif name in ("Z_SU2", "Z_SO3"):
         su2, so3 = gauge_partition_functions()
-        return su2.expr if name == "Z_SU2" else so3.expr
-    if name in ("Zw0", "Zw1"):
+        expr = su2.expr if name == "Z_SU2" else so3.expr
+    elif name in ("Zw0", "Zw1"):
         w0, w1 = zw_forms()
-        return w0 if name == "Zw0" else w1
-    raise InstantonZetaError(
-        f"unknown form {name!r}; choose from {FORM_LEAVES + FORM_LABELS}")
+        expr = w0 if name == "Zw0" else w1
+    else:
+        raise InstantonZetaError(
+            f"unknown form {name!r}; choose from "
+            f"{FORM_LEAVES + FORM_LABELS}")
+    return rescaled(expr, scale)
 
 
 def cmd_eval(args):

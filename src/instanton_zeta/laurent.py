@@ -43,36 +43,41 @@ def _conv_school(a, b):
     return out
 
 
+# Packed layout: coefficient i sits in a signed slot of ``nbytes`` bytes at
+# bit 8 * nbytes * i, so that a list packs to ``sum c_i * 2**(8 * nbytes * i)``
+# and products and sums of packed lists are packed convolutions and sums.
+# A slot holds any value in [-2**(8 * nbytes - 1), 2**(8 * nbytes - 1)):
+# adding the half width to every slot turns each one into a plain unsigned
+# byte field, which is how both directions convert.
+
+def _bias(nbytes, count):
+    """The half width in each of ``count`` slots."""
+    half = (1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
+    return int.from_bytes(half * count, "little")
+
+
 def _pack(coeffs, nbytes):
-    pos = bytearray(len(coeffs) * nbytes)
-    neg = bytearray(len(coeffs) * nbytes)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * nbytes:(i + 1) * nbytes] = c.to_bytes(nbytes, "little")
-        elif c < 0:
-            neg[i * nbytes:(i + 1) * nbytes] = (-c).to_bytes(nbytes, "little")
-    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _bias(nbytes, len(coeffs))
+
+
+def _unpack(value, nbytes, count):
+    """The ``count`` lowest slots of a packed value; exact when every slot
+    of the value is in range and ``count`` reaches its top nonzero slot."""
+    half = 1 << (8 * nbytes - 1)
+    raw = (value + _bias(nbytes, count)).to_bytes(nbytes * count, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, nbytes * count, nbytes)]
 
 
 def _conv_kronecker(a, b):
     amax = max(abs(c) for c in a)
     bmax = max(abs(c) for c in b)
     bound = amax * bmax * min(len(a), len(b))
-    nbits = bound.bit_length() + 2
-    nbytes = (nbits + 7) // 8
-    block = 8 * nbytes
-    prod = _pack(a, nbytes) * _pack(b, nbytes)
-    half = 1 << (block - 1)
-    full = 1 << block
-    mask = full - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        r = prod & mask
-        if r >= half:
-            r -= full
-        out.append(r)
-        prod = (prod - r) >> block
-    return out
+    nbytes = (bound.bit_length() + 2 + 7) // 8
+    return _unpack(_pack(a, nbytes) * _pack(b, nbytes), nbytes,
+                   len(a) + len(b) - 1)
 
 
 def _conv(a, b):

@@ -6,7 +6,14 @@ infinite product, thetas as Gaussian sums, the Eisenstein series from
 divisor sums) with a truncation chosen from the geometric tail bound
 |q|^(N+1)/(1-|q|) times a coefficient-growth margin; the margin doubles
 until the bound clears the precision target, and a cap turns an
-unreachable target into an error instead of a silent loss."""
+unreachable target into an error instead of a silent loss.
+
+One ``eval_form`` call computes each (leaf, argument) pair once: the
+values live in a dict passed down the tree walk, keyed on the leaf name,
+the scaled argument and the tolerance, and dropped when the call returns.
+Every value still comes from the leaf's own series or product at that
+argument, never through a modular transformation, which is what the
+S-duality check tests."""
 
 from __future__ import annotations
 
@@ -101,9 +108,12 @@ def _qpow(tau, exponent):
     return mp.exp(2j * mp.pi * tau * mp.mpf(e.numerator) / e.denominator)
 
 
-def eval_leaf(name, tau, eps):
+def eval_leaf(name, tau, eps, values=None):
+    """Value of one named form at tau; a derived form expands through its
+    tree, reading and filling ``values`` like ``_eval_node``."""
     if name in DERIVED_FORMS:
-        return _eval_node(DERIVED_FORMS[name], tau, eps, "E2")
+        return _eval_node(DERIVED_FORMS[name], tau, eps, "E2",
+                          {} if values is None else values)
     q = mp.exp(2j * mp.pi * tau)
     if name == "eta":
         return _qpow(tau, Fraction(1, 24)) * _eta(q, eps)
@@ -124,34 +134,44 @@ def eval_leaf(name, tau, eps):
     raise ValueError(f"no numeric evaluator for leaf {name!r}")
 
 
-def _eval_node(node, tau, eps, e2_mode):
+def _leaf_value(name, tau, eps, values):
+    key = (name, tau, eps)
+    val = values.get(key)
+    if val is None:
+        val = values[key] = eval_leaf(name, tau, eps, values)
+    return val
+
+
+def _eval_node(node, tau, eps, e2_mode, values):
+    """Value of an expression tree; ``values`` holds the leaf values
+    already computed in this evaluation, keyed on (name, argument, eps)."""
     if isinstance(node, Leaf):
         tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
         if node.half_shift:
             tt = tt + mp.mpf(1) / 2
-        return eval_leaf(node.name, tt, eps)
+        return _leaf_value(node.name, tt, eps, values)
     if isinstance(node, E2Slot):
         tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
-        val = eval_leaf("E2", tt, eps)
+        val = _leaf_value("E2", tt, eps, values)
         if e2_mode == "anomaly":
             val -= 3 / (mp.pi * mp.im(tt))
         return val
     if isinstance(node, Const):
         return mp.mpc(node.value.numerator) / node.value.denominator
     if isinstance(node, Add):
-        return mp.fsum(_eval_node(c, tau, eps, e2_mode)
+        return mp.fsum(_eval_node(c, tau, eps, e2_mode, values)
                        for c in node.children)
     if isinstance(node, Mul):
         out = mp.mpc(1)
         for c in node.children:
-            out *= _eval_node(c, tau, eps, e2_mode)
+            out *= _eval_node(c, tau, eps, e2_mode, values)
         return out
     if isinstance(node, Pow):
-        return _eval_node(node.base, tau, eps, e2_mode) ** node.n
+        return _eval_node(node.base, tau, eps, e2_mode, values) ** node.n
     if isinstance(node, Scal):
         w = (mp.mpc(node.re.numerator) / node.re.denominator
              + 1j * mp.mpc(node.im.numerator) / node.im.denominator)
-        return w * _eval_node(node.child, tau, eps, e2_mode)
+        return w * _eval_node(node.child, tau, eps, e2_mode, values)
     raise TypeError(f"unknown expression node {node!r}")
 
 
@@ -165,7 +185,7 @@ def eval_form(expr, tau, digits=40, e2_mode="anomaly", min_im=MIN_IM):
             f"minimum {min_im}")
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
-        val = _eval_node(expr, tau, eps, e2_mode)
+        val = _eval_node(expr, tau, eps, e2_mode, {})
     return val
 
 

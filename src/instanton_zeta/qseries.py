@@ -12,6 +12,30 @@ For series with nonnegative leading exponents this is the plain
 friends) the bound is tightened, because the unknown tail of one factor
 times the negative head of the other would otherwise contaminate reported
 coefficients.
+
+Every product, and through it every power and inverse, runs in one integer
+kernel, ``_product``.  Each factor is cleared once: its coefficients become
+integer t-polynomial numerators over one integer denominator and one
+denominator polynomial (the lcm of the coefficients' own; 1 for Q and for
+polynomial coefficients).  A rational is the one-slot case.  One-slot
+factors convolve densely on their exponent grid compressed by its gcd.
+Wider ones pack each numerator once into a single integer, coefficient i
+in a signed slot of ``w`` bits at bit ``w * i`` (``laurent._pack``), then
+multiply and accumulate per output exponent, and unpack each sum once.
+No coefficient object is built per term pair; the ring builds one per
+output term, which is canonical, so outputs equal the term-by-term
+product exactly.
+
+The unpack is exact because of the slot width.  A slot of a sum holds
+``sum over pairs of sum_j a_j b_(i-j)``.  At most ``min(terms_a, terms_b)``
+pairs meet at one exponent, each convolution overlaps in at most
+``min(width_a, width_b)`` places, and every factor is at most ``max|a|``
+and ``max|b|``.  So ``|slot| <= L = max|a| max|b| min(width) min(terms)``,
+and ``w`` is the whole number of bytes that holds ``bit_length(L) + 1``
+bits, which makes ``|slot| < 2**(w - 1)``.  Slots in that range are the
+unique signed base-``2**w`` digits of the sum, which the unpack reads back.
+Inverses are Newton steps ``x <- x - x (u x - 1)`` on the unit part
+``u``, each one a pair of kernel products that doubles the exact range.
 """
 
 from __future__ import annotations
@@ -21,8 +45,12 @@ from math import floor, gcd
 
 from .errors import (FractionalExponentError, NotInvertibleError,
                      RingMismatchError, TruncationError)
-from .laurent import LPoly
+from .laurent import (ONE as _POLY_ONE, LPoly, _conv, _pack, _trim, _unpack,
+                      poly_divexact_z, poly_gcd_z)
 from .tratfunc import TRatFunc
+
+
+_UNIT = (1,)  # the denominator polynomial 1
 
 
 class RationalRing:
@@ -43,6 +71,22 @@ class RationalRing:
         if c == 0:
             raise NotInvertibleError("zero is not invertible in Q")
         return 1 / c
+
+    @staticmethod
+    def numerators(cs):
+        """Integer numerators over one denominator, each a one-slot
+        t-polynomial: ``(nums, t offset, den, denominator polynomial)``."""
+        den = 1
+        for c in cs:
+            d = c.denominator
+            if den % d:
+                den = den * d // gcd(den, d)
+        return ([[c.numerator * (den // c.denominator)] for c in cs], 0,
+                den, _UNIT)
+
+    @staticmethod
+    def from_numerator(num, off, den, den_poly):
+        return Fraction(num[0], den)
 
 
 class TRatRing:
@@ -66,6 +110,46 @@ class TRatRing:
             raise NotInvertibleError("zero is not invertible in Q(t)")
         return c.reciprocal()
 
+    @staticmethod
+    def numerators(cs):
+        """Integer t-polynomial numerators over one integer denominator and
+        one denominator polynomial, the lcm of the coefficients' own:
+        ``(nums, t offset, den, denominator polynomial)``."""
+        den_poly = cs[0].den.num
+        for c in cs:
+            p = c.den.num
+            if p != den_poly:
+                g = poly_gcd_z(den_poly, p)
+                den_poly = tuple(_conv(den_poly, poly_divexact_z(p, g)))
+        cofactors = {}
+        den = 1
+        off = cs[0].num.off
+        for c in cs:
+            d = c.num.den
+            if den % d:
+                den = den * d // gcd(den, d)
+            off = min(off, c.num.off)
+        nums = []
+        for c in cs:
+            # c = (t^n.off * n.num / n.den) / (p / e), where p is the
+            # primitive integer polynomial of the monic denominator
+            n, p = c.num, c.den.num
+            scale = c.den.den * (den // n.den)
+            num = [x * scale for x in n.num]
+            if p != den_poly:
+                cof = cofactors.get(p)
+                if cof is None:
+                    cof = cofactors[p] = poly_divexact_z(den_poly, p)
+                num = _conv(num, cof)
+            nums.append([0] * (n.off - off) + num)
+        return nums, off, den, den_poly
+
+    @staticmethod
+    def from_numerator(num, off, den, den_poly):
+        if den_poly == _UNIT:
+            return TRatFunc(LPoly(off, num, den), _POLY_ONE, _reduced=True)
+        return TRatFunc(LPoly(off, num, den), LPoly(0, den_poly))
+
 
 QQ = RationalRing()
 TRAT = TRatRing()
@@ -75,6 +159,95 @@ DEFAULT_DENOM = 48
 
 def _lcm(a, b):
     return a * b // gcd(a, b)
+
+
+def _product(ring, a, b, bound):
+    """Terms of the product of the term maps ``a`` and ``b`` (exponent
+    numerators on one grid) up to the exponent numerator ``bound``.
+
+    Each factor is cleared once to integer t-polynomial numerators over one
+    denominator.  When every numerator is a single integer the factors
+    convolve densely on their gcd-compressed exponent grid (``_conv``, which
+    switches to Kronecker substitution for long grids).  Otherwise each
+    numerator is packed once into one integer with slots wide enough for
+    any output coefficient, the packed terms multiply-accumulate per output
+    exponent, and each sum unpacks once.
+    """
+    if not a or not b:
+        return {}
+    la, lb = min(a), min(b)
+    ka = sorted(k for k in a if k + lb <= bound)
+    kb = sorted(k for k in b if k + la <= bound)
+    if not ka or not kb:
+        return {}
+    na, offa, da, pa = ring.numerators([a[k] for k in ka])
+    nb, offb, db, pb = ring.numerators([b[k] for k in kb])
+    off, den = offa + offb, da * db
+    den_poly = pb if pa == _UNIT else pa if pb == _UNIT else tuple(
+        _conv(pa, pb))
+    make = ring.from_numerator
+    wa = max(map(len, na))
+    wb = max(map(len, nb))
+    out = {}
+    if wa == wb == 1:
+        g = 0
+        for k in ka:
+            g = gcd(g, k - la)
+        for k in kb:
+            g = gcd(g, k - lb)
+        g = g or 1
+        grid_a = [0] * ((ka[-1] - la) // g + 1)
+        for k, n in zip(ka, na):
+            grid_a[(k - la) // g] = n[0]
+        grid_b = [0] * ((kb[-1] - lb) // g + 1)
+        for k, n in zip(kb, nb):
+            grid_b[(k - lb) // g] = n[0]
+        k = la + lb
+        for c in _conv(grid_a, grid_b):
+            if k > bound:
+                break
+            if c:
+                out[k] = make([c], off, den, den_poly)
+            k += g
+        return out
+    # |each slot of a sum| <= pairs per exponent * overlap * max * max, and
+    # a slot of 8 * nbytes bits holds any value below 2**(8 * nbytes - 1)
+    top_a = max(max(map(abs, n)) for n in na)
+    top_b = max(max(map(abs, n)) for n in nb)
+    limit = top_a * top_b * min(wa, wb) * min(len(ka), len(kb))
+    nbytes = (limit.bit_length() + 1 + 7) // 8
+    bits = 8 * nbytes
+    # each term packs from its own lowest t-power, shifted into place once
+    # per pair, so the multiplies see no leading zero slots
+    packed_a = _packed(ka, na, nbytes, bits)
+    packed_b = _packed(kb, nb, nbytes, bits)
+    sums = {}
+    for k1, s1, p1 in packed_a:
+        rest = bound - k1
+        for k2, s2, p2 in packed_b:
+            if k2 > rest:
+                break
+            k = k1 + k2
+            sums[k] = sums.get(k, 0) + (p1 * p2 << (s1 + s2))
+    for k in sorted(sums):
+        total = sums[k]
+        if total:
+            low = ((total & -total).bit_length() - 1) // bits
+            total >>= low * bits
+            num = _unpack(total, nbytes, abs(total).bit_length() // bits + 1)
+            out[k] = make(num, off + low, den, den_poly)
+    return out
+
+
+def _packed(keys, nums, nbytes, bits):
+    """(exponent, bit shift of the lowest t-power, packed numerator) per
+    nonzero term."""
+    out = []
+    for k, n in zip(keys, nums):
+        lo, n = _trim(n)
+        if n:
+            out.append((k, lo * bits, _pack(n, nbytes)))
+    return out
 
 
 class QSeries:
@@ -243,19 +416,8 @@ class QSeries:
         lb = min(b.terms) if b.terms else 0
         bound_frac = min(a.trunc + Fraction(min(lb, 0), a.denom),
                          b.trunc + Fraction(min(la, 0), a.denom))
-        bound = bound_frac * a.denom
-        terms = {}
-        bi = sorted(b.terms.items())
-        for ka, ca in sorted(a.terms.items()):
-            for kb, cb in bi:
-                k = ka + kb
-                if k > bound:
-                    break
-                p = ca * cb
-                s = terms.get(k)
-                s = p if s is None else s + p
-                terms[k] = s
-        terms = {k: c for k, c in terms.items() if c}
+        terms = _product(self.ring, a.terms, b.terms,
+                         floor(bound_frac * a.denom))
         return QSeries(self.ring, a.denom, bound_frac, terms, _checked=True)
 
     __rmul__ = __mul__
@@ -279,34 +441,31 @@ class QSeries:
         ``trunc - 2 * leading_exponent``."""
         if not self.terms:
             raise NotInvertibleError("cannot invert the zero series")
+        ring = self.ring
         lead_k = min(self.terms)
-        c0 = self.terms[lead_k]
-        c0_inv = self.ring.invert(c0)
-        # r = (series / lead) - 1, supported on positive offsets
-        r = {k - lead_k: c0_inv * c for k, c in self.terms.items()
-             if k != lead_k}
+        c0_inv = ring.invert(self.terms[lead_k])
+        # u = series / (c0 q^lead) = 1 + r is known on offsets 0..span, and
+        # so is its inverse x; x = 1 is exact below the first offset of r
         span = floor(self.trunc * self.denom) - lead_k
-        g = 0
-        for d in r:
-            g = gcd(g, d)
-        out = {0: self.ring.one}
-        if r and g:
-            inv = [self.ring.one]  # inv[j] = coefficient at offset j*g
-            for j in range(1, span // g + 1):
-                acc = None
-                for d, cd in r.items():
-                    jj = j - d // g
-                    if jj >= 0 and (d % g) == 0:
-                        term = cd * inv[jj]
-                        acc = term if acc is None else acc + term
-                if acc is None:
-                    inv.append(self.ring.zero)
+        u = {k - lead_k: c0_inv * c for k, c in self.terms.items()}
+        x = {0: ring.one}
+        exact = min((k for k in u if k), default=span + 1)
+        while exact <= span:
+            # Newton step x <- x - x (u x - 1): u x - 1 starts at offset
+            # `exact`, so the step changes nothing below it and doubles it
+            exact = min(2 * exact, span + 1)
+            err = _product(ring, u, x, exact - 1)
+            del err[0]
+            for k, c in _product(ring, x, err, exact - 1).items():
+                s = x.get(k)
+                s = -c if s is None else s - c
+                if s:
+                    x[k] = s
                 else:
-                    inv.append(-acc)
-            out = {j * g: c for j, c in enumerate(inv) if c}
+                    del x[k]
         trunc = self.trunc - Fraction(2 * lead_k, self.denom)
-        terms = {k - lead_k: c0_inv * c for k, c in out.items()}
-        return QSeries(self.ring, self.denom, trunc, terms, _checked=True)
+        terms = {k - lead_k: c0_inv * c for k, c in x.items()}
+        return QSeries(ring, self.denom, trunc, terms, _checked=True)
 
     # -- exponent surgery ----------------------------------------------------
 

@@ -168,6 +168,36 @@ def test_eval_nonpositive_scale_usage_error(scale):
     assert "--scale must be positive" in err
 
 
+@pytest.mark.parametrize("form", ["Z_SU2", "Z_odd", "Z0"])
+@pytest.mark.parametrize("scale", ["2", "1/3"])
+def test_eval_scale_composite_series(form, scale, capsys):
+    from instanton_zeta.cli import _form_expr
+    from instanton_zeta.formexpr import as_qseries
+    k = Fraction(scale)
+    assert main(["eval", "--form", form, "--series", "--order", "1",
+                 "--scale", scale, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    want = as_qseries(_form_expr(form, 1), 1 / k).dilate(k)
+    assert data["truncation"] == "1"
+    assert data["series"] == [{"exponent": str(e), "coefficient": str(c)}
+                              for e, c in want.pairs()]
+
+
+@pytest.mark.parametrize("form", ["Z_SO3", "Z_even", "Zw1"])
+def test_eval_scale_composite_tau(form, capsys):
+    # f at --scale 2 and tau is f at 2 tau
+    def value(*args):
+        assert main(["eval", "--form", form, "--digits", "30",
+                     "--format", "json", *args]) == 0
+        return json.loads(capsys.readouterr().out)["value"]
+
+    got = value("--tau", "0.1+1.2i", "--scale", "2")
+    want = value("--tau", "0.2+2.4i")
+    unscaled = value("--tau", "0.1+1.2i")
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got != pytest.approx(unscaled, rel=1e-3)
+
+
 def test_eval_requires_target(capsys):
     assert main(["eval", "--form", "theta3"]) == 2
 

@@ -122,3 +122,21 @@ def test_sduality_holomorphic_mode_is_diagnostic():
     assert report.passed is None
     # the residual is genuinely large: the anomaly term matters
     assert report.rel_error > 1e-6
+
+
+def test_sduality_check_evaluates_each_leaf_once_per_point(monkeypatch):
+    # 21 distinct (leaf, argument) pairs across Z_SU2(-1/tau) and
+    # Z_SO3(tau); evaluating every leaf occurrence separately makes 36
+    import instanton_zeta.numeric as numeric
+    calls = []
+    original = numeric.eval_leaf
+
+    def counting(name, tau, *args):
+        calls.append((name, tau))
+        return original(name, tau, *args)
+
+    monkeypatch.setattr(numeric, "eval_leaf", counting)
+    report = numeric.sduality_check(mp.mpc(0.13, 1.21), digits=30)
+    assert report.passed
+    assert len(calls) == 21
+    assert len(set(calls)) == 21

@@ -19,6 +19,110 @@ def qs(pairs, trunc, denom=1, ring=QQ):
     return QSeries.from_pairs(ring, pairs, trunc, denom)
 
 
+def dict_product(x, y):
+    """The product term pair by term pair in the ring's own arithmetic: the
+    oracle for the packed integer kernel of ``QSeries.__mul__``."""
+    a, b = x._common(y)
+    la = min(a.terms) if a.terms else 0
+    lb = min(b.terms) if b.terms else 0
+    bound_frac = min(a.trunc + Fraction(min(lb, 0), a.denom),
+                     b.trunc + Fraction(min(la, 0), a.denom))
+    bound = bound_frac * a.denom
+    terms = {}
+    bi = sorted(b.terms.items())
+    for ka, ca in sorted(a.terms.items()):
+        for kb, cb in bi:
+            k = ka + kb
+            if k > bound:
+                break
+            terms[k] = terms[k] + ca * cb if k in terms else ca * cb
+    terms = {k: c for k, c in terms.items() if c}
+    return QSeries(a.ring, a.denom, bound_frac, terms, _checked=True)
+
+
+_T_DENOMINATORS = [(1, 1), (-1, 1), (1, 0, 2), (1, 2, 1), (3, -1, 0, 1)]
+
+
+@st.composite
+def _sparse_series(draw, ring, size):
+    """A sparse series on a 1/denom grid: possibly negative lead, fractional
+    truncation, up to ``size`` terms.  Over Q(t) the coefficients are
+    Laurent polynomials with negative offsets and mixed rational contents,
+    or those over one of a few denominator polynomials."""
+    denom = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    lead_k = draw(st.integers(-4 * denom, 3 * denom))
+    trunc = Fraction(lead_k, denom) + draw(st.fractions(
+        min_value=0, max_value=Fraction(60, denom), max_denominator=6))
+    top = floor(trunc * denom)
+    ks = {lead_k} | set(draw(st.lists(st.integers(lead_k, top),
+                                      max_size=size)))
+    rational = ring is TRAT and draw(st.booleans())
+    big = draw(st.booleans())
+
+    def scalar():
+        if big:
+            return Fraction(draw(st.integers(-10 ** 30, 10 ** 30)),
+                            draw(st.integers(1, 10 ** 6)))
+        return draw(st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=12))
+
+    def coeff():
+        if ring is QQ:
+            return scalar()
+        off = draw(st.integers(-4, 3))
+        num = LPoly.from_pairs((off + i, scalar()) for i in range(
+            draw(st.integers(1, 6))))
+        if not rational or draw(st.booleans()):
+            return TRatFunc(num)
+        den = draw(st.sampled_from(_T_DENOMINATORS))
+        return TRatFunc(num, LPoly(0, den))
+
+    pairs = [(Fraction(k, denom), coeff()) for k in sorted(ks)]
+    return QSeries.from_pairs(ring, pairs, trunc, denom)
+
+
+@st.composite
+def _factor_pairs(draw):
+    ring = draw(st.sampled_from([QQ, TRAT]))
+    # up to 40 terms reaches both sides of the length-24 switch to
+    # Kronecker substitution; rational functions keep the oracle quick
+    size = 40 if ring is QQ else 16
+    return (draw(_sparse_series(ring, size)),
+            draw(_sparse_series(ring, size)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_factor_pairs())
+def test_kernel_product_matches_dict_product(factors):
+    a, b = factors
+    got = a * b
+    want = dict_product(a, b)
+    assert (got.denom, got.trunc) == (want.denom, want.trunc)
+    assert got.terms == want.terms
+    assert repr(got.pairs()) == repr(want.pairs())
+
+
+def test_polynomial_product_builds_no_coefficient_per_pair(monkeypatch):
+    calls = []
+    for cls in (LPoly, TRatFunc):
+        original = cls.__mul__
+
+        def counting(self, other, original=original):
+            calls.append(type(self).__name__)
+            return original(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+    a = QSeries.from_pairs(TRAT, [(k, LPoly.from_pairs(
+        [(-k, 1), (0, k), (k + 1, Fraction(1, k + 1))])) for k in range(12)],
+        11)
+    b = QSeries.from_pairs(TRAT, [(Fraction(k, 2), TRatFunc.t_pow(k, 3))
+                                  for k in range(-2, 19)], 9, 2)
+    calls.clear()
+    prod = a * b
+    assert calls == []
+    assert len(prod.terms) > 20
+
+
 def test_mul_difference_of_squares():
     a = qs([(0, 1), (1, 1)], 5)
     b = qs([(0, 1), (1, -1)], 5)
@@ -85,18 +189,31 @@ def test_inverse_errors():
 
 def test_inverse_roundtrip_randomized():
     rng = random.Random(13)
-    for _ in range(200):
-        denom = rng.choice([1, 2, 4])
-        trunc = Fraction(rng.randint(4, 9))
+    for i in range(200):
+        # over Q(t) every coefficient shares one denominator polynomial and
+        # the grid is shorter: the inverse's denominators are its powers
+        ring = TRAT if i % 2 else QQ
+        denom = rng.choice([1, 2, 4] if ring is QQ else [1, 2])
+        trunc = Fraction(rng.randint(4, 9 if ring is QQ else 5))
         lead = rng.randint(-3, 3)
-        pairs = [(Fraction(lead), rng.choice([1, -1, 2, Fraction(1, 2)]))]
+        den = LPoly(0, rng.choice(_T_DENOMINATORS))
+
+        def coeff(values):
+            c = rng.choice(values)
+            if ring is QQ:
+                return c
+            low = rng.randint(-2, 2)
+            return TRatFunc(LPoly.from_pairs(
+                [(low, c), (low + rng.randint(1, 3), 1)]), den)
+
+        pairs = [(Fraction(lead), coeff([1, -1, 2, Fraction(1, 2)]))]
         for _ in range(rng.randint(0, 6)):
             e = Fraction(rng.randint(lead * denom + 1, int(trunc * denom)),
                          denom)
-            pairs.append((e, rng.randint(-5, 5)))
-        a = qs(pairs, trunc, denom)
-        prod = a * a.inverse()
-        one = QSeries.constant(QQ, 1, prod.trunc)
+            pairs.append((e, coeff([-5, -2, 1, 3, 5])))
+        a = qs(pairs, trunc, denom, ring)
+        prod = dict_product(a, a.inverse())
+        one = QSeries.constant(ring, 1, prod.trunc)
         assert prod.first_difference(one) is None
 
 
