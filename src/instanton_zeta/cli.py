@@ -262,45 +262,47 @@ def cmd_table(args):
 
 # -- eval ----------------------------------------------------------------------
 
-def _form_expr(name, scale):
-    """The tree of the named form at the argument ``scale * tau``."""
-    from .formexpr import E2Slot, leaf, rescaled
+def _form_expr(name):
+    from .formexpr import E2Slot, leaf
     from .results import gauge_partition_functions, mnvw_form_expr, zw_forms
     if name in FORM_LEAVES:
-        expr = E2Slot() if name == "E2hat" else leaf(name)
-    elif name in ("Z0", "Z_even", "Z_odd"):
-        expr = mnvw_form_expr({"Z0": "0", "Z_even": "even",
+        return E2Slot() if name == "E2hat" else leaf(name)
+    if name in ("Z0", "Z_even", "Z_odd"):
+        return mnvw_form_expr({"Z0": "0", "Z_even": "even",
                                "Z_odd": "odd"}[name])
-    elif name in ("Z_SU2", "Z_SO3"):
+    if name in ("Z_SU2", "Z_SO3"):
         su2, so3 = gauge_partition_functions()
-        expr = su2.expr if name == "Z_SU2" else so3.expr
-    elif name in ("Zw0", "Zw1"):
+        return su2.expr if name == "Z_SU2" else so3.expr
+    if name in ("Zw0", "Zw1"):
         w0, w1 = zw_forms()
-        expr = w0 if name == "Zw0" else w1
-    else:
-        raise InstantonZetaError(
-            f"unknown form {name!r}; choose from "
-            f"{FORM_LEAVES + FORM_LABELS}")
-    return rescaled(expr, scale)
+        return w0 if name == "Zw0" else w1
+    raise InstantonZetaError(
+        f"unknown form {name!r}; choose from {FORM_LEAVES + FORM_LABELS}")
 
 
 def cmd_eval(args):
     from .formexpr import as_qseries
-    expr = _form_expr(args.form, args.scale)
+    expr = _form_expr(args.form)
+    k = args.scale  # f(k tau): the tree of f at the argument k tau
     out = {"form": args.form, "scale": str(args.scale)}
     if not args.tau and not args.series:
         print("nothing to do: pass --tau and/or --series", file=sys.stderr)
         return 2
     if args.series:
-        series = as_qseries(expr, args.order, e2_mode="E2")
+        series = as_qseries(expr, args.order / k, e2_mode="E2").dilate(k)
         out["series"] = [{"exponent": str(e), "coefficient": str(c)}
                          for e, c in series.pairs()]
         out["truncation"] = str(series.trunc)
         out["e2_slot"] = "holomorphic"
     if args.tau:
+        from mpmath import mp
         from .numeric import eval_form
         tau = parse_tau(args.tau)
-        val = eval_form(expr, tau, args.digits, e2_mode=args.e2)
+        # k tau at the working precision of eval_form, which checks it
+        # against the minimum Im tau
+        with mp.workdps(args.digits + 15):
+            ktau = mp.mpc(tau) * mp.mpf(k.numerator) / k.denominator
+            val = eval_form(expr, ktau, args.digits, e2_mode=args.e2)
         out["tau"] = str(tau)
         out["value"] = {"re": float(val.real), "im": float(val.imag)}
         out["value_str"] = str(val)

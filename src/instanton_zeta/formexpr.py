@@ -14,7 +14,7 @@ anomaly-corrected weight-2 form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstantonZetaError
@@ -98,20 +98,6 @@ class Scal(FormExpr):
 
 def leaf(name, scale=1, half_shift=0):
     return Leaf(name, Fraction(scale), half_shift)
-
-
-def rescaled(node, k):
-    """The tree of ``f(k tau)`` from the tree of ``f(tau)``: every leaf and
-    slot argument ``s tau + h/2`` becomes ``s k tau + h/2``."""
-    if isinstance(node, (Leaf, E2Slot)):
-        return replace(node, scale=node.scale * Fraction(k))
-    if isinstance(node, (Add, Mul)):
-        return type(node)(tuple(rescaled(c, k) for c in node.children))
-    if isinstance(node, Pow):
-        return Pow(rescaled(node.base, k), node.n)
-    if isinstance(node, Scal):
-        return Scal(node.re, node.im, rescaled(node.child, k))
-    return node
 
 
 def const(v):

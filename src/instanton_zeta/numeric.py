@@ -108,12 +108,11 @@ def _qpow(tau, exponent):
     return mp.exp(2j * mp.pi * tau * mp.mpf(e.numerator) / e.denominator)
 
 
-def eval_leaf(name, tau, eps, values=None):
+def eval_leaf(name, tau, eps, values):
     """Value of one named form at tau; a derived form expands through its
     tree, reading and filling ``values`` like ``_eval_node``."""
     if name in DERIVED_FORMS:
-        return _eval_node(DERIVED_FORMS[name], tau, eps, "E2",
-                          {} if values is None else values)
+        return _eval_node(DERIVED_FORMS[name], tau, eps, "E2", values)
     q = mp.exp(2j * mp.pi * tau)
     if name == "eta":
         return _qpow(tau, Fraction(1, 24)) * _eta(q, eps)

@@ -171,16 +171,20 @@ def test_eval_nonpositive_scale_usage_error(scale):
 @pytest.mark.parametrize("form", ["Z_SU2", "Z_odd", "Z0"])
 @pytest.mark.parametrize("scale", ["2", "1/3"])
 def test_eval_scale_composite_series(form, scale, capsys):
-    from instanton_zeta.cli import _form_expr
-    from instanton_zeta.formexpr import as_qseries
+    # the series of f(k tau) to q^1 is the series of f(tau) to q^(1/k) with
+    # every exponent multiplied by k
+    def series(*args):
+        assert main(["eval", "--form", form, "--series", "--format", "json",
+                     *args]) == 0
+        data = json.loads(capsys.readouterr().out)
+        return data["truncation"], [(Fraction(t["exponent"]),
+                                     t["coefficient"]) for t in data["series"]]
+
     k = Fraction(scale)
-    assert main(["eval", "--form", form, "--series", "--order", "1",
-                 "--scale", scale, "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    want = as_qseries(_form_expr(form, 1), 1 / k).dilate(k)
-    assert data["truncation"] == "1"
-    assert data["series"] == [{"exponent": str(e), "coefficient": str(c)}
-                              for e, c in want.pairs()]
+    trunc, got = series("--order", "1", "--scale", scale)
+    _, unscaled = series("--order", str(1 / k))
+    assert trunc == "1"
+    assert got and got == [(e * k, c) for e, c in unscaled]
 
 
 @pytest.mark.parametrize("form", ["Z_SO3", "Z_even", "Zw1"])
@@ -196,6 +200,15 @@ def test_eval_scale_composite_tau(form, capsys):
     unscaled = value("--tau", "0.1+1.2i")
     assert got == pytest.approx(want, rel=1e-12)
     assert got != pytest.approx(unscaled, rel=1e-3)
+
+
+@pytest.mark.parametrize("form", ["E4", "Z_SU2"])
+def test_eval_scale_below_minimum_im_tau(form, capsys):
+    # the minimum Im tau applies to the argument evaluated, k tau
+    assert main(["eval", "--form", form, "--tau", "2i",
+                 "--scale", "1/100"]) == 1
+    assert "Im tau = 0.02 below the configured minimum" in \
+        capsys.readouterr().err
 
 
 def test_eval_requires_target(capsys):
