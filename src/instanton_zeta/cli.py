@@ -337,6 +337,8 @@ def cmd_sduality(args):
             "rhs": {"re": report.rhs.real, "im": report.rhs.imag},
             "rel_error": report.rel_error,
             "threshold": report.threshold,
+            "rel_error_str": report.rel_error_str,
+            "threshold_str": report.threshold_str,
             "passed": report.passed,
             "seconds": round(report.seconds, 3),
         }, indent=2))

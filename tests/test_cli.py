@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 import instanton_zeta
@@ -231,6 +233,23 @@ def test_sduality_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] is True
     assert data["rel_error"] < 1e-20
+
+
+def test_sduality_report_below_float_range(capsys):
+    # at 400 digits the relative error and the threshold are below the
+    # smallest double; both reports still show the compared numbers
+    assert main(["sduality", "--tau", "0.3+1.2i", "--digits", "400"]) == 0
+    out = capsys.readouterr().out
+    assert "threshold 1.0e-390: pass" in out
+    rel = re.search(r"relative error = (\S+)", out).group(1)
+    assert 0 < mp.mpf(rel) < mp.mpf("1e-390")
+    assert main(["sduality", "--tau", "0.3+1.2i", "--digits", "400",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["threshold_str"] == "1.0e-390"
+    assert data["rel_error_str"] == rel
+    assert isinstance(data["rel_error"], float)
+    assert isinstance(data["threshold"], float)
 
 
 def test_sduality_holomorphic_diagnostic(capsys):

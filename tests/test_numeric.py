@@ -1,14 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import instanton_zeta.numeric as numeric
 from instanton_zeta.errors import PrecisionError
 from instanton_zeta.formexpr import (DERIVED_FORMS, E2Slot, Mul, Pow,
                                      as_qseries, leaf)
 from instanton_zeta.forms import gen_form
-from instanton_zeta.numeric import (eval_exact_series_at, eval_form,
+from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _tail_cutoff,
+                                    eval_exact_series_at, eval_form,
                                     sduality_check)
 from instanton_zeta.results import (gauge_partition_functions,
                                     mnvw_form_expr, zw_forms)
@@ -18,6 +23,110 @@ TAU = mp.mpc(0.13, 1.21)
 
 def _close(a, b, digits):
     return abs(a - b) < mp.mpf(10) ** (-digits)
+
+
+# -- oracle: the mpmath loops that the fixed-point kernels replaced -----------
+
+def oracle_eta(q, eps):
+    absq = abs(q)
+    n_max = _tail_cutoff(absq, eps, 1)
+    prod = mp.mpc(1)
+    qn = q
+    for _ in range(n_max):
+        prod *= 1 - qn
+        qn *= q
+        if abs(qn) < eps * 0.01:
+            break
+    return prod
+
+
+def oracle_theta(tau, kind, eps):
+    q8 = mp.exp(mp.pi * 1j * tau / 4)
+    if kind == "theta2":
+        total = mp.mpc(0)
+        k = 0
+        while True:
+            term = 2 * q8 ** ((2 * k + 1) ** 2)
+            total += term
+            if abs(term) < eps * 0.01:
+                return total
+            k += 1
+            if k > MAX_TERMS:
+                raise PrecisionError("theta sum did not converge")
+    total = mp.mpc(1)
+    k = 1
+    while True:
+        term = 2 * q8 ** (4 * k * k)
+        if kind == "theta4" and k % 2:
+            term = -term
+        total += term
+        if abs(term) < eps * 0.01:
+            return total
+        k += 1
+        if k > MAX_TERMS:
+            raise PrecisionError("theta sum did not converge")
+
+
+def oracle_eisenstein(q, weight_coeff, sig_fn, eps, degree):
+    absq = abs(q)
+    n_max = _tail_cutoff(absq, eps / max(abs(weight_coeff), 1), degree)
+    sig = sig_fn(n_max)
+    total = mp.mpc(1)
+    qn = mp.mpc(1)
+    for n in range(1, n_max + 1):
+        qn *= q
+        total += weight_coeff * sig[n] * qn
+    return total
+
+
+KERNEL_LEAVES = ("E2", "E4", "e1", "F", "eta", "theta2", "theta3", "theta4")
+
+
+def _kernel_against_oracle(name, tau, digits):
+    """One leaf through the fixed-point kernels and through the oracle
+    loops, at eval_form's working precision and tolerance; returns the
+    kernel value."""
+    with mp.workdps(digits + 15):
+        eps = mp.mpf(10) ** (-(digits + 5))
+        got = numeric.eval_leaf(name, tau, eps, {})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric, "_eta", oracle_eta)
+            patch.setattr(numeric, "_theta", oracle_theta)
+            patch.setattr(numeric, "_eisenstein", oracle_eisenstein)
+            want = numeric.eval_leaf(name, tau, eps, {})
+        assert abs(got - want) <= eps * max(1, abs(want)), (name, tau, digits)
+    return got
+
+
+@pytest.mark.parametrize("name", KERNEL_LEAVES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from([-0.5, 0.5]), st.floats(-0.5, 0.5)),
+       st.one_of(st.just(MIN_IM), st.floats(MIN_IM, 0.5),
+                 st.floats(0.5, 4.0)),
+       st.booleans(), st.integers(10, 1000))
+def test_kernel_leaves_match_oracle(name, x, y, half_shift, digits):
+    # half_shift: the argument tau + 1/2 that a half-shifted leaf sees
+    tau = mp.mpc(x, y) + (mp.mpf(1) / 2 if half_shift else 0)
+    _kernel_against_oracle(name, tau, digits)
+
+
+@pytest.mark.parametrize("name", KERNEL_LEAVES)
+def test_kernel_leaves_at_minimum_im_and_1000_digits(name):
+    # the longest sums: N = 8192 terms for eta and every Eisenstein leaf
+    _kernel_against_oracle(name, mp.mpc(0, MIN_IM), 1000)
+
+
+def test_kernel_leaves_where_q_rounds_to_zero():
+    # at Im tau = 300 and 10 digits, q and q8 lie far below 2^-P: every
+    # kernel sees q = 0 and returns its constant term exactly
+    tau = mp.mpc(0.3, 300)
+    got = {name: _kernel_against_oracle(name, tau, 10)
+           for name in KERNEL_LEAVES}
+    assert got["E2"] == got["E4"] == got["theta3"] == got["theta4"] == 1
+    assert got["theta2"] == got["F"] == 0
+    with mp.workdps(25):
+        assert got["e1"] == mp.mpc(-1) / 6
+        assert got["eta"] == mp.exp(2j * mp.pi * tau / 24)
 
 
 def test_theta3_at_i_closed_form():
@@ -95,6 +204,36 @@ def test_exact_vs_numeric_derived_and_closed_forms(name):
             assert abs(exact - num) < mp.mpf(10) ** -30 * abs(num), tau
 
 
+def test_exact_gauge_truncations_within_tail_bound():
+    # Z_SU2 and Z_SO3 lead with q^-1, so their coefficients grow like
+    # exp(4 pi sqrt(e)) (Hardy-Ramanujan-Rademacher).  The majorant
+    # |c_e| <= exp(4 pi sqrt(e + 1)) is checked here on every coefficient to
+    # q^24.  The exponents lie on the quarter grid, so the tail past the
+    # truncation q^T at |q| = r is at most the sum of exp(4 pi sqrt(e + 1))
+    # r^e over quarter steps e > T; at Im tau >= 2 each term is below half
+    # the one before, so the summed terms plus the last one bound the rest.
+    T = 8
+    su2, so3 = gauge_partition_functions(T)
+    long = gauge_partition_functions(24)
+    for pf in long:
+        for e, c in pf.series.pairs():
+            assert abs(c) <= math.exp(4 * math.pi * math.sqrt(e + 1)), e
+    with mp.workdps(65):
+        for tau in (mp.mpc(0, 2), mp.mpc(0.5, 2), mp.mpc(-0.31, 2.7)):
+            r = mp.exp(-2 * mp.pi * mp.im(tau))
+            terms = [mp.exp(4 * mp.pi * mp.sqrt(e + 1)) * r ** e
+                     for e in (T + mp.mpf(k) / 4 for k in range(1, 41))]
+            assert all(b < a / 2 for a, b in zip(terms, terms[1:]))
+            tail = mp.fsum(terms) + terms[-1]
+            for pf in (su2, so3):
+                exact = eval_exact_series_at(pf.series, tau, digits=50)
+                num = eval_form(pf.expr, tau, 50, e2_mode="E2")
+                # the bound is tight enough to matter: 4e-29 at Im tau = 2,
+                # where |Z| is about 1e4
+                assert tail < mp.mpf(10) ** -20 * abs(num)
+                assert abs(exact - num) <= tail + mp.mpf(10) ** -45 * abs(num)
+
+
 def test_min_im_rejected():
     with pytest.raises(PrecisionError):
         eval_form(leaf("theta3"), mp.mpc(0, 0.01), digits=20)
@@ -117,6 +256,33 @@ def test_sduality_at_required_points(tau):
     assert report.seconds < 30
 
 
+def _stratified_taus(seed, columns, rows):
+    """One point drawn from each cell of a columns x rows grid over the
+    truncated fundamental domain (|Re tau| <= 1/2, |tau| >= 1,
+    Im tau <= 2.5), each followed by its S-image -1/tau: the layout of the
+    benchmark's closed-forms sweep."""
+    rng = random.Random(seed)
+    y_lo, y_hi = math.sqrt(3) / 2, 2.5
+    points = []
+    for i in range(columns):
+        for j in range(rows):
+            while True:
+                x = -0.5 + (i + rng.random()) / columns
+                y = y_lo + (j + rng.random()) * (y_hi - y_lo) / rows
+                if x * x + y * y >= 1:
+                    break
+            tau = complex(x, y)
+            points.extend((tau, -1 / tau))
+    return points
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_sduality_seeded_sweep(seed):
+    for tau in _stratified_taus(seed, 3, 4):
+        report = sduality_check(tau, digits=40)
+        assert report.passed, (tau, report.rel_error_str)
+
+
 def test_sduality_holomorphic_mode_is_diagnostic():
     report = sduality_check(mp.mpc(0, 1), digits=30, resolution="E2")
     assert report.passed is None
@@ -127,7 +293,6 @@ def test_sduality_holomorphic_mode_is_diagnostic():
 def test_sduality_check_evaluates_each_leaf_once_per_point(monkeypatch):
     # 21 distinct (leaf, argument) pairs across Z_SU2(-1/tau) and
     # Z_SO3(tau); evaluating every leaf occurrence separately makes 36
-    import instanton_zeta.numeric as numeric
     calls = []
     original = numeric.eval_leaf
 

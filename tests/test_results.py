@@ -61,6 +61,21 @@ def test_assemble_theorem_small():
         funcs["f_v0"].series) is None
 
 
+def test_theorem_lines_name_the_closed_form_cache_hit():
+    # the pipeline lines build theorem_closed_form; the three theorem lines
+    # read it from the cache, take about 0 s, and say why
+    theorem_closed_form.cache_clear()
+    main_closed_form.cache_clear()
+    report, _ = assemble_theorem(7)
+    notes = {r.name: r.note for r in report.results}
+    for tag in ("vEven", "vOdd", "v0"):
+        assert "cache" not in notes[f"pipeline Zt_{tag} = closed form"]
+    for lam in ("0", "even", "odd"):
+        assert notes[f"Zt_{lam} = theorem closed form"] == (
+            "closed form from cache; its build is timed on the line that "
+            "first built it")
+
+
 def test_gauge_partition_functions_exact_heads():
     su2, so3 = gauge_partition_functions(3)
     assert su2.series.coeff(-1) == Fraction(-1, 8)
