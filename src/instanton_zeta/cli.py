@@ -2,9 +2,11 @@
 evaluation, and the numeric S-duality check.
 
 Exit codes: 0 success / all checks pass, 1 a check failed or a request
-was out of range, 2 usage errors (bad flags, unparsable tau).
+was out of range, 2 usage errors (bad flags, unparsable tau, tau off the
+upper half-plane, --digits outside 10..1000, --scale <= 0).
 All rational quantities are serialized as exact fraction strings; floats
-appear only in the numeric evaluation output.
+appear only in the numeric evaluation output, and a value outside the
+double range is null there, with its digits in ``value_str``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -280,6 +283,12 @@ def _form_expr(name):
         f"unknown form {name!r}; choose from {FORM_LEAVES + FORM_LABELS}")
 
 
+def _json_float(x):
+    """x as a float, or None outside the double range (not JSON)."""
+    f = float(x)
+    return f if math.isfinite(f) else None
+
+
 def cmd_eval(args):
     from .formexpr import as_qseries
     expr = _form_expr(args.form)
@@ -304,7 +313,8 @@ def cmd_eval(args):
             ktau = mp.mpc(tau) * mp.mpf(k.numerator) / k.denominator
             val = eval_form(expr, ktau, args.digits, e2_mode=args.e2)
         out["tau"] = str(tau)
-        out["value"] = {"re": float(val.real), "im": float(val.imag)}
+        out["value"] = {"re": _json_float(val.real),
+                        "im": _json_float(val.imag)}
         out["value_str"] = str(val)
         out["e2_resolution"] = args.e2
     if args.format == "json":

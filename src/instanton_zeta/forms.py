@@ -2,11 +2,12 @@
 relating them.
 
 Every form is produced as an exact QSeries over Q on the 1/48 exponent
-grid: the three Jacobi theta constants, the quasi-modular E2, the
-Eisenstein E4, the eta product and the odd-divisor forms e1 and F.  The
-derived forms (Theta = theta3(2*tau) and the three weight-4 combinations
-P0 / Peven / Podd) are expanded from their trees in
-``formexpr.DERIVED_FORMS``.
+grid.  The eight primitive leaves are defined once each, in two tables
+that the numeric evaluator reads as well: the divisor sums E2, E4, e1 and
+F in ``DIVISOR_LEAVES``, and the Gaussian sums theta2, theta3, theta4 and
+eta in ``GAUSSIAN_LEAVES``.  The derived forms (Theta = theta3(2*tau) and
+the three weight-4 combinations P0 / Peven / Podd) are expanded from their
+trees in ``formexpr.DERIVED_FORMS``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,37 @@ def sigma_odd_table(n_max):
         for n in range(d, n_max + 1, d):
             sig[n] += d
     return sig
+
+
+def sigma_odd_n_table(n_max):
+    """sigma_1(n) on odd n, 0 on even n."""
+    return [s if n % 2 else 0 for n, s in enumerate(sigma_table(n_max))]
+
+
+# The primitive leaves, each defined once; the exact expansion
+# (FormProvider) and the numeric kernels (numeric.eval_leaf) both read
+# these tables.
+#
+# Divisor leaves c0 + w sum_{n>=1} s(n) q^n: (c0, w, table of s(n) for
+# n <= n_max, tail degree d with |s(n)| <= n^d).  Every table has s(1) = 1.
+DIVISOR_LEAVES = {
+    "E2": (Fraction(1), -24, sigma_table, 2),
+    "E4": (Fraction(1), 240, functools.partial(sigma_table, power=3), 4),
+    "e1": (Fraction(-1, 6), -4, sigma_odd_table, 2),
+    "F": (Fraction(0), 1, sigma_odd_n_table, 2),
+}
+
+# Gaussian leaves c0 + sum over progressions n = n0 + k d (k >= 0) of
+# c (-1)^(k alternating) q^(n^2/m): (m, c0, ((n0, d, c, alternating), ...)).
+# The numeric error bound needs 0 < n0 <= d <= 6, |c| <= 2 and at most two
+# progressions.  eta is Euler's pentagonal theorem,
+# sum_{n>0} chi_12(n) q^(n^2/24).
+GAUSSIAN_LEAVES = {
+    "theta2": (8, 0, ((1, 2, 2, False),)),
+    "theta3": (8, 1, ((2, 2, 2, False),)),
+    "theta4": (8, 1, ((2, 2, -2, True),)),
+    "eta": (24, 0, ((1, 6, 1, True), (5, 6, -1, True))),
+}
 
 
 class FormProvider:
@@ -79,50 +111,22 @@ class FormProvider:
     def _base(self, name, trunc):
         if name in DERIVED_FORMS:
             return _exact(DERIVED_FORMS[name], trunc, "E2", self)
-        n_int = int(trunc)
-        if name == "E2":
-            sig = sigma_table(n_int, 1)
-            pairs = [(0, 1)] + [(n, -24 * sig[n]) for n in range(1, n_int + 1)]
-        elif name == "E4":
-            sig = sigma_table(n_int, 3)
-            pairs = [(0, 1)] + [(n, 240 * sig[n]) for n in range(1, n_int + 1)]
-        elif name == "e1":
-            sig = sigma_odd_table(n_int)
-            pairs = [(0, Fraction(-1, 6))] + [(n, -4 * sig[n])
-                                              for n in range(1, n_int + 1)]
-        elif name == "F":
-            sig = sigma_table(n_int, 1)
-            pairs = [(n, sig[n]) for n in range(1, n_int + 1, 2)]
-        elif name == "theta3":
-            pairs = [(0, 1)]
-            k = 1
-            while Fraction(k * k, 2) <= trunc:
-                pairs.append((Fraction(k * k, 2), 2))
-                k += 1
-        elif name == "theta4":
-            pairs = [(0, 1)]
-            k = 1
-            while Fraction(k * k, 2) <= trunc:
-                pairs.append((Fraction(k * k, 2), 2 if k % 2 == 0 else -2))
-                k += 1
-        elif name == "theta2":
+        if name in DIVISOR_LEAVES:
+            c0, w, table, _ = DIVISOR_LEAVES[name]
+            sig = table(int(trunc))
+            pairs = [(n, w * sig[n]) for n in range(1, len(sig))]
+        elif name in GAUSSIAN_LEAVES:
+            m, c0, progressions = GAUSSIAN_LEAVES[name]
             pairs = []
-            k = 0
-            while Fraction((2 * k + 1) ** 2, 8) <= trunc:
-                pairs.append((Fraction((2 * k + 1) ** 2, 8), 2))
-                k += 1
-        elif name == "eta":
-            if trunc < Fraction(1, 24):
-                return QSeries.zero(QQ, trunc, DEFAULT_DENOM)
-            prod = QSeries.constant(QQ, 1, trunc - Fraction(1, 24))
-            n = 1
-            while n <= prod.trunc:
-                prod = prod * QSeries.from_pairs(
-                    QQ, [(0, 1), (n, -1)], prod.trunc, 1)
-                n += 1
-            return prod.shift_exp(Fraction(1, 24)).lift(DEFAULT_DENOM)
+            for n, d, c, alternating in progressions:
+                while Fraction(n * n, m) <= trunc:
+                    pairs.append((Fraction(n * n, m), c))
+                    n += d
+                    c = -c if alternating else c
         else:
             raise InstantonZetaError(f"unknown form name {name!r}")
+        if c0:
+            pairs.insert(0, (0, c0))
         return QSeries.from_pairs(QQ, pairs, trunc, DEFAULT_DENOM)
 
 

@@ -1,57 +1,64 @@
 """Arbitrary-precision complex evaluation of form expressions in the upper
 half-plane, and the S-duality transformation check.
 
-Each leaf is evaluated from its own convergent representation (eta as an
-infinite product, thetas as Gaussian sums, the Eisenstein series from
-divisor sums) with a truncation chosen from the geometric tail bound
-|q|^(N+1)/(1-|q|) times a coefficient-growth margin; the margin doubles
-until the bound clears the precision target, and a cap turns an
-unreachable target into an error instead of a silent loss.
+Each primitive leaf is summed at its own argument from its one definition
+in ``forms``, the table that the exact expansion reads too.  A divisor
+leaf c0 + w sum s(n) q^n (E2, E4, e1, F) is cut where the geometric tail
+bound |q|^(N+1)/(1-|q|) times a coefficient-growth margin clears the
+target; the margin doubles with N, and a cap turns an unreachable target
+into an error instead of a silent loss.  A Gaussian leaf (theta2, theta3,
+theta4, eta) sums c (+-1)^k x^(n^2) over the progressions n = n0 + k d in
+integer powers of x = q^(1/m) (so no branch ambiguity), until a term
+falls below eps/100.  Where c0 = 0 (theta2, eta, F), the kernel sums the
+quotient by the lowest monomial, x^(n0^2) or q (every s(1) is 1), and
+multiplies it by that monomial in floating point.  The bounds below are
+absolute, so on the quotient they are relative, and the leaf keeps its
+relative accuracy where q lies far below the fixed-point grid.  The
+divisor tail target is then eps |q| / |w|: the quotient's tail is the
+plain one over |q|.
 
-The sums and the product run in fixed point.  Each kernel rounds q (or
-the theta nome q8) once to the nearest pair of integers scaled by 2^P,
-runs the recurrence as integer multiplies and floor shifts by P, and
-converts the result back to an mpc once.  P is mpmath's working
-precision ``prec`` plus guard bits G.  Write u = 2^-P and let N be the
-term count.  Rounding q costs |dq| <= u, and a complex product floors
-each component, so it adds an error |rho| < 2u.  Integer coefficients
-and additions are exact.  Every |q| < 1, so a later multiplication by q
-or by a power of q never enlarges an error already made.
+The sums run in fixed point.  Each kernel rounds q (or x) once to the
+nearest pair of integers scaled by 2^P, runs the recurrence as integer
+multiplies and floor shifts by P, and converts the result back to an mpc
+once.  P is mpmath's working precision ``prec`` plus guard bits G.  Write
+u = 2^-P.  Rounding q costs |dq| <= u, and a complex product floors each
+component, so it adds an error |rho| < 2u.  Integer coefficients and
+additions are exact, and a rational c0 is rounded once, by less than u.
+Every |q| < 1, so a later multiplication by q or by a power of q never
+enlarges an error already made.
 
-* Eisenstein (E2, E4, e1, F): Horner over the integers
-  c_n = w sigma(n), with |w| <= 240 and |c_n| <= |w| n^d, where d is the
-  tail degree (sigma_1(n) <= n^2 for d = 2, sigma_3(n) <= n^4 for d = 4).
-  The N floors add at most 2Nu.  The rounding of q moves the polynomial
-  by at most |dq| sum n|c_n| <= |w| N^(d+2) u.  Together this is below
+* Divisor leaves: Horner over the integers c_n = w s(n), with
+  |w| <= 240 and |c_n| <= |w| n^d, where d is the tail degree
+  (sigma_1(n) <= n^2 for d = 2, sigma_3(n) <= n^4 for d = 4).  The N
+  floors add at most 2Nu.  The rounding of q moves the polynomial by at
+  most |dq| sum n|c_n| <= |w| N^(d+2) u.  Together this is below
   2^8 (N+1)^(d+2) u, so G = 32 + (d+2) bitlen(N+1) leaves an error below
   2^-(prec+24).
-* eta: the partial products prod_{n<=k}(1 - q^n) are bounded by
-  B = prod(1 + |q|^n) <= exp(|q|/(1-|q|)).  The stepped power q^k is off
-  by at most 3ku, so the error E_k after k factors obeys
-  |E_k| <= |E_(k-1)| (1 + |q|^k)(1 + 3ku) + 3kBu + 2u.  Hence
-  |E_N| <= 4 B^2 (N+1)^2 u, and G = 32 + 2 bitlen(N+1) + 2 ceil(log2 B)
-  leaves an error below 2^-(prec+30).  The early exit |q^n| < eps/100
-  compares the integer norm of q^n with the squared integer of eps/100.
-* theta: the term q8^m, m <= (2K+1)^2 after K steps, is a product tree
-  of m rounded copies of q8 joined by m - 1 floors, so it is off by less
-  than 3mu.  The K+1 doubled terms then err by less than
-  6 (2K+1)^3 u < 2^60 u, since K <= MAX_TERMS < 2^18.  So G = 64 leaves
-  an error below 2^-(prec+4).
+* Gaussian leaves: each step multiplies the term by the stepped power
+  x^(2nd + d^2) and that power by x^(2d^2), and the first ones are
+  binary powers of x.  So a value standing for x^e is a product of e
+  rounded copies of x joined by fewer than e floors, off by less than
+  3eu.  A progression takes at most K + 1 terms, K <= MAX_TERMS < 2^18,
+  and term k has e <= (n0 + kd)^2 <= 36 (k+1)^2, as n0 <= d <= 6.  With
+  |c| <= 2 and at most two progressions the error is below
+  12 * 36 sum_(k<=K) (k+1)^2 u <= 432 (K+1)^3 u < 2^63 u, so G = 64
+  leaves an error below 2^-(prec+1).
 
-``eval_form`` works at digits + 15 decimal digits against
-eps = 10^-(digits+5), so 2^-prec < 10^-(digits+15).  Every bound above
-is then far below the eps/100 = 10^-(digits+7) of the termination tests.
+The early exits compare the integer norm c^2 |x^e|^2 of a term with the
+squared integer of eps/100.  ``eval_form`` works at digits + 15 decimal
+digits against eps = 10^-(digits+5), so 2^-prec < 10^-(digits+15).  Every
+bound above is then far below the eps/100 = 10^-(digits+7) of the
+termination tests.
 
 One ``eval_form`` call computes each (leaf, argument) pair once: the
 values live in a dict passed down the tree walk, keyed on the leaf name,
 the scaled argument and the tolerance, and dropped when the call returns.
-Every value still comes from the leaf's own series or product at that
-argument, never through a modular transformation, which is what the
-S-duality check tests."""
+Every value still comes from the leaf's own sum at that argument, never
+through a modular transformation, which is what the S-duality check
+tests."""
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,11 +68,11 @@ from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionError
 from .formexpr import DERIVED_FORMS, Add, Const, E2Slot, Leaf, Mul, Pow, Scal
-from .forms import sigma_odd_table, sigma_table
+from .forms import DIVISOR_LEAVES, GAUSSIAN_LEAVES
 
 MIN_IM = 0.05          # reject evaluation closer to the real axis
-MAX_TERMS = 200_000    # hard cap on series/product length
-THETA_GUARD_BITS = 64  # fixed-point guard bits of the theta sums
+MAX_TERMS = 200_000    # hard cap on the terms of a sum
+GAUSS_GUARD_BITS = 64  # fixed-point guard bits of the Gaussian sums
 
 
 def _tail_cutoff(absq, eps, degree):
@@ -113,76 +120,61 @@ def _stop_norm(eps, p):
     return _fixed((eps * 0.01)._mpf_, p) ** 2
 
 
-def _eta(q, eps):
-    """prod(1 - q^n); the q^(1/24) factor is the caller's."""
-    absq = abs(q)
-    n_max = _tail_cutoff(absq, eps, 1)
-    r = float(absq)
-    log2_bound = math.ceil(r / (1 - r) * math.log2(math.e))
-    p = mp.mp.prec + 32 + 2 * (n_max + 1).bit_length() + 2 * log2_bound
-    qr, qi = _fixed_pair(q, p)
-    stop = _stop_norm(eps, p)
-    pr, pi = 1 << p, 0
-    xr, xi = qr, qi
-    for _ in range(n_max):
-        pr, pi = (pr - ((pr * xr - pi * xi) >> p),
-                  pi - ((pr * xi + pi * xr) >> p))
-        xr, xi = (xr * qr - xi * qi) >> p, (xr * qi + xi * qr) >> p
-        if xr * xr + xi * xi < stop:
-            break
-    return _from_fixed(pr, pi, p)
+def _fixed_pow(zr, zi, e, p):
+    """z^e on the 2^-p grid, for e >= 0, by binary powering."""
+    rr, ri = 1 << p, 0
+    while e:
+        if e & 1:
+            rr, ri = (rr * zr - ri * zi) >> p, (rr * zi + ri * zr) >> p
+        e >>= 1
+        if e:
+            zr, zi = (zr * zr - zi * zi) >> p, (2 * zr * zi) >> p
+    return rr, ri
 
 
-def _theta(tau, kind, eps):
-    """Gaussian sums in integer powers of q8 = exp(2 pi i tau / 8) (no
-    complex fractional powers, so no branch ambiguity).  Each term is the
-    previous one times a stepped power: q8^((2k+3)^2) = q8^((2k+1)^2) *
-    q8^(8k+8) for theta2, x^((k+1)^2) = x^(k^2) * x^(2k+1) with x = q8^4
-    for theta3 and theta4; every step multiplies by q8^8."""
-    q8 = mp.exp(mp.pi * 1j * tau / 4)
-    p = mp.mp.prec + THETA_GUARD_BITS
-    ar, ai = _fixed_pair(q8, p)
-    xr, xi = ar, ai
-    for _ in range(2):                      # x = q8^4
-        xr, xi = (xr * xr - xi * xi) >> p, (2 * xr * xi) >> p
-    yr, yi = (xr * xr - xi * xi) >> p, (2 * xr * xi) >> p    # q8^8
-    if kind == "theta2":
-        total_r, k = 0, 0
-        tr, ti, sr, si = ar, ai, yr, yi
-    else:
-        total_r, k = 1 << p, 1
-        tr, ti = xr, xi
-        sr, si = (xr * yr - xi * yi) >> p, (xr * yi + xi * yr) >> p
-    total_i = 0
-    negate_odd = kind == "theta4"
+def _gauss(tau, m, c0, progressions, eps):
+    """A Gaussian leaf of ``forms.GAUSSIAN_LEAVES`` at tau."""
+    lead = 0 if c0 else min(n0 for n0, *_ in progressions) ** 2
+    x = mp.exp(2j * mp.pi * tau / m)
+    p = mp.mp.prec + GAUSS_GUARD_BITS
+    xr, xi = _fixed_pair(x, p)
     stop = _stop_norm(eps, p)
-    while True:
-        if negate_odd and k % 2:
-            total_r, total_i = total_r - 2 * tr, total_i - 2 * ti
+    total_r, total_i = c0 << p, 0
+    for n0, d, c, alternating in progressions:
+        tr, ti = _fixed_pow(xr, xi, n0 * n0 - lead, p)
+        sr, si = _fixed_pow(xr, xi, 2 * n0 * d + d * d, p)
+        yr, yi = _fixed_pow(xr, xi, 2 * d * d, p)
+        for _ in range(MAX_TERMS + 1):
+            total_r, total_i = total_r + c * tr, total_i + c * ti
+            if c * c * (tr * tr + ti * ti) < stop:
+                break
+            tr, ti = (tr * sr - ti * si) >> p, (tr * si + ti * sr) >> p
+            sr, si = (sr * yr - si * yi) >> p, (sr * yi + si * yr) >> p
+            if alternating:
+                c = -c
         else:
-            total_r, total_i = total_r + 2 * tr, total_i + 2 * ti
-        if 4 * (tr * tr + ti * ti) < stop:
-            return _from_fixed(total_r, total_i, p)
-        k += 1
-        if k > MAX_TERMS:
-            raise PrecisionError("theta sum did not converge")
-        tr, ti = (tr * sr - ti * si) >> p, (tr * si + ti * sr) >> p
-        sr, si = (sr * yr - si * yi) >> p, (sr * yi + si * yr) >> p
+            raise PrecisionError("Gaussian sum did not converge")
+    value = _from_fixed(total_r, total_i, p)
+    return value * _qpow(tau, Fraction(lead, m)) if lead else value
 
 
-def _eisenstein(q, weight_coeff, sig_fn, eps, degree):
-    """1 + weight_coeff * sum sig(n) q^n, by Horner over the integer
-    coefficients."""
+def _eisenstein(tau, c0, w, table, degree, eps):
+    """A divisor leaf of ``forms.DIVISOR_LEAVES`` at tau, by Horner over
+    the integer coefficients."""
+    q = mp.exp(2j * mp.pi * tau)
     absq = abs(q)
-    n_max = _tail_cutoff(absq, eps / max(abs(weight_coeff), 1), degree)
-    sig = sig_fn(n_max)
+    lead = 0 if c0 else 1
+    n_max = _tail_cutoff(absq, eps * (absq if lead else 1) / abs(w), degree)
+    sig = table(n_max)
     p = mp.mp.prec + 32 + (degree + 2) * (n_max + 1).bit_length()
     qr, qi = _fixed_pair(q, p)
+    coeffs = ([(c0.numerator << p) // c0.denominator]
+              + [w * s << p for s in sig[1:]])
     re = im = 0
-    for c in reversed([1] + [weight_coeff * s for s in sig[1:]]):
-        re, im = (((re * qr - im * qi) >> p) + (c << p),
-                  (re * qi + im * qr) >> p)
-    return _from_fixed(re, im, p)
+    for c in reversed(coeffs[lead:]):
+        re, im = (((re * qr - im * qi) >> p) + c, (re * qi + im * qr) >> p)
+    value = _from_fixed(re, im, p)
+    return value * q if lead else value
 
 
 def _qpow(tau, exponent):
@@ -192,27 +184,15 @@ def _qpow(tau, exponent):
 
 
 def eval_leaf(name, tau, eps, values):
-    """Value of one named form at tau; a derived form expands through its
-    tree, reading and filling ``values`` like ``_eval_node``."""
+    """Value of one named form at tau: a primitive leaf from its table in
+    ``forms``, a derived form through its tree, reading and filling
+    ``values`` like ``_eval_node``."""
     if name in DERIVED_FORMS:
         return _eval_node(DERIVED_FORMS[name], tau, eps, "E2", values)
-    q = mp.exp(2j * mp.pi * tau)
-    if name == "eta":
-        return _qpow(tau, Fraction(1, 24)) * _eta(q, eps)
-    if name in ("theta2", "theta3", "theta4"):
-        return _theta(tau, name, eps)
-    if name == "E2":
-        return _eisenstein(q, -24, lambda n: sigma_table(n, 1), eps, 2)
-    if name == "E4":
-        return _eisenstein(q, 240, lambda n: sigma_table(n, 3), eps, 4)
-    if name == "e1":
-        inner = _eisenstein(q, 24, sigma_odd_table, eps, 2)
-        return -inner / 6
-    if name == "F":
-        f = _eisenstein(q, 1, lambda n: [s if i % 2 else 0 for i, s in
-                                         enumerate(sigma_table(n, 1))],
-                        eps, 2)
-        return f - 1
+    if name in DIVISOR_LEAVES:
+        return _eisenstein(tau, *DIVISOR_LEAVES[name], eps)
+    if name in GAUSSIAN_LEAVES:
+        return _gauss(tau, *GAUSSIAN_LEAVES[name], eps)
     raise ValueError(f"no numeric evaluator for leaf {name!r}")
 
 

@@ -162,6 +162,28 @@ def test_eval_numeric(capsys):
     assert abs(data["value"]["im"]) < 1e-12
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_eval_json_beyond_float_range_is_strict(capsys):
+    # |Z_SO3(130i)| is about 1.4e354, beyond the double range: the float
+    # fields are null and value_str carries the value
+    assert main(["eval", "--form", "Z_SO3", "--tau", "130i",
+                 "--format", "json"]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert data["value"]["re"] is None
+    assert data["value"]["im"] == 0.0
+    assert mp.mpmathify(data["value_str"]).real < mp.mpf("-1e354")
+    # values inside the range keep their floats
+    assert main(["eval", "--form", "theta2", "--tau", "0.3+300i",
+                 "--digits", "10", "--format", "json"]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert abs(data["value"]["re"] - 9.13345247483134e-103) < 1e-113
+
+
 @pytest.mark.parametrize("scale", ["0", "-1"])
 def test_eval_nonpositive_scale_usage_error(scale):
     code, out, err = run_cli("eval", "--form", "E2", "--series",

@@ -1,10 +1,70 @@
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
+from instanton_zeta.cli import FORM_LEAVES
 from instanton_zeta.errors import InstantonZetaError
-from instanton_zeta.forms import FormProvider, gen_form, verify_section1
+from instanton_zeta.formexpr import DERIVED_FORMS
+from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
+                                  FormProvider, gen_form, verify_section1)
 from instanton_zeta.lattice import zn_shell_counts_dp
+from instanton_zeta.numeric import eval_leaf
+from instanton_zeta.qseries import DEFAULT_DENOM, QQ, QSeries
+
+
+def euler_product_eta(trunc):
+    """eta = q^(1/24) prod_{n>=1} (1 - q^n) to trunc, multiplied out factor
+    by factor: an independent oracle for the pentagonal sum."""
+    trunc = Fraction(trunc)
+    if trunc < Fraction(1, 24):
+        return QSeries.zero(QQ, trunc, DEFAULT_DENOM)
+    prod = QSeries.constant(QQ, 1, trunc - Fraction(1, 24))
+    n = 1
+    while n <= prod.trunc:
+        prod = prod * QSeries.from_pairs(
+            QQ, [(0, 1), (n, -1)], prod.trunc, 1)
+        n += 1
+    return prod.shift_exp(Fraction(1, 24)).lift(DEFAULT_DENOM)
+
+
+@pytest.mark.parametrize("trunc", [0, Fraction(1, 48), Fraction(1, 25),
+                                   Fraction(1, 24), Fraction(25, 24),
+                                   Fraction(7, 2), 200])
+def test_eta_pentagonal_sum_equals_euler_product(trunc):
+    got = FormProvider().series("eta", trunc)
+    want = euler_product_eta(trunc)
+    assert got.pairs() == want.pairs()
+    assert got.trunc == want.trunc and got.denom == want.denom
+
+
+def test_every_leaf_has_one_definition():
+    # each name the command line offers (the weight-2 slot E2hat aside) is
+    # defined in exactly one table, and both evaluators read it
+    tables = (DERIVED_FORMS, DIVISOR_LEAVES, GAUSSIAN_LEAVES)
+    names = [name for name in FORM_LEAVES if name != "E2hat"]
+    assert sorted(names) == sorted(name for t in tables for name in t)
+    with mp.workdps(30):
+        eps = mp.mpf(10) ** -20
+        for name in names:
+            assert sum(name in t for t in tables) == 1, name
+            assert gen_form(name, 2).trunc == 2
+            assert mp.isfinite(eval_leaf(name, mp.mpc(0.1, 1.1), eps, {}))
+        with pytest.raises(ValueError):
+            eval_leaf("E6", mp.mpc(0.1, 1.1), eps, {})
+
+
+def test_leaf_tables_within_the_kernel_bounds():
+    # the hypotheses of the fixed-point error bounds in the numeric module
+    # docstring
+    for c0, w, table, degree in DIVISOR_LEAVES.values():
+        sig = table(400)
+        assert sig[1] == 1 and 0 < abs(w) <= 240
+        assert all(abs(s) <= n ** degree for n, s in enumerate(sig))
+    for m, c0, progressions in GAUSSIAN_LEAVES.values():
+        assert c0 in (0, 1) and 1 <= len(progressions) <= 2
+        for n0, d, c, _ in progressions:
+            assert 0 < n0 <= d <= 6 and abs(c) <= 2
 
 
 def test_e2_expansion():

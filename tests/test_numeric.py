@@ -11,7 +11,9 @@ import instanton_zeta.numeric as numeric
 from instanton_zeta.errors import PrecisionError
 from instanton_zeta.formexpr import (DERIVED_FORMS, E2Slot, Mul, Pow,
                                      as_qseries, leaf)
-from instanton_zeta.forms import gen_form
+from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
+                                  gen_form, sigma_odd_n_table,
+                                  sigma_odd_table, sigma_table)
 from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _tail_cutoff,
                                     eval_exact_series_at, eval_form,
                                     sduality_check)
@@ -79,6 +81,27 @@ def oracle_eisenstein(q, weight_coeff, sig_fn, eps, degree):
     return total
 
 
+def oracle_leaf(name, tau, eps):
+    """One primitive leaf through the oracle loops: eta as q^(1/24) times
+    the Euler product, the thetas as plain Gaussian sums, and the divisor
+    leaves as the Eisenstein-type sums 1 + w sum s(n) q^n they were first
+    written as."""
+    q = mp.exp(2j * mp.pi * tau)
+    if name == "eta":
+        return mp.exp(2j * mp.pi * tau / 24) * oracle_eta(q, eps)
+    if name in ("theta2", "theta3", "theta4"):
+        return oracle_theta(tau, name, eps)
+    if name == "E2":
+        return oracle_eisenstein(q, -24, sigma_table, eps, 2)
+    if name == "E4":
+        return oracle_eisenstein(q, 240, lambda n: sigma_table(n, 3), eps, 4)
+    if name == "e1":
+        return -oracle_eisenstein(q, 24, sigma_odd_table, eps, 2) / 6
+    if name == "F":
+        return oracle_eisenstein(q, 1, sigma_odd_n_table, eps, 2) - 1
+    raise ValueError(name)
+
+
 KERNEL_LEAVES = ("E2", "E4", "e1", "F", "eta", "theta2", "theta3", "theta4")
 
 
@@ -89,11 +112,7 @@ def _kernel_against_oracle(name, tau, digits):
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
         got = numeric.eval_leaf(name, tau, eps, {})
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(numeric, "_eta", oracle_eta)
-            patch.setattr(numeric, "_theta", oracle_theta)
-            patch.setattr(numeric, "_eisenstein", oracle_eisenstein)
-            want = numeric.eval_leaf(name, tau, eps, {})
+        want = oracle_leaf(name, tau, eps)
         assert abs(got - want) <= eps * max(1, abs(want)), (name, tau, digits)
     return got
 
@@ -112,21 +131,42 @@ def test_kernel_leaves_match_oracle(name, x, y, half_shift, digits):
 
 @pytest.mark.parametrize("name", KERNEL_LEAVES)
 def test_kernel_leaves_at_minimum_im_and_1000_digits(name):
-    # the longest sums: N = 8192 terms for eta and every Eisenstein leaf
+    # the longest sums: N = 8192 terms for every divisor leaf and for the
+    # oracle's eta product
     _kernel_against_oracle(name, mp.mpc(0, MIN_IM), 1000)
 
 
+def _odd_divisor_form(q, n_max):
+    """F = sum over odd n of sigma_1(n) q^n, straight from the divisors."""
+    return mp.fsum(sum(d for d in range(1, n + 1) if n % d == 0) * q ** n
+                   for n in range(1, n_max + 1, 2))
+
+
 def test_kernel_leaves_where_q_rounds_to_zero():
-    # at Im tau = 300 and 10 digits, q and q8 lie far below 2^-P: every
-    # kernel sees q = 0 and returns its constant term exactly
-    tau = mp.mpc(0.3, 300)
-    got = {name: _kernel_against_oracle(name, tau, 10)
-           for name in KERNEL_LEAVES}
-    assert got["E2"] == got["E4"] == got["theta3"] == got["theta4"] == 1
-    assert got["theta2"] == got["F"] == 0
-    with mp.workdps(25):
-        assert got["e1"] == mp.mpc(-1) / 6
-        assert got["eta"] == mp.exp(2j * mp.pi * tau / 24)
+    # far above the real axis q lies below the fixed-point grid of the
+    # kernels, and so does x = q^(1/m) up to the first power that the
+    # Gaussian sums step by.  E2, E4, theta3 and theta4 are then exactly 1,
+    # and e1 exactly -1/6.  eta, theta2 and F have no constant term; each
+    # keeps its relative accuracy (theta2 is about 9e-103 and F about
+    # 2e-819 at 300i) against references independent of the kernels: the
+    # oracle F, oracle_eisenstein(...) - 1, is only accurate to eps there.
+    for tau, digits in ((mp.mpc(0.3, 300), 10), (mp.mpc(0.1, 130), 40)):
+        got = {name: _kernel_against_oracle(name, tau, digits)
+               for name in KERNEL_LEAVES}
+        with mp.workdps(digits + 15):
+            assert (got["E2"] == got["E4"] == got["theta3"] == got["theta4"]
+                    == 1)
+            assert got["e1"] == mp.mpc(-1) / 6
+            assert got["eta"] == mp.exp(2j * mp.pi * tau / 24)
+        with mp.workdps(digits + 40):
+            q = mp.exp(2j * mp.pi * tau)
+            want = {"theta2": mp.jtheta(2, 0, mp.exp(1j * mp.pi * tau)),
+                    "eta": mp.exp(2j * mp.pi * tau / 24) * mp.qp(q),
+                    "F": _odd_divisor_form(q, 15)}
+            tol = mp.mpf(10) ** -digits
+            for name, value in want.items():
+                assert value != 0
+                assert abs(got[name] - value) < tol * abs(value), (name, tau)
 
 
 def test_theta3_at_i_closed_form():
@@ -149,8 +189,8 @@ def test_anomaly_slot_vanishes_at_i():
 
 
 def test_eta_product_vs_series_power():
-    # two representations of one function: eta evaluated via its product,
-    # raised to 24, against the exact series of eta^24 summed numerically
+    # eta summed numerically and raised to 24, against the exact series of
+    # eta^24 (a product of exact pentagonal sums) summed numerically
     eta24 = gen_form("eta", 40) ** 24
     with mp.workdps(60):
         series_val = eval_exact_series_at(eta24, TAU, digits=45)
@@ -184,7 +224,8 @@ def test_exact_vs_numeric_consistency_eisenstein():
 
 def _closed_exprs():
     su2, so3 = gauge_partition_functions()
-    exprs = {name: leaf(name) for name in DERIVED_FORMS}
+    exprs = {name: leaf(name)
+             for name in (*DERIVED_FORMS, *DIVISOR_LEAVES, *GAUSSIAN_LEAVES)}
     exprs.update({"Z0": mnvw_form_expr("0"), "Z_even": mnvw_form_expr("even"),
                   "Z_odd": mnvw_form_expr("odd"), "Z_SU2": su2.expr,
                   "Z_SO3": so3.expr})
@@ -193,8 +234,8 @@ def _closed_exprs():
 
 @pytest.mark.parametrize("name", sorted(_closed_exprs()))
 def test_exact_vs_numeric_derived_and_closed_forms(name):
-    # both evaluators read the same tree; the q^12 truncation tail is far
-    # below 1e-30 at Im tau >= 2
+    # both evaluators read the same table or tree; the q^12 truncation
+    # tail is far below 1e-30 at Im tau >= 2
     expr = _closed_exprs()[name]
     series = as_qseries(expr, 12, e2_mode="E2")
     with mp.workdps(55):
