@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 from .errors import ConfigurationError, IntegrityError
 from .forms import eta_pow_inverse, gen_form, sieve
@@ -167,14 +167,8 @@ def theta_coset_sub(e_coords, trunc):
 def _coset_shift(c1: C1Class, eps1, eps2):
     """e-basis coordinates of eps1*p + eps2*q + l/2."""
     s = SURFACE
-    base = list(c1.half_rep_e_coords)
-    if eps1:
-        for i, c in enumerate(s.e_coords(s.p_half)):
-            base[i] += c
-    if eps2:
-        for i, c in enumerate(s.e_coords(s.q_half)):
-            base[i] += c
-    return tuple(base)
+    return tuple(h + eps1 * p + eps2 * q for h, p, q in zip(
+        c1.half_rep_e_coords, s.p_half_e_coords, s.q_half_e_coords))
 
 
 # -- the three closed assemblies ----------------------------------------------
@@ -296,7 +290,8 @@ def wall_sum_oracle(tag, trunc):
     c1 = CLASSES[tag]
     s = SURFACE
     trunc = Fraction(trunc)
-    max_q = 4 * trunc   # bound on 4 (delta, delta)_* and on -(2 xi, 2 xi)
+    # integer bound on 4 (delta, delta)_* and on -(2 xi, 2 xi), both integers
+    max_q = floor(4 * trunc)
 
     # coset self-check: representatives must be integral classes and the
     # glue must recover a unimodular overlattice (checked in SurfaceData);
@@ -309,29 +304,33 @@ def wall_sum_oracle(tag, trunc):
             raise ConfigurationError(
                 f"stratum ({eps1},{eps2}) does not lie in H^2 + l/2")
 
-    # q-exponent -> numerator over DEN; the wall prefactor 1/(t (t-1)) is
-    # 2 (t^2-1)/DEN
+    # (4 q-exponent, t-power) -> integer coefficient of the numerator over
+    # DEN; the wall prefactor 1/(t (t-1)) is 2 (t^2-1)/DEN
     num = {}
-    wall = 2 * (_T ** 2 - 1)
+    wall = [(e, int(c)) for e, c in (2 * (_T ** 2 - 1)).pairs()]
+    middle = [(e, int(c)) for e, c in _MIDDLE.pairs()]
 
-    def add_term(qexp, tpoly):
-        num[qexp] = num.get(qexp, LPoly()) + tpoly
+    def add(norm4, k, poly, sign):
+        for e, c in poly:
+            key = (norm4, k + e)
+            num[key] = num.get(key, 0) + sign * c
 
+    f, g, K = s.f, s.g, s.K
     for eps1, eps2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         A_min = 1 if eps1 else 2   # smallest positive A
         B_min = 1 if eps2 else 2   # smallest positive B
         for y, qd in coset_points(s.e_gram, _coset_shift(c1, eps1, eps2),
                                   max_q):
             d2 = s.from_e_coords(y)   # 2 delta, (2 delta, 2 delta)_* = qd
-            if pair(d2, s.f) or pair(d2, s.g):
+            if pair(d2, f) or pair(d2, g):
                 raise ConfigurationError("delta not orthogonal to <f, g>")
 
             def emit(A, B, sign):
-                xi2 = vec_add(vec_scale(A, s.f), vec_scale(B, s.g), d2)
+                xi2 = tuple([A * a + B * b + c for a, b, c in zip(f, g, d2)])
                 norm4 = -pair(xi2, xi2)   # 4 q-exponent
-                tpow2 = norm4 + pair(xi2, s.K)
+                tpow2 = norm4 + pair(xi2, K)
                 assert tpow2 % 2 == 0 and norm4 == -4 * A * B + qd
-                add_term(Fraction(norm4, 4), wall.shift(tpow2 // 2) * sign)
+                add(norm4, tpow2 // 2, wall, sign)
 
             # first cone: (xi, g) > 0, (xi, f) < 0, i.e. A > 0 > B
             A = A_min
@@ -356,14 +355,17 @@ def wall_sum_oracle(tag, trunc):
                 # t^eps2/(t^2-1), which times the wall prefactor leaves
                 # -2 t^eps2 over DEN
                 assert qd % 2 == 0
-                dn = Fraction(qd, 4)
-                add_term(dn, LPoly.t_pow(qd // 2 + eps2, -2))
+                add(qd, qd // 2 + eps2, ((0, -2),), 1)
                 if eps2 == 0:
                     # middle stratum contribution only from a = b = 0
-                    add_term(dn, _MIDDLE.shift(qd // 2))
+                    add(qd, qd // 2, middle, 1)
 
-    return _assemble(tag, trunc,
-                     QSeries.from_pairs(TRAT, num.items(), trunc, 4))
+    by_norm = {}
+    for (norm4, tpow), c in num.items():
+        by_norm.setdefault(norm4, []).append((tpow, c))
+    return _assemble(tag, trunc, QSeries.from_pairs(
+        TRAT, [(Fraction(n4, 4), LPoly.from_pairs(terms))
+               for n4, terms in by_norm.items()], trunc, 4))
 
 
 def verify_wall_oracle(trunc):

@@ -4,22 +4,22 @@ Plain functions of a Gram matrix and a shift tuple in basis coordinates,
 or of a shift in ambient Z^m coordinates.  Points are counted exactly, one
 engine per job:
 
-* ``coset_points`` yields the points of any coset from an exact LDL^T
-  decomposition of the Gram matrix (rational arithmetic, no floats); the
-  wall-sum oracle walks its cosets with it;
+* ``coset_points`` yields the points of any coset by integer
+  Fincke-Pohst over the exact LDL^T decomposition of the Gram matrix,
+  rescaled to integers (no floats, no rationals per point).  Each level's
+  window is exact: the scaled norm is a sum of integer terms, so the
+  integer budget test and its ``isqrt`` bound admit exactly the points of
+  norm at most the bound.  The wall-sum oracle walks its cosets with it;
 * ``zn_shell_counts_dp`` counts the shells of a coset of Z^m, or of its
   even-sum sublattice, by a convolution over coordinates in doubled
-  integer coordinates; the rank-8 coset thetas use it.
-
-``zn_shell_counts`` counts the same shells point by point.  It is the
-reference engine: the tests and the rank-8 acceptance check compare the
-convolution against it.
+  integer coordinates; the rank-8 coset thetas use it.  The tests compare
+  it against point-by-point enumeration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt, lcm
 
 from .errors import ConfigurationError
 from .qseries import QQ, QSeries, TRAT
@@ -51,22 +51,6 @@ def _ldl(gram):
     return d, c
 
 
-def _fraction_inverse(gram):
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] +
-         [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 # Simple-root rows of the even-sum sublattice of Z^8: a chain of seven
 # difference vectors with the eighth root attached at the fork.
 _D8_ROWS = (
@@ -96,8 +80,21 @@ def d8_ambient(coords):
 def coset_points(gram, shift_coords, max_q):
     """Yield (y, Q) for every y = 2x with x in Z^n + shift and doubled norm
     Q = y^T G y <= max_q; y is a tuple of integers and Q an integer.
-    Exact rational LDL bounds; every candidate is re-checked against the
-    budget before recursing."""
+    Nothing is yielded when max_q < 0.
+
+    Integer Fincke-Pohst over the LDL^T data of ``_ldl``, with
+    Q(y) = sum_i d_i (y_i + t_i)^2 and t_i = sum_{j>i} c_ij y_j.  Row i is
+    scaled by the lcm M_i of its denominators, C_ij = M_i c_ij, and every
+    d_i / M_i^2 by one global lcm L, W_i = L d_i / M_i^2, so that
+
+        L Q(y) = sum_i W_i (M_i y_i + T_i)^2,   T_i = sum_{j>i} C_ij y_j,
+
+    with integer W_i, M_i, C_ij.  Every term is an integer, so L Q(y) <=
+    L max_q holds exactly when it holds against floor(L max_q), and at
+    level i the term W_i v^2 (v = M_i y_i + T_i) fits a remaining integer
+    budget b exactly when |v| <= isqrt(b // W_i).  The window is therefore
+    exact: every candidate it admits is a point, and no point lies outside
+    it."""
     n = len(gram)
     d, c = _ldl(gram)
     par = []
@@ -106,93 +103,51 @@ def coset_points(gram, shift_coords, max_q):
         if two.denominator != 1:
             raise ConfigurationError("shift must have half-integer entries")
         par.append(int(two) % 2)
-    max_q = Fraction(max_q)
+    if max_q < 0:
+        return
+    mult = [lcm(*(c[i][j].denominator for j in range(i + 1, n)))
+            for i in range(n)]
+    rows = [tuple((j, int(mult[i] * c[i][j])) for j in range(i + 1, n)
+                  if c[i][j]) for i in range(n)]
+    scaled = [d[i] / mult[i] ** 2 for i in range(n)]
+    lam = lcm(*(w.denominator for w in scaled))
+    weight = [int(lam * w) for w in scaled]
+    top = floor(lam * Fraction(max_q))
     ys = [0] * n
 
     def rec(i, budget):
-        di = d[i]
-        t = Fraction(0)
-        ci = c[i]
-        for j in range(i + 1, n):
-            if ci[j]:
-                t += ci[j] * ys[j]
-        # |y + t| <= sqrt(budget/d_i); pad the integer window and filter
-        r = budget / di
-        root = isqrt(r.numerator * r.denominator) // r.denominator + 1
-        lo = -root - int(t) - 2
-        hi = root - int(t) + 2
+        m = mult[i]
+        w = weight[i]
+        t = 0
+        for j, cij in rows[i]:
+            t += cij * ys[j]
+        r = isqrt(budget // w)
+        lo = -((r + t) // m)
         if (lo - par[i]) % 2:
             lo += 1
-        for y in range(lo, hi + 1, 2):
-            contrib = di * (y + t) ** 2
-            if contrib > budget:
-                continue
+        for y in range(lo, (r - t) // m + 1, 2):
+            v = m * y + t
             ys[i] = y
-            if i == 0:
-                q = max_q - (budget - contrib)
-                if q.denominator != 1:
-                    raise ConfigurationError("non-integral doubled norm")
-                yield tuple(ys), int(q)
+            if i:
+                yield from rec(i - 1, budget - w * v * v)
             else:
-                yield from rec(i - 1, budget - contrib)
+                q, frac = divmod(top - budget + w * v * v, lam)
+                if frac:
+                    raise ConfigurationError("non-integral doubled norm")
+                yield tuple(ys), q
         ys[i] = 0
 
     if n:
-        yield from rec(n - 1, max_q)
+        yield from rec(n - 1, top)
     else:
         yield (), 0
 
 
-def zn_shell_counts(parities, target4, max_q):
-    """Counts of sum(y_i^2) <= max_q over integer vectors with prescribed
-    coordinate parities and (optionally) sum(y) congruent to target mod 4.
-    Point-by-point enumeration with integer bounds."""
-    n = len(parities)
-    counts = [0] * (max_q + 1)
-
-    def rec(i, rem, sacc):
-        p = parities[i]
-        if i == 0:
-            base = max_q - rem
-            if target4 is None:
-                if p == 0:
-                    counts[base] += 1
-                    y = 2
-                else:
-                    y = 1
-                while y * y <= rem:
-                    counts[base + y * y] += 2
-                    y += 2
-            else:
-                need = (target4 - sacc) % 4
-                if (need - p) % 2:
-                    return
-                y = need
-                while y * y <= rem:
-                    counts[base + y * y] += 1
-                    y += 4
-                y = need - 4
-                while y * y <= rem:
-                    counts[base + y * y] += 1
-                    y -= 4
-            return
-        r = isqrt(rem)
-        start = -r
-        if (start - p) % 2:
-            start += 1
-        for y in range(start, r + 1, 2):
-            rec(i - 1, rem - y * y, sacc + y)
-
-    if n:
-        rec(n - 1, max_q, 0)
-    elif target4 is None or target4 % 4 == 0:
-        counts[0] = 1
-    return {q: c for q, c in enumerate(counts) if c}
-
-
 def zn_shell_counts_dp(parities, target4, max_q):
-    """Same counts as zn_shell_counts, via convolution over coordinates
-    (tracking the coordinate sum mod 4)."""
+    """Counts of sum(y_i^2) <= max_q, keyed by that sum, over integer
+    vectors y with prescribed coordinate parities and, unless ``target4``
+    is None, with sum(y) congruent to ``target4`` mod 4: a convolution
+    over coordinates that tracks the coordinate sum mod 4."""
     f = [[0] * (max_q + 1) for _ in range(4)]
     f[0][0] = 1
     for p in parities:
@@ -223,8 +178,7 @@ def zn_shell_counts_dp(parities, target4, max_q):
 def coset_parities(shift_ambient):
     """Coordinate parities of y = 2x and the residue of sum(y) mod 4 for x
     in the coset (even-sum sublattice of Z^m) + shift_ambient: the
-    arguments (parities, target4) of ``zn_shell_counts`` and
-    ``zn_shell_counts_dp``."""
+    arguments (parities, target4) of ``zn_shell_counts_dp``."""
     two = [2 * Fraction(a) for a in shift_ambient]
     if any(v.denominator != 1 for v in two):
         raise ConfigurationError("shift must have half-integer entries")

@@ -13,17 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .errors import ConfigurationError
-from .lattice import D8_GRAM, _fraction_inverse, _ldl
+from .lattice import D8_GRAM, _ldl
 
 DIM = 10
-_SIGNS = (1,) + (-1,) * 9
 
 
 def pair(x, y):
-    """Intersection pairing in the (H, C1..C9) basis."""
-    return sum(s * a * b for s, a, b in zip(_SIGNS, x, y))
+    """Intersection pairing in the (H, C1..C9) basis: the form
+    diag(1, -1, ..., -1), written as 2 x_H y_H - sum_i x_i y_i."""
+    return 2 * x[0] * y[0] - sum(map(mul, x, y))
 
 
 def star(x, y):
@@ -59,19 +60,23 @@ class SurfaceData:
         es.append(vec_add(self.H, vec_scale(-1, self.C[0]),
                           vec_scale(-1, self.C[1]), vec_scale(-1, self.C[2])))
         self.e = tuple(es)
+        self._e_cols = tuple(zip(*es))
+        # p = (e1 + e3 + e5 + e8)/2 and q = (e7 + e8)/2, kept with their
+        # e-basis coordinates
         half = Fraction(1, 2)
-        self.p_half = vec_scale(half, vec_add(self.e[0], self.e[2],
-                                              self.e[4], self.e[7]))
-        self.q_half = vec_scale(half, vec_add(self.e[6], self.e[7]))
+        p2, q2 = (1, 0, 1, 0, 1, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1, 1)
+        self.p_half = vec_scale(half, self.from_e_coords(p2))
+        self.q_half = vec_scale(half, self.from_e_coords(q2))
+        self.p_half_e_coords = vec_scale(half, p2)
+        self.q_half_e_coords = vec_scale(half, q2)
         self.betti = (1, 10, 1)
         self.sigma1_betti = (1, 2, 1)
         self.chi = 12
-        # Gram of the e-basis under the star pairing, and its inverse; the
-        # e-basis spans the even-sum rank-8 lattice realized in Z^8
+        # Gram of the e-basis under the star pairing; the e-basis spans the
+        # even-sum rank-8 lattice realized in Z^8
         self.e_gram = tuple(tuple(star(a, b) for b in self.e)
                             for a in self.e)
         self._check()
-        self._e_gram_inv = _fraction_inverse(self.e_gram)
 
     def _check(self):
         if pair(self.f, self.f) != 0 or pair(self.g, self.g) != 0:
@@ -97,19 +102,9 @@ class SurfaceData:
         if Fraction(disc_fg * disc_d8, 4 ** 2) != 1:
             raise ConfigurationError("glue index does not give determinant 1")
 
-    # -- decomposition helpers ---------------------------------------------
-
-    def e_coords(self, x):
-        """Coordinates of the <f,g>-orthogonal part of x in the e-basis."""
-        rhs = [star(x, v) for v in self.e]
-        return tuple(sum(self._e_gram_inv[i][j] * rhs[j]
-                         for j in range(8)) for i in range(8))
-
     def from_e_coords(self, coords):
-        out = (0,) * DIM
-        for c, v in zip(coords, self.e):
-            out = vec_add(out, vec_scale(c, v))
-        return out
+        """The class sum_i coords[i] e_i in the (H, C1..C9) basis."""
+        return tuple([sum(map(mul, coords, col)) for col in self._e_cols])
 
 
 SURFACE = SurfaceData()
@@ -123,27 +118,25 @@ class C1Class:
     rep: tuple             # representative in the (H, C1..C9) basis
     grid_offset: Fraction  # discriminants live on Z + grid_offset
     blowup_parity: int     # number of C_i (2 <= i <= 9) pairing oddly
+    half_rep_e_coords: tuple  # e-basis coordinates of rep / 2
 
     def is_smooth(self, delta):
         """Whether the moduli at discriminant ``delta`` are smooth: they
         are singular only for the trivial class at even discriminant."""
         return self.tag != "v0" or delta % 2 == 1
 
-    @property
-    def half_rep_e_coords(self):
-        return tuple(Fraction(c, 2) for c in SURFACE.e_coords(self.rep))
+
+# e-basis coordinates of the representatives: 0, e7 + e8 and e1 = C8 - C9
+_REP_E_COORDS = {"v0": (0,) * 8, "vEven": (0, 0, 0, 0, 0, 0, 1, 1),
+                 "vOdd": (1, 0, 0, 0, 0, 0, 0, 0)}
 
 
 def _build_class(tag):
     s = SURFACE
-    if tag == "v0":
-        rep = (0,) * DIM
-    elif tag == "vEven":
-        rep = vec_add(s.e[6], s.e[7])
-    elif tag == "vOdd":
-        rep = s.e[0]  # C8 - C9
-    else:
+    if tag not in _REP_E_COORDS:
         raise ConfigurationError(f"unknown class tag {tag!r}")
+    coords = _REP_E_COORDS[tag]
+    rep = s.from_e_coords(coords)
     norm_star = star(rep, rep)
     offset = Fraction(norm_star, 4) % 1  # Delta = c2 - (c1^2)/4 mod 1
     n = sum(1 for i in range(1, 9) if pair(rep, s.C[i]) % 2)
@@ -151,7 +144,8 @@ def _build_class(tag):
     if n != expected_n:
         raise ConfigurationError(
             f"blow-up parity count for {tag} is {n}, expected {expected_n}")
-    return C1Class(tag=tag, rep=rep, grid_offset=offset, blowup_parity=n)
+    return C1Class(tag=tag, rep=rep, grid_offset=offset, blowup_parity=n,
+                   half_rep_e_coords=vec_scale(Fraction(1, 2), coords))
 
 
 V0 = _build_class("v0")

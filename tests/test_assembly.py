@@ -81,7 +81,7 @@ def test_theta_coset_sub_values():
     assert th.coeff(4) == tp(8, 1136)
     # the norm-1 coset populates the odd powers
     from instanton_zeta.surface import SURFACE
-    thq = theta_coset_sub(SURFACE.e_coords(SURFACE.q_half), 3)
+    thq = theta_coset_sub(SURFACE.q_half_e_coords, 3)
     assert thq.coeff(1) == tp(2, 16)
     assert thq.coeff(2).is_zero
 

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from instanton_zeta.assembly import _coset_shift
 from instanton_zeta.errors import ConfigurationError
 from instanton_zeta.forms import gen_form
 from instanton_zeta.lattice import (D8_GRAM, D8_SHIFT_E1_HALF, D8_SHIFT_P,
-                                    D8_SHIFT_Q, _counts_to_series,
-                                    _fraction_inverse, _ldl,
+                                    D8_SHIFT_Q, _counts_to_series, _ldl,
                                     b0_product_formula, b_substituted,
                                     coset_parities, coset_points, d8_ambient,
                                     d8_theta_ambient, e8_theta_series,
                                     verify_d8_decompositions,
-                                    zn_shell_counts, zn_shell_counts_dp)
+                                    zn_shell_counts_dp)
 from instanton_zeta.qseries import QQ
+from instanton_zeta.surface import CLASSES, SURFACE
 
 _A1_GRAM = ((2,),)
 _E8_CARTAN = (
@@ -33,12 +34,29 @@ _E8_CARTAN = (
 )
 
 
+def fraction_inverse(gram):
+    """Exact inverse of a Gram matrix by Gauss-Jordan elimination."""
+    n = len(gram)
+    a = [[Fraction(gram[i][j]) for j in range(n)] +
+         [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 def box_shell_counts(gram, shift_coords, max_norm):
     """Brute-force oracle: exhaustive box search with Cauchy-Schwarz
     coordinate bounds from the inverse Gram matrix.  Returns counts keyed
     by 4*(x,x) like the other engines (with max_norm = max over (x,x))."""
     n = len(gram)
-    inv = _fraction_inverse(gram)
+    inv = fraction_inverse(gram)
     shift = [Fraction(s) for s in shift_coords]
     bounds = []
     for i in range(n):
@@ -64,6 +82,102 @@ def box_shell_counts(gram, shift_coords, max_norm):
 
     rec(0, [Fraction(0)] * n)
     return counts
+
+
+def fraction_coset_points(gram, shift_coords, max_q):
+    """Reference enumerator: the Fincke-Pohst recursion with rational LDL
+    bounds that ``coset_points`` replaced.  Pads each window by 2 and
+    filters each candidate against the remaining budget."""
+    n = len(gram)
+    d, c = _ldl(gram)
+    par = []
+    for s in shift_coords:
+        two = 2 * Fraction(s)
+        if two.denominator != 1:
+            raise ConfigurationError("shift must have half-integer entries")
+        par.append(int(two) % 2)
+    max_q = Fraction(max_q)
+    ys = [0] * n
+
+    def rec(i, budget):
+        di = d[i]
+        t = Fraction(0)
+        ci = c[i]
+        for j in range(i + 1, n):
+            if ci[j]:
+                t += ci[j] * ys[j]
+        r = budget / di
+        root = isqrt(r.numerator * r.denominator) // r.denominator + 1
+        lo = -root - int(t) - 2
+        hi = root - int(t) + 2
+        if (lo - par[i]) % 2:
+            lo += 1
+        for y in range(lo, hi + 1, 2):
+            contrib = di * (y + t) ** 2
+            if contrib > budget:
+                continue
+            ys[i] = y
+            if i == 0:
+                q = max_q - (budget - contrib)
+                if q.denominator != 1:
+                    raise ConfigurationError("non-integral doubled norm")
+                yield tuple(ys), int(q)
+            else:
+                yield from rec(i - 1, budget - contrib)
+        ys[i] = 0
+
+    if n:
+        yield from rec(n - 1, max_q)
+    else:
+        yield (), 0
+
+
+def zn_shell_counts(parities, target4, max_q):
+    """Reference counts for ``zn_shell_counts_dp``: sum(y_i^2) <= max_q
+    over integer vectors with prescribed coordinate parities and
+    (optionally) sum(y) congruent to target mod 4, point by point with
+    integer bounds."""
+    n = len(parities)
+    counts = [0] * (max_q + 1)
+
+    def rec(i, rem, sacc):
+        p = parities[i]
+        if i == 0:
+            base = max_q - rem
+            if target4 is None:
+                if p == 0:
+                    counts[base] += 1
+                    y = 2
+                else:
+                    y = 1
+                while y * y <= rem:
+                    counts[base + y * y] += 2
+                    y += 2
+            else:
+                need = (target4 - sacc) % 4
+                if (need - p) % 2:
+                    return
+                y = need
+                while y * y <= rem:
+                    counts[base + y * y] += 1
+                    y += 4
+                y = need - 4
+                while y * y <= rem:
+                    counts[base + y * y] += 1
+                    y -= 4
+            return
+        r = isqrt(rem)
+        start = -r
+        if (start - p) % 2:
+            start += 1
+        for y in range(start, r + 1, 2):
+            rec(i - 1, rem - y * y, sacc + y)
+
+    if n:
+        rec(n - 1, max_q, 0)
+    elif target4 is None or target4 % 4 == 0:
+        counts[0] = 1
+    return {q: c for q, c in enumerate(counts) if c}
 
 
 def coset_theta(gram, shift, trunc):
@@ -100,6 +214,18 @@ def test_lattice_validation():
         _ldl(((2, 1), (1,)))        # not square
     with pytest.raises(ConfigurationError):
         list(coset_points(((1, 2), (3, 1)), (0, 0), 4))
+    with pytest.raises(ConfigurationError):
+        # y = 2 has doubled norm 4/3
+        list(coset_points(((Fraction(1, 3),),), (0,), 4))
+
+
+@pytest.mark.parametrize("max_q", [-1, Fraction(-1, 2), Fraction(-1, 100)],
+                         ids=["-1", "-1/2", "-1/100"])
+def test_coset_points_negative_budget_is_empty(max_q):
+    assert list(coset_points(_A1_GRAM, (0,), max_q)) == []
+    assert list(coset_points(D8_GRAM, (Fraction(1, 2),) * 8, max_q)) == []
+    assert list(coset_points((), (), max_q)) == []
+    assert list(coset_points((), (), 0)) == [((), 0)]
 
 
 def test_d8_theta_low_shells():
@@ -172,8 +298,8 @@ def test_random_lattices_against_box_search():
 
 
 @st.composite
-def _gram_and_shift(draw):
-    n = draw(st.integers(1, 3))
+def _gram_and_shift(draw, min_n=1, max_n=3):
+    n = draw(st.integers(min_n, max_n))
     m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                       min_size=n, max_size=n))
     gram = tuple(tuple(sum(m[k][i] * m[k][j] for k in range(n))
@@ -203,6 +329,56 @@ def test_coset_points_properties(gram_shift, max_q):
         assert norm == q <= max_q
         counts[q] = counts.get(q, 0) + 1
     assert counts == box_shell_counts(gram, shift, Fraction(max_q, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_gram_and_shift(0, 4),
+       st.one_of(st.integers(-3, 24),
+                 st.sampled_from([Fraction(4, 3), Fraction(1, 2),
+                                  Fraction(-1, 2), Fraction(47, 6)]),
+                 st.fractions(-2, 24, max_denominator=12)))
+def test_coset_points_equal_fraction_recursion(gram_shift, max_q):
+    # the same points in the same order as the rational-bound recursion,
+    # for integer, fractional and negative budgets; the recursion has no
+    # points below zero budget (it cannot take the root of one)
+    gram, shift = gram_shift
+    want = [] if max_q < 0 else list(fraction_coset_points(gram, shift,
+                                                           max_q))
+    assert list(coset_points(gram, shift, max_q)) == want
+
+
+def _oracle_cosets():
+    """The twelve cosets the wall-sum oracle walks: three classes times
+    four strata, as e-basis shifts."""
+    return [(tag, eps, _coset_shift(CLASSES[tag], *eps))
+            for tag in ("v0", "vEven", "vOdd")
+            for eps in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+
+def test_coset_points_on_oracle_cosets():
+    # identical to the rational-bound recursion point for point to
+    # doubled norm 16 ...
+    gram = SURFACE.e_gram
+    for tag, eps, shift in _oracle_cosets():
+        assert (list(coset_points(gram, shift, 16))
+                == list(fraction_coset_points(gram, shift, 16))), (tag, eps)
+    # ... and to 40, where the recursion would take about twenty times as
+    # long, through what fixes its list: each point of the coset with
+    # Q <= 40 exactly once, in ascending order of (y_8, ..., y_1).  A
+    # strictly ascending list of valid points with the convolution's shell
+    # counts is that list.
+    terms = [(i, j, gram[i][j] * (1 if i == j else 2))
+             for i in range(8) for j in range(i, 8) if gram[i][j]]
+    for tag, eps, shift in _oracle_cosets():
+        points = list(coset_points(gram, shift, 40))
+        keys = [y[::-1] for y, _ in points]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (tag, eps)
+        par = tuple(int(2 * s) % 2 for s in shift)
+        for y, q in points:
+            assert tuple(yi % 2 for yi in y) == par
+            assert q == sum([c * y[i] * y[j] for i, j, c in terms])
+        want = zn_shell_counts_dp(*coset_parities(d8_ambient(shift)), 40)
+        assert Counter(q for _, q in points) == want, (tag, eps)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

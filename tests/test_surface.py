@@ -6,6 +6,15 @@ from instanton_zeta.errors import ConfigurationError
 from instanton_zeta.lattice import _D8_ROWS
 from instanton_zeta.surface import (CLASSES, SURFACE, pair, star,
                                     vec_add, vec_scale)
+from test_lattice import fraction_inverse
+
+
+def e_coords(x):
+    """Coordinates of the <f,g>-orthogonal part of x in the e-basis: the
+    solution c of e_gram c = (star(x, e_i))_i."""
+    inv = fraction_inverse(SURFACE.e_gram)
+    rhs = [star(x, v) for v in SURFACE.e]
+    return tuple(sum(inv[i][j] * rhs[j] for j in range(8)) for i in range(8))
 
 
 def test_intersection_numbers():
@@ -64,9 +73,20 @@ def test_class_grid_offsets_and_parities():
 def test_e_coordinate_roundtrip():
     s = SURFACE
     x = vec_add(s.e[1], vec_scale(-3, s.e[5]), vec_scale(2, s.e[7]))
-    coords = s.e_coords(x)
+    coords = e_coords(x)
     assert coords == (0, 1, 0, 0, 0, -3, 0, 2)
     assert s.from_e_coords(coords) == tuple(Fraction(v) for v in x)
+
+
+def test_declared_e_coordinates():
+    # the coset shifts' e-coordinates are given, not solved for, on build
+    s = SURFACE
+    assert e_coords(s.p_half) == s.p_half_e_coords
+    assert e_coords(s.q_half) == s.q_half_e_coords
+    for c1 in CLASSES.values():
+        assert e_coords(c1.rep) == tuple(2 * c for c in c1.half_rep_e_coords)
+        assert s.from_e_coords(c1.half_rep_e_coords) == vec_scale(
+            Fraction(1, 2), c1.rep)
 
 
 def test_fg_components():
@@ -76,7 +96,7 @@ def test_fg_components():
     a, b = Fraction(pair(x, s.g), 2), Fraction(pair(x, s.f), 2)
     assert (a, b) == (2, -1)
     rest = vec_add(x, vec_scale(-a, s.f), vec_scale(-b, s.g))
-    assert s.e_coords(rest) == (0, 0, 0, 1, 0, 0, 0, 0)
+    assert e_coords(rest) == (0, 0, 0, 1, 0, 0, 0, 0)
 
 
 def test_unknown_class_tag():
