@@ -7,14 +7,13 @@ from .errors import (ConfigurationError, FractionalExponentError,
                      PoleAtOneError, PrecisionError, RingMismatchError,
                      TruncationError)
 from .laurent import LPoly
-from .qseries import DEFAULT_DENOM, QQ, QSeries, TRAT
-from .tratfunc import TRatFunc
+from .qseries import DEFAULT_DENOM, LAURENT, QQ, QSeries
 
 __all__ = [
     "ConfigurationError", "DEFAULT_DENOM", "FractionalExponentError",
-    "InstantonZetaError", "IntegrityError", "LPoly", "NotInvertibleError",
-    "PoleAtOneError", "PrecisionError", "QQ", "QSeries", "RingMismatchError",
-    "TRAT", "TRatFunc", "TruncationError",
+    "InstantonZetaError", "IntegrityError", "LAURENT", "LPoly",
+    "NotInvertibleError", "PoleAtOneError", "PrecisionError", "QQ",
+    "QSeries", "RingMismatchError", "TruncationError",
 ]
 
 __version__ = "0.1.0"

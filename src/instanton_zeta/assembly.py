@@ -4,9 +4,10 @@ wall-crossing assemblies for the three first-Chern-class orbits, and a
 brute-force oracle that recomputes the wall terms from raw degree-2
 cohomology classes.
 
-Everything here is a QSeries over the rational-function-in-t ring; the
-substitution u = t^2 q is baked into each constructor.  The wall-crossing
-terms are built as polynomial numerators over the one denominator DEN.
+Everything here is a QSeries over the Laurent polynomials in t; the
+substitution u = t^2 q is baked into each constructor.  The assemblies are
+built as Laurent-polynomial numerators over the one denominator DEN, with
+no division; ``tratfunc`` applies DEN where a value is read.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .forms import eta_pow_inverse, gen_form, sieve
 from .laurent import LPoly
 from .lattice import (coset_parities, coset_points, d8_ambient,
                       zn_shell_counts_dp)
-from .qseries import QQ, QSeries, TRAT
+from .qseries import LAURENT, QQ, QSeries
 from .report import IdentityResult, VerifyReport, compare
 from .surface import CLASSES, SURFACE, C1Class, pair, vec_add, vec_scale
-from .tratfunc import TRatFunc
+from .tratfunc import exact_quotient
 
 _BETTI = {"X": (1, 10, 1), "Sigma1": (1, 2, 1)}
 
@@ -33,9 +34,9 @@ def _geometric_power(t_pow, q_pow, mult, trunc):
     """1 / (1 - t^t_pow q^q_pow)^mult as an exact q-series."""
     trunc = Fraction(trunc)
     kmax = int(trunc / q_pow)
-    pairs = [(k * q_pow, TRatFunc.t_pow(t_pow * k, comb(k + mult - 1, k)))
+    pairs = [(k * q_pow, LPoly.t_pow(t_pow * k, comb(k + mult - 1, k)))
              for k in range(kmax + 1)]
-    return QSeries.from_pairs(TRAT, pairs, trunc, 1)
+    return QSeries.from_pairs(LAURENT, pairs, trunc, 1)
 
 
 def zeta_factor(surface, u_t_power, u_q_power, trunc):
@@ -55,7 +56,7 @@ def zeta_product_x(trunc):
     """prod_{a >= 1} Z(X, t^(2a-1) q^a)^2, exact: factors with a > trunc
     are 1 + O(q^(>trunc))."""
     trunc = Fraction(trunc)
-    out = QSeries.constant(TRAT, 1, trunc)
+    out = QSeries.constant(LAURENT, 1, trunc)
     a = 1
     while a <= trunc:
         out = out * zeta_factor("X", 2 * a - 1, a, trunc) ** 2
@@ -65,15 +66,14 @@ def zeta_product_x(trunc):
 
 # Every rational prefactor of the assembly divides one polynomial,
 # DEN = 2 t (t-1)^2 (t+1).  Terms are carried as Laurent-polynomial
-# numerators over DEN, so the products stay polynomial and the general
-# gcd runs only when the finished terms are divided.
+# numerators over DEN, so every product stays polynomial, and DEN is
+# applied only where a coefficient is read.
 _T = LPoly.t_pow(1)
 DEN = 2 * _T * (_T - 1) ** 2 * (_T + 1)
-PREF_RULED = TRatFunc(2 * _T, DEN)   # 1/((t^2-1)(t-1)) = 1/((t+1)(t-1)^2)
 
 
 @functools.lru_cache(maxsize=None)
-def _vacuum_product(kind, trunc):
+def vacuum_product(kind, trunc):
     """The two vacuum products over the ruled surface before their
     1/((t^2-1)(t-1)) prefactor: F is the product of Z(Sigma1, t^(2a-2) q^a)
     Z(Sigma1, t^(2a) q^a) over a >= 1, G is F less the product of
@@ -82,25 +82,18 @@ def _vacuum_product(kind, trunc):
     if kind not in ("F", "G"):
         raise ValueError(f"unknown vacuum kind {kind!r}")
     shifts = (-2, 0) if kind == "F" else (-1, -1)
-    out = QSeries.constant(TRAT, 1, trunc)
+    out = QSeries.constant(LAURENT, 1, trunc)
     a = 1
     while a <= trunc:
         for s in shifts:
             out = out * zeta_factor("Sigma1", 2 * a + s, a, trunc)
         a += 1
-    return out if kind == "F" else _vacuum_product("F", trunc) - out
-
-
-@functools.lru_cache(maxsize=None)
-def vacuum_series(kind, trunc):
-    """The two vacuum products over the ruled surface, with the
-    1/((t^2-1)(t-1)) prefactor."""
-    return _vacuum_product(kind, trunc).scale(PREF_RULED)
+    return out if kind == "F" else vacuum_product("F", trunc) - out
 
 
 def _odd_gap_ratio(k):
     """(t^k - t^-k)/(t - 1) = t^-k (1 + t + ... + t^(2k-1))."""
-    return TRatFunc(LPoly(-k, (1,) * (2 * k), 1), _reduced=True)
+    return LPoly(-k, (1,) * (2 * k), 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,11 +120,11 @@ def a_sum(i, trunc):
         while u_exp(m, n) <= trunc:
             e = u_exp(m, n)
             # u^e = t^(2e) q^e
-            terms[e] = terms.get(e, TRAT.zero) + weight * TRatFunc.t_pow(2 * e)
+            terms[e] = terms.get(e, LAURENT.zero) + weight.shift(2 * e)
             n += 1
         m += 1
     pairs = [(e, c) for e, c in terms.items() if c]
-    return QSeries.from_pairs(TRAT, pairs, trunc, 1)
+    return QSeries.from_pairs(LAURENT, pairs, trunc, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,9 +134,9 @@ def pochhammer16_inverse(trunc):
     trunc = Fraction(trunc)
     shift = Fraction(2, 3)
     inv16 = eta_pow_inverse(1, 16, trunc - shift).shift_exp(shift)
-    pairs = [(e, TRatFunc.t_pow(2 * int(e), int(c)))
+    pairs = [(e, LPoly.t_pow(2 * int(e), int(c)))
              for e, c in inv16.pairs()]
-    return QSeries.from_pairs(TRAT, pairs, trunc, 1)
+    return QSeries.from_pairs(LAURENT, pairs, trunc, 1)
 
 
 # -- rank-8 coset thetas under u = t^2 q --------------------------------------
@@ -160,8 +153,8 @@ def theta_coset_sub(e_coords, trunc):
         norm = Fraction(qq, 4)
         tpow = 2 * norm
         assert tpow.denominator == 1
-        pairs.append((norm, TRatFunc.t_pow(int(tpow), c)))
-    return QSeries.from_pairs(TRAT, pairs, trunc, 4).normalize_denom()
+        pairs.append((norm, LPoly.t_pow(int(tpow), c)))
+    return QSeries.from_pairs(LAURENT, pairs, trunc, 4).normalize_denom()
 
 
 def _coset_shift(c1: C1Class, eps1, eps2):
@@ -182,33 +175,33 @@ _MIDDLE = 1 - _T ** 2          # -1/(2 t (t-1)), boundary filtration term
 
 @functools.lru_cache(maxsize=None)
 def mg_series(tag, trunc):
-    """Ruling-semistable generating series: vacuum F times the character
-    theta powers B0^(8-n) B1^n at u = t^2 q over the 16-fold partition
-    denominator.  The product stays polynomial; the 1/((t^2-1)(t-1))
-    prefactor of F divides each coefficient last."""
+    """Ruling-semistable generating series as numerators over DEN: vacuum
+    F times the character theta powers B0^(8-n) B1^n at u = t^2 q over the
+    16-fold partition denominator.  The 1/((t^2-1)(t-1)) prefactor of F is
+    2t over DEN."""
     from .lattice import b_substituted
     c1 = CLASSES[tag]
     trunc = Fraction(trunc)
     n = c1.blowup_parity
-    out = _vacuum_product("F", trunc) * b_substituted(0, trunc) ** (8 - n)
+    out = vacuum_product("F", trunc) * b_substituted(0, trunc) ** (8 - n)
     if n:
         out = out * b_substituted(Fraction(1, 2), trunc) ** n
-    return (out * pochhammer16_inverse(trunc)).scale(PREF_RULED)
+    return (out * pochhammer16_inverse(trunc)).scale(2 * _T)
 
 
 def _assemble(tag, trunc, bracket):
     """The ruling-semistable series plus the zeta product times a wall
-    bracket whose coefficients are numerators over DEN."""
-    return mg_series(tag, trunc) + (zeta_product_x(trunc) * bracket).scale(
-        TRatFunc(1, DEN))
+    bracket, all numerators over DEN."""
+    return mg_series(tag, trunc) + zeta_product_x(trunc) * bracket
 
 
 @functools.lru_cache(maxsize=None)
 def proposition_series(tag, trunc):
     """Sum over discriminants of the Poincare polynomial of the moduli of
-    rank-2 sheaves with the given first Chern class, as a q-series with
-    rational-function coefficients.  Smooth-case coefficients are checked
-    to reduce to Laurent polynomials."""
+    rank-2 sheaves with the given first Chern class, as a q-series whose
+    coefficients are Laurent-polynomial numerators over DEN.  Smooth-case
+    coefficients are checked to be divisible by DEN, so that their
+    quotients are Laurent polynomials."""
     c1 = CLASSES[tag]
     trunc = Fraction(trunc)
     theta = {eps: theta_coset_sub(_coset_shift(c1, *eps), trunc)
@@ -224,7 +217,8 @@ def proposition_series(tag, trunc):
 
 def _validate_smooth(tag, series):
     for delta, coeff in series.pairs():
-        if CLASSES[tag].is_smooth(delta) and not coeff.is_polynomial():
+        if (CLASSES[tag].is_smooth(delta)
+                and exact_quotient(coeff, DEN) is None):
             raise IntegrityError(
                 f"{tag}: coefficient at Delta = {delta} is not a Laurent "
                 f"polynomial despite smoothness")
@@ -247,26 +241,24 @@ def smoothness_report(tag, trunc):
         problems = []
         dim = 4 * delta - 3
         if smooth:
-            if not coeff.is_polynomial():
+            poly = exact_quotient(coeff, DEN)
+            if poly is None:
                 problems.append("not a polynomial")
-            else:
-                poly = coeff.as_lpoly()
-                if dim < 0:
-                    if not poly.is_zero:
-                        problems.append("nonzero below the empty threshold")
-                elif not poly.is_zero:
-                    if poly.low() != 0:
-                        problems.append("negative t-powers")
-                    if poly.degree() != dim:
-                        problems.append(
-                            f"degree {poly.degree()} != {dim}")
-                    cs = [poly.coeff(k) for k in range(poly.degree() + 1)]
-                    if any(c.denominator != 1 or c < 0 for c in cs):
-                        problems.append("coefficients not nonneg integers")
-                    if cs != cs[::-1]:
-                        problems.append("not palindromic")
-                    if cs and cs[0] != 1:
-                        problems.append("constant term != 1")
+            elif dim < 0:
+                if not poly.is_zero:
+                    problems.append("nonzero below the empty threshold")
+            elif not poly.is_zero:
+                if poly.low() != 0:
+                    problems.append("negative t-powers")
+                if poly.degree() != dim:
+                    problems.append(f"degree {poly.degree()} != {dim}")
+                cs = [poly.coeff(k) for k in range(poly.degree() + 1)]
+                if any(c.denominator != 1 or c < 0 for c in cs):
+                    problems.append("coefficients not nonneg integers")
+                if cs != cs[::-1]:
+                    problems.append("not palindromic")
+                if cs and cs[0] != 1:
+                    problems.append("constant term != 1")
         results.append(IdentityResult(
             name=f"{tag} Delta={delta}: Poincare polynomial structure",
             max_exponent=delta, passed=not problems,
@@ -319,8 +311,11 @@ def wall_sum_oracle(tag, trunc):
     for eps1, eps2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         A_min = 1 if eps1 else 2   # smallest positive A
         B_min = 1 if eps2 else 2   # smallest positive B
+        # a point with 4 A_min B_min + qd > max_q fits in no cone, and only
+        # the eps1 = 0 strata have a degenerate ray
+        budget = max_q - 4 * A_min * B_min if eps1 else max_q
         for y, qd in coset_points(s.e_gram, _coset_shift(c1, eps1, eps2),
-                                  max_q):
+                                  budget):
             d2 = s.from_e_coords(y)   # 2 delta, (2 delta, 2 delta)_* = qd
             if pair(d2, f) or pair(d2, g):
                 raise ConfigurationError("delta not orthogonal to <f, g>")
@@ -364,8 +359,8 @@ def wall_sum_oracle(tag, trunc):
     for (norm4, tpow), c in num.items():
         by_norm.setdefault(norm4, []).append((tpow, c))
     return _assemble(tag, trunc, QSeries.from_pairs(
-        TRAT, [(Fraction(n4, 4), LPoly.from_pairs(terms))
-               for n4, terms in by_norm.items()], trunc, 4))
+        LAURENT, [(Fraction(n4, 4), LPoly.from_pairs(terms))
+                  for n4, terms in by_norm.items()], trunc, 4))
 
 
 def verify_wall_oracle(trunc):

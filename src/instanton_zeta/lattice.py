@@ -22,9 +22,9 @@ from fractions import Fraction
 from math import floor, isqrt, lcm
 
 from .errors import ConfigurationError
-from .qseries import QQ, QSeries, TRAT
+from .laurent import LPoly
+from .qseries import LAURENT, QQ, QSeries
 from .report import VerifyReport, compare
-from .tratfunc import TRatFunc
 
 
 def _ldl(gram):
@@ -225,7 +225,7 @@ def b_substituted(shift, trunc, char=True, t_scale=1):
             n += 1
         for n in rng:
             tpow = t_scale * (2 * n * n + (n if char else 0))
-            pairs.append((n * n, TRatFunc.t_pow(tpow)))
+            pairs.append((n * n, LPoly.t_pow(tpow)))
     else:
         denom = 4
         k = 0
@@ -236,26 +236,9 @@ def b_substituted(shift, trunc, char=True, t_scale=1):
                     raise ConfigurationError(
                         f"t-power {tpow} needs a finer encoding; "
                         f"raise t_scale")
-                pairs.append((n * n, TRatFunc.t_pow(int(tpow))))
+                pairs.append((n * n, LPoly.t_pow(int(tpow))))
             k += 1
-    return QSeries.from_pairs(TRAT, pairs, trunc, denom)
-
-
-def b0_product_formula(trunc):
-    """Triple-product form of the unshifted B series with the character at
-    u = t^2 q, prod_m (1 - t^(4m) q^(2m)) (1 + t^(4m-1) q^(2m-1))
-    (1 + t^(4m-3) q^(2m-1)): an independent cross-check of the lattice sum
-    ``b_substituted(0, trunc)``."""
-    trunc = Fraction(trunc)
-    prod = QSeries.constant(TRAT, 1, trunc)
-    m = 1
-    while 2 * m - 1 <= trunc:
-        for e, c in ((2 * m, -TRatFunc.t_pow(4 * m)),
-                     (2 * m - 1, TRatFunc.t_pow(4 * m - 1)),
-                     (2 * m - 1, TRatFunc.t_pow(4 * m - 3))):
-            prod = prod * QSeries.from_pairs(TRAT, [(0, 1), (e, c)], trunc, 1)
-        m += 1
-    return prod
+    return QSeries.from_pairs(LAURENT, pairs, trunc, denom)
 
 
 # -- the rank-8 decomposition suite ------------------------------------------

@@ -229,7 +229,7 @@ class LPoly:
 
     def __pow__(self, n):
         if n < 0:
-            raise ValueError("negative power of LPoly; use TRatFunc")
+            raise ValueError("negative power of LPoly")
         result = LPoly.const(1)
         base = self
         while n:
@@ -300,62 +300,13 @@ class LPoly:
         return "LPoly(" + " + ".join(parts) + ")"
 
 
-ZERO = LPoly()
-ONE = LPoly.const(1)
-
-
-# -- integer polynomial helpers for gcd work -------------------------------
+# -- exact division of integer coefficient lists ------------------------------
 
 def _z_trim(a):
     i = len(a)
     while i and a[i - 1] == 0:
         i -= 1
     return list(a[:i])
-
-
-def _z_primitive(a):
-    a = _z_trim(a)
-    if not a:
-        return a
-    g = _content(a)
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
-
-def _z_pseudo_rem(a, b):
-    """Pseudo-remainder of a by b (b nonzero), over Z."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        a = _z_trim(a)
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= la * bc
-        a = _z_trim(a)
-        if not a:
-            break
-    return _z_trim(a)
-
-
-def poly_gcd_z(a, b):
-    """Primitive gcd of two integer coefficient lists (low-to-high)."""
-    a = _z_primitive(a)
-    b = _z_primitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _z_pseudo_rem(a, b)
-        a, b = b, _z_primitive(r)
-    return a
 
 
 def poly_divexact_z(a, b):

@@ -251,19 +251,6 @@ def eval_form(expr, tau, digits=40, e2_mode="anomaly", min_im=MIN_IM):
     return val
 
 
-def eval_exact_series_at(series, tau, digits=40):
-    """Sum a truncated exact series at q = exp(2 pi i tau); used for
-    exact-vs-numeric consistency checks (accuracy limited by the series
-    truncation, not by digits)."""
-    tau = mp.mpc(tau)
-    with mp.workdps(digits + 15):
-        total = mp.mpc(0)
-        for e, c in series.pairs():
-            c = Fraction(c)
-            total += (mp.mpf(c.numerator) / c.denominator) * _qpow(tau, e)
-    return total
-
-
 @dataclass
 class SDualityReport:
     tau: complex

@@ -15,9 +15,8 @@ coefficients.
 
 Every product, and through it every power and inverse, runs in one integer
 kernel, ``_product``.  Each factor is cleared once: its coefficients become
-integer t-polynomial numerators over one integer denominator and one
-denominator polynomial (the lcm of the coefficients' own; 1 for Q and for
-polynomial coefficients).  A rational is the one-slot case.  One-slot
+integer t-polynomial numerators over one integer denominator (the lcm of
+the coefficients' own).  A rational is the one-slot case.  One-slot
 factors convolve densely on their exponent grid compressed by its gcd.
 Wider ones pack each numerator once into a single integer, coefficient i
 in a signed slot of ``w`` bits at bit ``w * i`` (``laurent._pack``), then
@@ -45,12 +44,7 @@ from math import floor, gcd
 
 from .errors import (FractionalExponentError, NotInvertibleError,
                      RingMismatchError, TruncationError)
-from .laurent import (ONE as _POLY_ONE, LPoly, _conv, _pack, _trim, _unpack,
-                      poly_divexact_z, poly_gcd_z)
-from .tratfunc import TRatFunc
-
-
-_UNIT = (1,)  # the denominator polynomial 1
+from .laurent import LPoly, _conv, _pack, _trim, _unpack
 
 
 class RationalRing:
@@ -75,84 +69,61 @@ class RationalRing:
     @staticmethod
     def numerators(cs):
         """Integer numerators over one denominator, each a one-slot
-        t-polynomial: ``(nums, t offset, den, denominator polynomial)``."""
+        t-polynomial: ``(nums, t offset, den)``."""
         den = 1
         for c in cs:
             d = c.denominator
             if den % d:
                 den = den * d // gcd(den, d)
-        return ([[c.numerator * (den // c.denominator)] for c in cs], 0,
-                den, _UNIT)
+        return [[c.numerator * (den // c.denominator)] for c in cs], 0, den
 
     @staticmethod
-    def from_numerator(num, off, den, den_poly):
+    def from_numerator(num, off, den):
         return Fraction(num[0], den)
 
 
-class TRatRing:
-    name = "Q(t)"
-    zero = TRatFunc.const(0)
-    one = TRatFunc.const(1)
+class LaurentRing:
+    """Laurent polynomials in t over Q.  The units are the monomials."""
+    name = "Q[t,1/t]"
+    zero = LPoly()
+    one = LPoly.const(1)
 
     @staticmethod
     def coerce(x):
-        if isinstance(x, TRatFunc):
-            return x
         if isinstance(x, LPoly):
-            return TRatFunc(x)
+            return x
         if isinstance(x, (int, Fraction)):
-            return TRatFunc.const(x)
-        raise TypeError(f"cannot coerce {x!r} into Q(t)")
+            return LPoly.const(x)
+        raise TypeError(f"cannot coerce {x!r} into Q[t,1/t]")
 
     @staticmethod
     def invert(c):
-        if c.is_zero:
-            raise NotInvertibleError("zero is not invertible in Q(t)")
-        return c.reciprocal()
+        if len(c.num) != 1:
+            raise NotInvertibleError(
+                f"{c!r} is not a monomial, so not a unit of Q[t,1/t]")
+        return LPoly(-c.off, (c.den,), c.num[0])
 
     @staticmethod
     def numerators(cs):
-        """Integer t-polynomial numerators over one integer denominator and
-        one denominator polynomial, the lcm of the coefficients' own:
-        ``(nums, t offset, den, denominator polynomial)``."""
-        den_poly = cs[0].den.num
-        for c in cs:
-            p = c.den.num
-            if p != den_poly:
-                g = poly_gcd_z(den_poly, p)
-                den_poly = tuple(_conv(den_poly, poly_divexact_z(p, g)))
-        cofactors = {}
+        """Integer t-polynomial numerators over one integer denominator, the
+        lcm of the coefficients' own: ``(nums, t offset, den)``."""
         den = 1
-        off = cs[0].num.off
+        off = cs[0].off
         for c in cs:
-            d = c.num.den
+            d = c.den
             if den % d:
                 den = den * d // gcd(den, d)
-            off = min(off, c.num.off)
-        nums = []
-        for c in cs:
-            # c = (t^n.off * n.num / n.den) / (p / e), where p is the
-            # primitive integer polynomial of the monic denominator
-            n, p = c.num, c.den.num
-            scale = c.den.den * (den // n.den)
-            num = [x * scale for x in n.num]
-            if p != den_poly:
-                cof = cofactors.get(p)
-                if cof is None:
-                    cof = cofactors[p] = poly_divexact_z(den_poly, p)
-                num = _conv(num, cof)
-            nums.append([0] * (n.off - off) + num)
-        return nums, off, den, den_poly
+            off = min(off, c.off)
+        return [[0] * (c.off - off) + [x * (den // c.den) for x in c.num]
+                for c in cs], off, den
 
     @staticmethod
-    def from_numerator(num, off, den, den_poly):
-        if den_poly == _UNIT:
-            return TRatFunc(LPoly(off, num, den), _POLY_ONE, _reduced=True)
-        return TRatFunc(LPoly(off, num, den), LPoly(0, den_poly))
+    def from_numerator(num, off, den):
+        return LPoly(off, num, den)
 
 
 QQ = RationalRing()
-TRAT = TRatRing()
+LAURENT = LaurentRing()
 
 DEFAULT_DENOM = 48
 
@@ -180,11 +151,9 @@ def _product(ring, a, b, bound):
     kb = sorted(k for k in b if k + la <= bound)
     if not ka or not kb:
         return {}
-    na, offa, da, pa = ring.numerators([a[k] for k in ka])
-    nb, offb, db, pb = ring.numerators([b[k] for k in kb])
+    na, offa, da = ring.numerators([a[k] for k in ka])
+    nb, offb, db = ring.numerators([b[k] for k in kb])
     off, den = offa + offb, da * db
-    den_poly = pb if pa == _UNIT else pa if pb == _UNIT else tuple(
-        _conv(pa, pb))
     make = ring.from_numerator
     wa = max(map(len, na))
     wb = max(map(len, nb))
@@ -207,7 +176,7 @@ def _product(ring, a, b, bound):
             if k > bound:
                 break
             if c:
-                out[k] = make([c], off, den, den_poly)
+                out[k] = make([c], off, den)
             k += g
         return out
     # |each slot of a sum| <= pairs per exponent * overlap * max * max, and
@@ -235,7 +204,7 @@ def _product(ring, a, b, bound):
             low = ((total & -total).bit_length() - 1) // bits
             total >>= low * bits
             num = _unpack(total, nbytes, abs(total).bit_length() // bits + 1)
-            out[k] = make(num, off + low, den, den_poly)
+            out[k] = make(num, off + low, den)
     return out
 
 
@@ -362,7 +331,7 @@ class QSeries:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, TRatFunc, LPoly)):
+        if isinstance(other, (int, Fraction, LPoly)):
             other = QSeries.constant(self.ring, other, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -387,7 +356,7 @@ class QSeries:
                        {k: -c for k, c in self.terms.items()}, _checked=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, TRatFunc, LPoly)):
+        if isinstance(other, (int, Fraction, LPoly)):
             other = QSeries.constant(self.ring, other, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -407,7 +376,7 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) or (
-                self.ring is TRAT and isinstance(other, (TRatFunc, LPoly))):
+                self.ring is LAURENT and isinstance(other, LPoly)):
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented

@@ -16,14 +16,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .assembly import PREF_RULED, proposition_series, vacuum_series
+from .assembly import DEN, proposition_series, vacuum_product
 from .errors import IntegrityError, PoleAtOneError, TruncationError
 from .formexpr import E2Slot, FormExpr, Pow, as_qseries, leaf
 from .forms import eta_pow_inverse, gen_form, sieve
+from .laurent import LPoly
 from .lattice import b_substituted
 from .qseries import QQ, QSeries
 from .report import IdentityResult, VerifyReport, compare
 from .surface import CLASSES, V0
+from .tratfunc import exact_quotient, value_at_one
 
 PIPELINE_LABELS = {"v0": "Zt_v0", "vEven": "Zt_vEven", "vOdd": "Zt_vOdd"}
 
@@ -45,7 +47,7 @@ def ztilde(tag, trunc):
 
     def limit(c):
         try:
-            return c.eval_one()
+            return value_at_one(c, DEN)
         except PoleAtOneError as exc:
             raise IntegrityError(
                 f"{tag}: pole of order {exc.order} at t = 1") from exc
@@ -84,18 +86,24 @@ def main_closed_form(tag, trunc):
 
 # -- limit lemmas --------------------------------------------------------------
 
+_T = LPoly.t_pow(1)
+_RULED = (_T + 1) * (_T - 1) ** 2   # (t^2 - 1)(t - 1)
+
+
 def check_limit_lemmas(trunc):
     """The ruled-surface vacuum limit and the two blow-up factor limits,
-    each computed by exact rational-function division and evaluation
-    against an independently summed right-hand side."""
+    each the value at t = 1 of a numerator over (t+1)(t-1)^2, against an
+    independently summed right-hand side."""
     trunc = Fraction(trunc)
+
+    def at_one(series, den):
+        return series.map_coeffs(lambda c: value_at_one(c, den), QQ)
 
     # vacuum limit: G(1, q) = (1 - E2)/12 * prod(1 - q^n)^(-8); the eta
     # normalization q^(-1/3) G(1,q) = (1 - E2)/(12 eta^8) is the same
     # statement after cancelling q^(1/3)
     def vacuum_at_one():
-        return vacuum_series("G", trunc).map_coeffs(
-            lambda c: c.eval_one(), QQ)
+        return at_one(vacuum_product("G", trunc), _RULED)
 
     def inv8():
         third = Fraction(1, 3)
@@ -115,8 +123,7 @@ def check_limit_lemmas(trunc):
     def blowup_unshifted():
         b0t = b_substituted(0, trunc)
         b01 = b_substituted(0, trunc, char=False)
-        lhs = (b0t - b01).map_coeffs(
-            lambda c: (c * PREF_RULED).eval_one(), QQ)
+        lhs = at_one(b0t - b01, _RULED)
         s1 = _double_sum(trunc, lambda m, n: (m * (2 * n - 1),
                                               (-1) ** m * m))
         return lhs, s1.scale(Fraction(-1, 2)) * gen_form("theta3", trunc, 2)
@@ -127,9 +134,7 @@ def check_limit_lemmas(trunc):
     def blowup_half():
         b1t = b_substituted(Fraction(1, 2), trunc, t_scale=2)
         b11 = b_substituted(Fraction(1, 2), trunc, char=False, t_scale=2)
-        div_s = PREF_RULED.stretch(2)
-        lhs = (b1t - b11).map_coeffs(
-            lambda c: (c * div_s).eval_one(), QQ)
+        lhs = at_one(b1t - b11, _RULED.stretch(2))
         s2 = _double_sum(trunc, lambda m, n: (2 * m * n, (-1) ** m * m))
         return lhs, ((s2 - Fraction(1, 8)).scale(Fraction(-1, 2))
                      * gen_form("theta2", trunc, 2))
@@ -385,7 +390,7 @@ def euler_table(class_tag, max_delta):
         if prop is not None and not singular and dim >= 0:
             coeff = prop.coeff(delta)
             if not coeff.is_zero:
-                poly = coeff.as_lpoly()
+                poly = exact_quotient(coeff, DEN)
                 betti = [int(poly.coeff(k)) for k in range(dim + 1)]
         rows.append(TableRow(delta=delta, dim=dim, euler=euler,
                              betti=betti, singular=singular))

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instanton_zeta.errors import PoleAtOneError
+from instanton_zeta.assembly import DEN
 from instanton_zeta.laurent import (LPoly, _conv_kronecker, _conv_school,
-                                    poly_divexact_z, poly_gcd_z)
-from instanton_zeta.qseries import QSeries, TRAT
-from instanton_zeta.tratfunc import TRatFunc
+                                    poly_divexact_z)
+from instanton_zeta.qseries import LAURENT, QSeries
+from instanton_zeta.tratfunc import exact_quotient, value_at_one
+from tratfunc_oracle import TRatFunc, poly_gcd_z
 
 
 def lp(*pairs):
@@ -178,19 +180,80 @@ def test_tratfunc_canonical_form_is_structural(a, b, c, d1, d2, d3):
 
 
 @st.composite
-def _trat_series(draw):
+def _laurent_series(draw):
     denom = draw(st.sampled_from([1, 2]))
     trunc = Fraction(draw(st.integers(0, 4 * denom)), denom)
     ks = draw(st.lists(st.integers(0, int(trunc * denom)), max_size=4))
     return QSeries.from_pairs(
-        TRAT, [(Fraction(k, denom), draw(_tratfuncs())) for k in ks],
+        LAURENT, [(Fraction(k, denom), draw(_lpolys())) for k in ks],
         trunc, denom)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(_trat_series(), _trat_series(), _tratfuncs(), _tratfuncs())
+@given(_laurent_series(), _laurent_series(), _lpolys(), _lpolys())
 def test_trat_series_scale_laws(a, b, x, y):
     for lhs, rhs in (((a.scale(x) * b).scale(y), (a * b).scale(x * y)),
                      ((a + b).scale(x), a.scale(x) + b.scale(x))):
         assert lhs.trunc == rhs.trunc
         assert lhs.first_difference(rhs) is None
+
+
+# -- the two readers of a numerator over a known denominator, against the
+# reduced rational function
+
+_RULED = (_T + 1) * (_T - 1) ** 2
+
+
+@st.composite
+def _numerators(draw):
+    """An integer Laurent polynomial with a possibly negative offset, forced
+    to vanish at t = 1 to order 0..3 by factors t - 1, and often carrying
+    the other factors of the denominators, so that some quotients are
+    exact."""
+    num = LPoly(draw(st.integers(-4, 2)),
+                draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6)))
+    for f in draw(st.lists(st.sampled_from([_T + 1, _T ** 2 + 1, 2 * _T]),
+                           max_size=3)):
+        num = num * f
+    return num * (_T - 1) ** draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_numerators(), st.sampled_from([DEN, _RULED, _RULED.stretch(2)]))
+def test_quotient_and_value_at_one_match_oracle(num, den):
+    ref = TRatFunc(num, den)
+    try:
+        want = ref.eval_one()
+    except PoleAtOneError as exc:
+        with pytest.raises(PoleAtOneError) as err:
+            value_at_one(num, den)
+        assert err.value.order == exc.order
+    else:
+        assert value_at_one(num, den) == want
+    quot = exact_quotient(num, den)
+    if ref.is_polynomial():
+        assert quot == ref.as_lpoly()
+    else:
+        assert quot is None
+
+
+def test_quotient_and_value_at_one_examples():
+    assert exact_quotient(DEN * LPoly.t_pow(-3, 5), DEN) == LPoly.t_pow(-3, 5)
+    assert exact_quotient(LPoly.const(1), _T + 1) is None
+    assert exact_quotient(_T + 1, 2 * _T + 2) == LPoly.const(Fraction(1, 2))
+    assert exact_quotient(LPoly(), DEN) == LPoly()
+    third = LPoly.const(Fraction(1, 3))
+    assert exact_quotient(_T + 1, (_T + 1) * third) == LPoly.const(3)
+    assert exact_quotient(LPoly.t_pow(2, Fraction(1, 2)), 4 * _T * third) == \
+        LPoly.t_pow(1, Fraction(3, 8))
+    assert value_at_one(LPoly.const(Fraction(1, 2)), (_T + 1) * third) == \
+        Fraction(3, 4)
+    # -(t-1)^2 over DEN is -1/(2t(t+1)), which is -1/4 at t = 1
+    assert value_at_one(-(_T - 1) ** 2, DEN) == Fraction(-1, 4)
+    assert value_at_one(LPoly(), DEN) == 0
+    with pytest.raises(PoleAtOneError) as err:
+        value_at_one(_T, DEN)
+    assert err.value.order == 2
+    with pytest.raises(PoleAtOneError) as err:
+        value_at_one((_T - 1) * (_T + 3), DEN)
+    assert err.value.order == 1

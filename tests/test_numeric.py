@@ -14,9 +14,8 @@ from instanton_zeta.formexpr import (DERIVED_FORMS, E2Slot, Mul, Pow,
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
                                   gen_form, sigma_odd_n_table,
                                   sigma_odd_table, sigma_table)
-from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _tail_cutoff,
-                                    eval_exact_series_at, eval_form,
-                                    sduality_check)
+from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _qpow, _tail_cutoff,
+                                    eval_form, sduality_check)
 from instanton_zeta.results import (gauge_partition_functions,
                                     mnvw_form_expr, zw_forms)
 
@@ -25,6 +24,19 @@ TAU = mp.mpc(0.13, 1.21)
 
 def _close(a, b, digits):
     return abs(a - b) < mp.mpf(10) ** (-digits)
+
+
+def eval_exact_series_at(series, tau, digits=40):
+    """Sum a truncated exact series at q = exp(2 pi i tau); used for
+    exact-vs-numeric consistency checks (accuracy limited by the series
+    truncation, not by digits)."""
+    tau = mp.mpc(tau)
+    with mp.workdps(digits + 15):
+        total = mp.mpc(0)
+        for e, c in series.pairs():
+            c = Fraction(c)
+            total += (mp.mpf(c.numerator) / c.denominator) * _qpow(tau, e)
+    return total
 
 
 # -- oracle: the mpmath loops that the fixed-point kernels replaced -----------

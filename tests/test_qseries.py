@@ -11,8 +11,7 @@ from instanton_zeta.errors import (FractionalExponentError,
                                    TruncationError)
 from instanton_zeta.forms import gen_form
 from instanton_zeta.laurent import LPoly
-from instanton_zeta.qseries import QQ, QSeries, TRAT
-from instanton_zeta.tratfunc import TRatFunc
+from instanton_zeta.qseries import LAURENT, QQ, QSeries
 
 
 def qs(pairs, trunc, denom=1, ring=QQ):
@@ -40,15 +39,12 @@ def dict_product(x, y):
     return QSeries(a.ring, a.denom, bound_frac, terms, _checked=True)
 
 
-_T_DENOMINATORS = [(1, 1), (-1, 1), (1, 0, 2), (1, 2, 1), (3, -1, 0, 1)]
-
-
 @st.composite
 def _sparse_series(draw, ring, size):
     """A sparse series on a 1/denom grid: possibly negative lead, fractional
-    truncation, up to ``size`` terms.  Over Q(t) the coefficients are
-    Laurent polynomials with negative offsets and mixed rational contents,
-    or those over one of a few denominator polynomials."""
+    truncation, up to ``size`` terms.  Over Q[t,1/t] the coefficients are
+    Laurent polynomials with negative offsets and mixed rational
+    contents."""
     denom = draw(st.sampled_from([1, 2, 3, 4, 6]))
     lead_k = draw(st.integers(-4 * denom, 3 * denom))
     trunc = Fraction(lead_k, denom) + draw(st.fractions(
@@ -56,7 +52,6 @@ def _sparse_series(draw, ring, size):
     top = floor(trunc * denom)
     ks = {lead_k} | set(draw(st.lists(st.integers(lead_k, top),
                                       max_size=size)))
-    rational = ring is TRAT and draw(st.booleans())
     big = draw(st.booleans())
 
     def scalar():
@@ -70,12 +65,8 @@ def _sparse_series(draw, ring, size):
         if ring is QQ:
             return scalar()
         off = draw(st.integers(-4, 3))
-        num = LPoly.from_pairs((off + i, scalar()) for i in range(
+        return LPoly.from_pairs((off + i, scalar()) for i in range(
             draw(st.integers(1, 6))))
-        if not rational or draw(st.booleans()):
-            return TRatFunc(num)
-        den = draw(st.sampled_from(_T_DENOMINATORS))
-        return TRatFunc(num, LPoly(0, den))
 
     pairs = [(Fraction(k, denom), coeff()) for k in sorted(ks)]
     return QSeries.from_pairs(ring, pairs, trunc, denom)
@@ -83,9 +74,9 @@ def _sparse_series(draw, ring, size):
 
 @st.composite
 def _factor_pairs(draw):
-    ring = draw(st.sampled_from([QQ, TRAT]))
+    ring = draw(st.sampled_from([QQ, LAURENT]))
     # up to 40 terms reaches both sides of the length-24 switch to
-    # Kronecker substitution; rational functions keep the oracle quick
+    # Kronecker substitution; polynomial coefficients keep the oracle quick
     size = 40 if ring is QQ else 16
     return (draw(_sparse_series(ring, size)),
             draw(_sparse_series(ring, size)))
@@ -104,19 +95,18 @@ def test_kernel_product_matches_dict_product(factors):
 
 def test_polynomial_product_builds_no_coefficient_per_pair(monkeypatch):
     calls = []
-    for cls in (LPoly, TRatFunc):
-        original = cls.__mul__
+    original = LPoly.__mul__
 
-        def counting(self, other, original=original):
-            calls.append(type(self).__name__)
-            return original(self, other)
+    def counting(self, other):
+        calls.append(type(self).__name__)
+        return original(self, other)
 
-        monkeypatch.setattr(cls, "__mul__", counting)
-    a = QSeries.from_pairs(TRAT, [(k, LPoly.from_pairs(
+    monkeypatch.setattr(LPoly, "__mul__", counting)
+    a = QSeries.from_pairs(LAURENT, [(k, LPoly.from_pairs(
         [(-k, 1), (0, k), (k + 1, Fraction(1, k + 1))])) for k in range(12)],
         11)
-    b = QSeries.from_pairs(TRAT, [(Fraction(k, 2), TRatFunc.t_pow(k, 3))
-                                  for k in range(-2, 19)], 9, 2)
+    b = QSeries.from_pairs(LAURENT, [(Fraction(k, 2), LPoly.t_pow(k, 3))
+                                     for k in range(-2, 19)], 9, 2)
     calls.clear()
     prod = a * b
     assert calls == []
@@ -151,7 +141,7 @@ def test_mul_negative_lead_tightens_truncation():
 
 def test_mixed_rings_rejected():
     a = qs([(0, 1)], 3)
-    b = qs([(0, 1)], 3, ring=TRAT)
+    b = qs([(0, 1)], 3, ring=LAURENT)
     with pytest.raises(RingMismatchError):
         a * b
     with pytest.raises(RingMismatchError):
@@ -187,6 +177,18 @@ def test_inverse_errors():
         QSeries.zero(QQ, 5).inverse()
 
 
+def test_inverse_needs_a_monomial_lead_over_laurent():
+    # only the monomials are units of Q[t,1/t]
+    t = LPoly.t_pow(1)
+    for lead in (t + 1, 1 - t ** 2, LPoly.t_pow(-1) + 2):
+        a = QSeries.from_pairs(LAURENT, [(0, lead), (1, t)], 4)
+        with pytest.raises(NotInvertibleError):
+            a.inverse()
+    a = QSeries.from_pairs(LAURENT, [(0, LPoly.t_pow(-2, 3)), (1, t + 1)], 4)
+    one = QSeries.constant(LAURENT, 1, 4)
+    assert dict_product(a, a.inverse()).first_difference(one) is None
+
+
 def test_inverse_roundtrip_randomized():
     # a * a.inverse() is 1, multiplied by the dict oracle so the inverse is
     # checked independently of the kernel
@@ -204,37 +206,36 @@ def test_inverse_roundtrip_randomized():
         prod = dict_product(a, a.inverse())
         one = QSeries.constant(QQ, 1, prod.trunc)
         assert prod.first_difference(one) is None
-    # over Q(t) every coefficient shares one denominator polynomial and the
-    # grid is shorter: the inverse's denominators are its powers
+    # over Q[t,1/t] the leading coefficient is a monomial, a unit, and the
+    # others are binomials with negative offsets
     rng = random.Random(17)
     for _ in range(100):
         denom = rng.choice([1, 2])
         trunc = Fraction(rng.randint(4, 5))
         lead = rng.randint(-3, 3)
-        den = LPoly(0, rng.choice(_T_DENOMINATORS))
 
         def coeff(c):
             low = rng.randint(-2, 2)
-            return TRatFunc(LPoly.from_pairs(
-                [(low, c), (low + rng.randint(1, 3), 1)]), den)
+            return LPoly.from_pairs([(low, c), (low + rng.randint(1, 3), 1)])
 
-        pairs = [(Fraction(lead),
-                  coeff(rng.choice([1, -1, 2, Fraction(1, 2)])))]
+        pairs = [(Fraction(lead), LPoly.t_pow(
+            rng.randint(-2, 2), rng.choice([1, -1, 2, Fraction(1, 2)])))]
         for _ in range(rng.randint(0, 6)):
             e = Fraction(rng.randint(lead * denom + 1, int(trunc * denom)),
                          denom)
             pairs.append((e, coeff(rng.randint(-5, 5))))
-        a = qs(pairs, trunc, denom, TRAT)
+        a = qs(pairs, trunc, denom, LAURENT)
         prod = dict_product(a, a.inverse())
-        one = QSeries.constant(TRAT, 1, prod.trunc)
+        one = QSeries.constant(LAURENT, 1, prod.trunc)
         assert prod.first_difference(one) is None
 
 
 @st.composite
 def _invertible_series(draw):
     """A series on the 1/denom grid with a possibly negative leading
-    exponent and a possibly fractional truncation, over Q or Q(t)."""
-    ring = draw(st.sampled_from([QQ, TRAT]))
+    exponent and a possibly fractional truncation, over Q or Q[t,1/t]; over
+    Q[t,1/t] the leading coefficient is a monomial, a unit."""
+    ring = draw(st.sampled_from([QQ, LAURENT]))
     denom = draw(st.sampled_from([1, 2]))
     lead_k = draw(st.integers(-3 * denom, 2 * denom))
     trunc = Fraction(lead_k, denom) + draw(st.fractions(
@@ -242,14 +243,16 @@ def _invertible_series(draw):
     ks = draw(st.lists(st.integers(lead_k + 1, floor(trunc * denom)),
                        max_size=4)) if trunc * denom >= lead_k + 1 else []
 
-    def coeff():
+    def coeff(terms):
         if ring is QQ:
             return draw(st.fractions(min_value=-4, max_value=4,
                                      max_denominator=3).filter(bool))
-        return TRatFunc(LPoly.from_pairs(
-            [(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))]))
+        return LPoly.from_pairs(
+            [(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+             for _ in range(terms)])
 
-    pairs = [(Fraction(k, denom), coeff()) for k in [lead_k] + ks]
+    pairs = [(Fraction(lead_k, denom), coeff(1))] + [
+        (Fraction(k, denom), coeff(draw(st.integers(1, 2)))) for k in ks]
     return QSeries.from_pairs(ring, pairs, trunc, denom), Fraction(lead_k,
                                                                    denom)
 
@@ -287,12 +290,13 @@ def test_ring_axioms_randomized():
                 if ring is QQ:
                     c = Fraction(rng.randint(-9, 9))
                 else:
-                    c = TRatFunc(LPoly.from_pairs(
-                        [(rng.randint(-2, 2), rng.randint(-3, 3))]))
+                    c = LPoly.from_pairs(
+                        [(rng.randint(-2, 2), rng.randint(-3, 3))
+                         for _ in range(rng.randint(1, 3))])
                 pairs.append((e, c))
         return QSeries.from_pairs(ring, pairs, trunc, denom)
 
-    for ring in (QQ, TRAT):
+    for ring in (QQ, LAURENT):
         for _ in range(60):
             a, b, c = (random_series(ring) for _ in range(3))
             assert ((a * b) * c).first_difference(a * (b * c)) is None

@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from instanton_zeta.errors import TruncationError
+from instanton_zeta.assembly import DEN
+from instanton_zeta.errors import IntegrityError, TruncationError
 from instanton_zeta.formexpr import as_qseries
 from instanton_zeta.forms import gen_form
+from instanton_zeta.qseries import LAURENT, QSeries
 from instanton_zeta.results import (assemble_theorem, check_limit_lemmas,
                                     euler_table, gauge_partition_functions,
                                     main_closed_form, theorem_closed_form,
                                     ztilde, zw_forms)
+from instanton_zeta.tratfunc import exact_quotient
 
 ORDER = 10
 
@@ -144,7 +147,24 @@ def test_smooth_chi_equals_poincare_at_one():
     prop = proposition_series("vEven", 5)
     z = ztilde("vEven", 5).series
     for delta in range(1, 6):
-        assert prop.coeff(delta).eval_one() == z.coeff(delta - 1)
+        poincare = exact_quotient(prop.coeff(delta), DEN)
+        assert poincare.eval_one() == z.coeff(delta - 1)
+
+
+def test_pole_at_one_is_an_integrity_error(monkeypatch):
+    # at the singular Delta = 0 of v0 the numerator is -(t-1)^2, which
+    # cancels both factors t - 1 of DEN; off by 1 it cancels neither
+    from instanton_zeta import results
+    build = results.proposition_series
+
+    def perturbed(tag, trunc):
+        series = build(tag, trunc)
+        return series + QSeries.from_pairs(LAURENT, [(0, 1)], series.trunc, 1)
+
+    monkeypatch.setattr(results, "proposition_series", perturbed)
+    with pytest.raises(IntegrityError) as err:
+        ztilde.__wrapped__("v0", 2)
+    assert str(err.value) == "v0: pole of order 2 at t = 1"
 
 
 def test_euler_table_builds_the_assembly_once():
