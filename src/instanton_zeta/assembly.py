@@ -15,14 +15,14 @@ from __future__ import annotations
 import functools
 import time
 from fractions import Fraction
-from math import comb, floor
+from math import floor
 
 from .errors import ConfigurationError, IntegrityError
-from .forms import eta_pow_inverse, gen_form, sieve
+from .forms import gen_form, sieve
 from .laurent import LPoly
 from .lattice import (coset_parities, coset_points, d8_ambient,
                       zn_shell_counts_dp)
-from .qseries import LAURENT, QQ, QSeries
+from .qseries import LAURENT, QQ, QSeries, euler_product
 from .report import IdentityResult, VerifyReport, compare
 from .surface import CLASSES, SURFACE, C1Class, pair, vec_add, vec_scale
 from .tratfunc import exact_quotient
@@ -30,38 +30,25 @@ from .tratfunc import exact_quotient
 _BETTI = {"X": (1, 10, 1), "Sigma1": (1, 2, 1)}
 
 
-def _geometric_power(t_pow, q_pow, mult, trunc):
-    """1 / (1 - t^t_pow q^q_pow)^mult as an exact q-series."""
-    trunc = Fraction(trunc)
-    kmax = int(trunc / q_pow)
-    pairs = [(k * q_pow, LPoly.t_pow(t_pow * k, comb(k + mult - 1, k)))
-             for k in range(kmax + 1)]
-    return QSeries.from_pairs(LAURENT, pairs, trunc, 1)
+def zeta_factors(surface, t_pow, q_pow):
+    """The Weil-style zeta 1/((1-u)(1-tu)^b2 (1-t^2 u)) of the surface under
+    u = t^t_pow q^q_pow, as ``euler_product`` factor triples."""
+    return [(LPoly.t_pow(t_pow + i), q_pow, b)
+            for i, b in enumerate(_BETTI[surface])]
 
 
-def zeta_factor(surface, u_t_power, u_q_power, trunc):
-    """Weil-style zeta 1/((1-u)(1-tu)^b2 (1-t^2 u)) of the surface under
-    the monomial substitution u = t^u_t_power q^u_q_power."""
-    if u_q_power < 1:
-        raise ValueError("u must carry a positive power of q")
-    b0, b2, b4 = _BETTI[surface]
-    out = _geometric_power(u_t_power, u_q_power, b0, trunc)
-    out = out * _geometric_power(u_t_power + 1, u_q_power, b2, trunc)
-    out = out * _geometric_power(u_t_power + 2, u_q_power, b4, trunc)
-    return out
+def _zeta_product(surface, shifts, trunc):
+    """prod_{a >= 1} of Z(surface, t^(2a+s) q^a) over s in shifts, exact:
+    factors with a > trunc are 1 + O(q^(>trunc))."""
+    return euler_product(LAURENT, [
+        f for a in range(1, floor(trunc) + 1) for s in shifts
+        for f in zeta_factors(surface, 2 * a + s, a)], trunc)
 
 
 @functools.lru_cache(maxsize=None)
 def zeta_product_x(trunc):
-    """prod_{a >= 1} Z(X, t^(2a-1) q^a)^2, exact: factors with a > trunc
-    are 1 + O(q^(>trunc))."""
-    trunc = Fraction(trunc)
-    out = QSeries.constant(LAURENT, 1, trunc)
-    a = 1
-    while a <= trunc:
-        out = out * zeta_factor("X", 2 * a - 1, a, trunc) ** 2
-        a += 1
-    return out
+    """prod_{a >= 1} Z(X, t^(2a-1) q^a)^2, exact."""
+    return _zeta_product("X", (-1, -1), trunc)
 
 
 # Every rational prefactor of the assembly divides one polynomial,
@@ -78,17 +65,12 @@ def vacuum_product(kind, trunc):
     1/((t^2-1)(t-1)) prefactor: F is the product of Z(Sigma1, t^(2a-2) q^a)
     Z(Sigma1, t^(2a) q^a) over a >= 1, G is F less the product of
     Z(Sigma1, t^(2a-1) q^a)^2."""
-    trunc = Fraction(trunc)
-    if kind not in ("F", "G"):
-        raise ValueError(f"unknown vacuum kind {kind!r}")
-    shifts = (-2, 0) if kind == "F" else (-1, -1)
-    out = QSeries.constant(LAURENT, 1, trunc)
-    a = 1
-    while a <= trunc:
-        for s in shifts:
-            out = out * zeta_factor("Sigma1", 2 * a + s, a, trunc)
-        a += 1
-    return out if kind == "F" else vacuum_product("F", trunc) - out
+    if kind == "F":
+        return _zeta_product("Sigma1", (-2, 0), trunc)
+    if kind == "G":
+        return (vacuum_product("F", trunc)
+                - _zeta_product("Sigma1", (-1, -1), trunc))
+    raise ValueError(f"unknown vacuum kind {kind!r}")
 
 
 def _odd_gap_ratio(k):
@@ -129,14 +111,9 @@ def a_sum(i, trunc):
 
 @functools.lru_cache(maxsize=None)
 def pochhammer16_inverse(trunc):
-    """1 / prod_{a >= 1} (1 - u^a)^16 under u = t^2 q, read off
-    q^(2/3) / eta^16."""
-    trunc = Fraction(trunc)
-    shift = Fraction(2, 3)
-    inv16 = eta_pow_inverse(1, 16, trunc - shift).shift_exp(shift)
-    pairs = [(e, LPoly.t_pow(2 * int(e), int(c)))
-             for e, c in inv16.pairs()]
-    return QSeries.from_pairs(LAURENT, pairs, trunc, 1)
+    """1 / prod_{a >= 1} (1 - u^a)^16 under u = t^2 q."""
+    factors = [(LPoly.t_pow(2 * a), a, 16) for a in range(1, floor(trunc) + 1)]
+    return euler_product(LAURENT, factors, trunc)
 
 
 # -- rank-8 coset thetas under u = t^2 q --------------------------------------
@@ -231,7 +208,8 @@ def smoothness_report(tag, trunc):
     nonempty."""
     trunc = Fraction(trunc)
     t0 = time.perf_counter()   # the first line's time includes the build
-    series = proposition_series(tag, trunc)
+    # ztilde's order: the same coefficients to trunc, and one build for both
+    series = proposition_series(tag, trunc + 1)
     results = []
     c1 = CLASSES[tag]
     delta = c1.grid_offset

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import floor
 
 from .errors import InstantonZetaError
 from .formexpr import DERIVED_FORMS, _exact
-from .qseries import DEFAULT_DENOM, QQ, QSeries
+from .qseries import DEFAULT_DENOM, QQ, QSeries, euler_product
 from .report import VerifyReport, compare
 
 
@@ -146,12 +147,12 @@ def sieve(trunc, fn):
 
 @functools.lru_cache(maxsize=None)
 def eta_pow_inverse(scale, power, trunc):
-    """1 / eta(scale * tau)^power, exact to trunc."""
-    trunc = Fraction(trunc)
-    scale = Fraction(scale)
+    """1 / eta(scale tau)^power = q^-lead / prod_(n>=1) (1 - q^(scale n))^power
+    with lead = power scale / 24, exact to trunc."""
     lead = Fraction(power, 24) * scale
-    eta = gen_form("eta", trunc + 2 * lead, scale)
-    return (eta ** power).inverse().truncate(trunc)
+    top = (trunc + lead) / scale   # the truncation in q^scale
+    factors = [(1, n, power) for n in range(1, floor(top) + 1)]
+    return euler_product(QQ, factors, top).dilate(scale).shift_exp(-lead)
 
 
 def verify_section1(trunc, provider=None):

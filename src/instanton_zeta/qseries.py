@@ -35,6 +35,12 @@ bits, which makes ``|slot| < 2**(w - 1)``.  Slots in that range are the
 unique signed base-``2**w`` digits of the sum, which the unpack reads back.
 Inverses are Newton steps ``x <- x - x (u x - 1)`` on the unit part
 ``u``, each one a pair of kernel products that doubles the exact range.
+
+Every infinite product ``P = prod (1 - x q^a)^(-m)`` over factor triples
+``(x, a, m)`` (``x`` in the ring, ``a >= 1``, ``m`` of either sign) is built
+by ``euler_product`` from its logarithmic derivative ``q P'/P = sum s_k q^k``,
+``s_k = sum_{a | k} m a x^(k/a)``: Euler's recurrence ``n p_n = sum_{k=1..n}
+s_k p_(n-k)``, one pass of plain ring multiply-adds from ``p_0 = 1``.
 """
 
 from __future__ import annotations
@@ -507,3 +513,23 @@ class QSeries:
         if not diffs:
             return None
         return Fraction(min(diffs), a.denom)
+
+
+
+def euler_product(ring, factors, trunc):
+    """``prod (1 - x q^a)^(-m)`` over the triples ``(x, a, m)``, exact to
+    ``trunc``, by Euler's recurrence (see the module docstring)."""
+    top = floor(trunc)
+    s = [ring.zero] * (top + 1)
+    for x, a, m in factors:
+        if a < 1:
+            raise ValueError(f"factor q^{a} is not a positive power of q")
+        for j in range(1, top // a + 1):
+            s[a * j] += m * a * ring.coerce(x) ** j
+    p = [ring.one]
+    for n in range(1, top + 1):
+        p.append(sum((s[k] * p[n - k] for k in range(1, n + 1)), ring.zero)
+                 * Fraction(1, n))
+    # a negative trunc knows no coefficient, not even p_0
+    terms = {n: c for n, c in enumerate(p[:top + 1]) if c}
+    return QSeries(ring, 1, trunc, terms, _checked=True)

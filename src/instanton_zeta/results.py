@@ -169,21 +169,20 @@ def _double_sum(trunc, term):
 
 # -- theorem assembly ----------------------------------------------------------
 
-def partition_functions(trunc):
-    """The pipeline partition functions and those derived from them by the
-    stated relations, keyed by label."""
-    trunc = Fraction(trunc)
-    funcs = {tag: ztilde(tag, trunc) for tag in PIPELINE_LABELS}
-    v0, even, odd = (funcs[tag].series for tag in PIPELINE_LABELS)
-    f_v0 = v0 + eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
-    for key, label, series in (
-            ("f_v0", "Zt_f_v0", f_v0), ("f_vEven", "Zt_f_vEven", even),
-            ("f_vOdd", "Zt_f_vOdd", odd),
-            ("0", "Zt_0", (v0 + f_v0).scale(Fraction(1, 2))),
-            ("even", "Zt_even", even), ("odd", "Zt_odd", odd),
-            ("v0_int", "Zt_v0_int", f_v0)):
-        funcs[key] = PartitionFunction(label, series, "relation")
-    return funcs
+# key -> (tag, c): Zt_key = Zt_tag + c / eta(2 tau)^12, Zt_0 = (v0 + f_v0)/2
+RELATIONS = {"f_v0": ("v0", Fraction(1, 4)), "f_vEven": ("vEven", 0),
+             "f_vOdd": ("vOdd", 0), "0": ("v0", Fraction(1, 8)),
+             "even": ("vEven", 0), "odd": ("vOdd", 0),
+             "v0_int": ("v0", Fraction(1, 4))}
+
+
+def relation(key, trunc):
+    """One stated relation, built from the one pipeline class it reads."""
+    tag, c = RELATIONS[key]
+    series = ztilde(tag, trunc).series
+    if c:
+        series = series + eta_pow_inverse(2, 12, trunc).scale(c)
+    return PartitionFunction(f"Zt_{key}", series, "relation")
 
 
 def assemble_theorem(trunc):
@@ -195,7 +194,8 @@ def assemble_theorem(trunc):
                        lambda: (ztilde(tag, trunc).series,
                                 main_closed_form(tag, trunc)), trunc)
                for tag in ("vEven", "vOdd", "v0")]
-    funcs = partition_functions(trunc)   # the pipeline part is cached now
+    funcs = {tag: ztilde(tag, trunc) for tag in PIPELINE_LABELS}
+    funcs.update((key, relation(key, trunc)) for key in RELATIONS)
 
     # the eta identity behind the final rewriting of the c1 = 0 form
     def eta_identity():
@@ -231,10 +231,8 @@ def assemble_theorem(trunc):
 
     # integrality where smoothness or intersection cohomology demands it
     t0 = time.perf_counter()
-    integral_labels = ["vEven", "vOdd", "f_v0", "f_vEven", "f_vOdd",
-                       "even", "odd", "v0_int"]
     bad = []
-    for key in integral_labels:
+    for key in [key for key in funcs if key not in ("v0", "0")]:
         for e, c in funcs[key].series.pairs():
             if c.denominator != 1:
                 bad.append((funcs[key].label, e, c))
@@ -348,7 +346,9 @@ class EulerTable:
     rows: list
 
 
-TABLE_CLASSES = ("v0", "even", "odd", "lambda0", "lambdaEven", "lambdaOdd")
+TABLE_SOURCES = {"v0": "v0", "even": "vEven", "odd": "vOdd",
+                 "lambda0": "0", "lambdaEven": "even", "lambdaOdd": "odd"}
+TABLE_CLASSES = tuple(TABLE_SOURCES)
 
 
 def euler_table(class_tag, max_delta):
@@ -358,20 +358,15 @@ def euler_table(class_tag, max_delta):
         raise ValueError(f"unknown table class {class_tag!r}; "
                          f"choose from {TABLE_CLASSES}")
     max_delta = Fraction(max_delta)
-    lam = class_tag.startswith("lambda")
-    base = {"v0": "v0", "even": "vEven", "odd": "vOdd",
-            "lambda0": "v0", "lambdaEven": "vEven",
-            "lambdaOdd": "vOdd"}[class_tag]
+    source = TABLE_SOURCES[class_tag]
+    base = RELATIONS[source][0] if source in RELATIONS else source
     offset = CLASSES[base].grid_offset
     if max_delta < offset:
         raise TruncationError(
             f"max_delta {max_delta} below the first grid point {offset}")
 
-    if lam:
-        series = partition_functions(max_delta)[
-            {"lambda0": "0", "lambdaEven": "even",
-             "lambdaOdd": "odd"}[class_tag]].series
-        prop = None
+    if source in RELATIONS:
+        series, prop = relation(source, max_delta).series, None
     else:
         series = ztilde(base, max_delta).series
         # ztilde built the assembly one order further; its coefficients up

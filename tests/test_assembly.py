@@ -7,10 +7,10 @@ from instanton_zeta.assembly import (DEN, a_sum, check_asum_closed_forms,
                                      proposition_series, smoothness_report,
                                      theta_coset_sub, vacuum_product,
                                      verify_wall_oracle, wall_sum_oracle,
-                                     zeta_factor, zeta_product_x)
+                                     zeta_factors, zeta_product_x)
 from instanton_zeta.errors import IntegrityError
 from instanton_zeta.laurent import LPoly
-from instanton_zeta.qseries import LAURENT, QQ, QSeries
+from instanton_zeta.qseries import LAURENT, QQ, QSeries, euler_product
 from instanton_zeta.tratfunc import exact_quotient, value_at_one
 
 _T = LPoly.t_pow(1)
@@ -20,6 +20,10 @@ ONE = LPoly.const(1)
 
 def tp(k, c=1):
     return LPoly.t_pow(k, c)
+
+
+def zeta_factor(surface, t_pow, q_pow, trunc):
+    return euler_product(LAURENT, zeta_factors(surface, t_pow, q_pow), trunc)
 
 
 def test_zeta_factor_first_order():

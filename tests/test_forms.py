@@ -7,7 +7,8 @@ from instanton_zeta.cli import FORM_LEAVES
 from instanton_zeta.errors import InstantonZetaError
 from instanton_zeta.formexpr import DERIVED_FORMS
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
-                                  FormProvider, gen_form, verify_section1)
+                                  FormProvider, eta_pow_inverse, gen_form,
+                                  verify_section1)
 from instanton_zeta.lattice import zn_shell_counts_dp
 from instanton_zeta.numeric import eval_leaf
 from instanton_zeta.qseries import DEFAULT_DENOM, QQ, QSeries
@@ -36,6 +37,20 @@ def test_eta_pentagonal_sum_equals_euler_product(trunc):
     want = euler_product_eta(trunc)
     assert got.pairs() == want.pairs()
     assert got.trunc == want.trunc and got.denom == want.denom
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), 1, 2, 3])
+@pytest.mark.parametrize("power", [1, 8, 12, 16, 24])
+def test_eta_pow_inverse_equals_the_inverted_eta_power(scale, power):
+    # the old route: the pentagonal eta to trunc + 2 lead, raised to the
+    # power and inverted by Newton steps
+    lead = Fraction(power, 24) * scale
+    for trunc in (0, Fraction(7, 3), 12):
+        got = eta_pow_inverse(scale, power, trunc)
+        eta = gen_form("eta", trunc + 2 * lead, scale)
+        want = (eta ** power).inverse().truncate(trunc)
+        assert got.pairs() == want.pairs()
+        assert got.trunc == want.trunc
 
 
 def test_every_leaf_has_one_definition():

@@ -11,7 +11,7 @@ from instanton_zeta.errors import (FractionalExponentError,
                                    TruncationError)
 from instanton_zeta.forms import gen_form
 from instanton_zeta.laurent import LPoly
-from instanton_zeta.qseries import LAURENT, QQ, QSeries
+from instanton_zeta.qseries import LAURENT, QQ, QSeries, euler_product
 
 
 def qs(pairs, trunc, denom=1, ring=QQ):
@@ -91,6 +91,53 @@ def test_kernel_product_matches_dict_product(factors):
     assert (got.denom, got.trunc) == (want.denom, want.trunc)
     assert got.terms == want.terms
     assert repr(got.pairs()) == repr(want.pairs())
+
+
+@st.composite
+def _euler_factors(draw):
+    """A ring, factor triples (x, a, m) with signed rational x (over
+    Q[t,1/t] one or two terms with t-shifts), a in 1..4, m of both signs,
+    and a truncation from 0 through fractions below 1 to 8."""
+    ring = draw(st.sampled_from([QQ, LAURENT]))
+
+    def x():
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        if ring is QQ:
+            return c
+        off = draw(st.integers(-2, 3))
+        tail = draw(st.fractions(min_value=-2, max_value=2,
+                                 max_denominator=3))
+        return LPoly.from_pairs([(off, c), (off + draw(st.integers(1, 2)),
+                                            tail)])
+
+    factors = [(x(), draw(st.integers(1, 4)), draw(st.integers(-3, 3)))
+               for _ in range(draw(st.integers(0, 4)))]
+    trunc = draw(st.fractions(min_value=0, max_value=8, max_denominator=4))
+    return ring, factors, trunc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_euler_factors())
+def test_euler_product_matches_the_factor_by_factor_product(case):
+    ring, factors, trunc = case
+    want = QSeries.constant(ring, 1, trunc)
+    for x, a, m in factors:
+        pairs = [(0, 1)] + ([(a, -x)] if a <= trunc else [])
+        want = want * QSeries.from_pairs(ring, pairs, trunc, 1) ** (-m)
+    got = euler_product(ring, factors, trunc)
+    assert got.trunc == want.trunc
+    assert got.pairs() == want.pairs()
+
+
+@pytest.mark.parametrize("a", [0, -1])
+def test_euler_product_needs_a_positive_power_of_q(a):
+    with pytest.raises(ValueError, match="not a positive power of q"):
+        euler_product(QQ, [(1, a, 1)], 3)
+
+
+def test_euler_product_at_a_negative_truncation_knows_no_term():
+    got = euler_product(LAURENT, [(LPoly.t_pow(1), 1, 2)], Fraction(-1, 2))
+    assert got.is_zero() and got.trunc == Fraction(-1, 2)
 
 
 def test_polynomial_product_builds_no_coefficient_per_pair(monkeypatch):

@@ -7,8 +7,9 @@ from instanton_zeta.errors import IntegrityError, TruncationError
 from instanton_zeta.formexpr import as_qseries
 from instanton_zeta.forms import gen_form
 from instanton_zeta.qseries import LAURENT, QSeries
-from instanton_zeta.results import (assemble_theorem, check_limit_lemmas,
-                                    euler_table, gauge_partition_functions,
+from instanton_zeta.results import (TABLE_CLASSES, assemble_theorem,
+                                    check_limit_lemmas, euler_table,
+                                    gauge_partition_functions,
                                     main_closed_form, theorem_closed_form,
                                     ztilde, zw_forms)
 from instanton_zeta.tratfunc import exact_quotient
@@ -167,9 +168,21 @@ def test_pole_at_one_is_an_integrity_error(monkeypatch):
     assert str(err.value) == "v0: pole of order 2 at t = 1"
 
 
-def test_euler_table_builds_the_assembly_once():
+@pytest.mark.parametrize("table_class", TABLE_CLASSES)
+def test_euler_table_builds_the_assembly_once(table_class):
+    # a lambda table reads the one pipeline class its relation reads
     from instanton_zeta.assembly import proposition_series
     proposition_series.cache_clear()
     ztilde.cache_clear()
-    euler_table("v0", 3)
+    euler_table(table_class, 3)
+    assert proposition_series.cache_info().misses == 1
+
+
+def test_smoothness_then_ztilde_builds_the_assembly_once():
+    # verify --suite all runs the smoothness suite, then the theorem suite
+    from instanton_zeta.assembly import proposition_series, smoothness_report
+    proposition_series.cache_clear()
+    ztilde.cache_clear()
+    smoothness_report("vEven", 3)
+    ztilde("vEven", 3)
     assert proposition_series.cache_info().misses == 1
