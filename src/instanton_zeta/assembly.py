@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import ConfigurationError, IntegrityError
-from .forms import gen_form, sieve
+from .forms import double_sum, gen_form, sieve
 from .laurent import LPoly
 from .lattice import (coset_parities, coset_points, d8_ambient,
                       zn_shell_counts_dp)
@@ -84,29 +84,16 @@ def a_sum(i, trunc):
     exponents 4mn / 2m(2n-1) / (2m-1)2n / (2m-1)(2n-1) in u, weight
     (t^(2m) - t^(-2m))/(t-1) for i in (1, 2) and the odd analogue for
     i in (3, 4)."""
-    trunc = Fraction(trunc)
     if i not in (1, 2, 3, 4):
         raise ValueError("index must be 1..4")
 
-    def u_exp(m, n):
-        mf = 2 * m if i in (1, 2) else 2 * m - 1
-        nf = 2 * n if i in (1, 3) else 2 * n - 1
-        return mf * nf
-
-    terms = {}
-    m = 1
-    while u_exp(m, 1) <= trunc:
+    def term(m, n):
         k = 2 * m if i in (1, 2) else 2 * m - 1
-        weight = _odd_gap_ratio(k)
-        n = 1
-        while u_exp(m, n) <= trunc:
-            e = u_exp(m, n)
-            # u^e = t^(2e) q^e
-            terms[e] = terms.get(e, LAURENT.zero) + weight.shift(2 * e)
-            n += 1
-        m += 1
-    pairs = [(e, c) for e, c in terms.items() if c]
-    return QSeries.from_pairs(LAURENT, pairs, trunc, 1)
+        e = k * (2 * n if i in (1, 3) else 2 * n - 1)
+        # u^e = t^(2e) q^e
+        return e, _odd_gap_ratio(k).shift(2 * e)
+
+    return double_sum(LAURENT, trunc, term)
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InstantonZetaError
+from .formexpr import CLOSED_FORMS, E2Slot, leaf
 from .report import VerifyReport
 
 SUITES = ("section1", "d8", "limit-lemmas", "smoothness", "wall-oracle",
@@ -27,7 +28,7 @@ SUITES = ("section1", "d8", "limit-lemmas", "smoothness", "wall-oracle",
 
 FORM_LEAVES = ("theta2", "theta3", "theta4", "BigTheta", "E2", "E2hat",
                "E4", "eta", "e1", "F", "P0", "Peven", "Podd")
-FORM_LABELS = ("Z_SU2", "Z_SO3", "Z0", "Z_even", "Z_odd", "Zw0", "Zw1")
+FORMS = FORM_LEAVES + tuple(CLOSED_FORMS)
 
 # working precision range of eval and sduality: sduality at tau = i takes
 # under a second at the cap, while 10^8 digits ran over a minute unanswered
@@ -107,7 +108,7 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate a named form")
     common(p_eval)
     p_eval.add_argument("--form", required=True,
-                        help=f"one of {FORM_LEAVES + FORM_LABELS}")
+                        help=f"one of {FORMS}")
     p_eval.add_argument("--scale", type=_fraction, default=Fraction(1),
                         help="argument scaling k for f(k tau)")
     p_eval.add_argument("--tau", help="evaluation point a+bi")
@@ -266,21 +267,11 @@ def cmd_table(args):
 # -- eval ----------------------------------------------------------------------
 
 def _form_expr(name):
-    from .formexpr import E2Slot, leaf
-    from .results import gauge_partition_functions, mnvw_form_expr, zw_forms
     if name in FORM_LEAVES:
         return E2Slot() if name == "E2hat" else leaf(name)
-    if name in ("Z0", "Z_even", "Z_odd"):
-        return mnvw_form_expr({"Z0": "0", "Z_even": "even",
-                               "Z_odd": "odd"}[name])
-    if name in ("Z_SU2", "Z_SO3"):
-        su2, so3 = gauge_partition_functions()
-        return su2.expr if name == "Z_SU2" else so3.expr
-    if name in ("Zw0", "Zw1"):
-        w0, w1 = zw_forms()
-        return w0 if name == "Zw0" else w1
-    raise InstantonZetaError(
-        f"unknown form {name!r}; choose from {FORM_LEAVES + FORM_LABELS}")
+    if name in CLOSED_FORMS:
+        return CLOSED_FORMS[name]
+    raise InstantonZetaError(f"unknown form {name!r}; choose from {FORMS}")
 
 
 def _json_float(x):

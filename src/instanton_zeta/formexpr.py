@@ -118,6 +118,42 @@ DERIVED_FORMS = {
 }
 
 
+def _averaged(bracket):
+    """-1/24 eta^-24 times the bracket: the shape of the three averaged
+    closed forms."""
+    return (Pow(leaf("eta"), -24) * bracket).scaled(Fraction(-1, 24))
+
+
+_TH2, _TH3, _TH4 = leaf("theta2"), leaf("theta3"), leaf("theta4")
+_EIGHTH = Fraction(1, 8)
+_Z0 = _averaged(E2Slot() * leaf("P0")
+                + (_TH3 ** 4 * _TH4 ** 4 - (_TH2 ** 8).scaled(_EIGHTH))
+                * (_TH3 ** 4 + _TH4 ** 4))
+_ZEVEN = _averaged(E2Slot() * leaf("Peven").scaled(Fraction(1, 135))
+                   - (_TH2 ** 8 * (_TH3 ** 4 + _TH4 ** 4)).scaled(_EIGHTH))
+_ZODD = _averaged(E2Slot() * leaf("Podd").scaled(Fraction(1, 120))
+                  - (_TH2 ** 4 * leaf("E4")).scaled(_EIGHTH))
+_ETA_HALF = Pow(leaf("eta", _HALF), -12)
+_ETA_HALF_SHIFTED = Pow(leaf("eta", _HALF, 1), -12)
+
+# The closed partition functions, each defined once with the weight-2 slot
+# unresolved: the SU(2) and SO(3) combinations of the S-duality law, the
+# three averaged functions, and the two section-class functions (numeric
+# only: the half-period-shifted eta has no rational q-series).  Both
+# evaluators, the results module and the CLI read them here.
+CLOSED_FORMS = {
+    "Z_SU2": (_Z0.scaled(_HALF)
+              + Pow(leaf("eta", 2), -12).scaled(Fraction(-1, 16))),
+    "Z_SO3": (_Z0.scaled(2) + _ZEVEN.scaled(270) + _ZODD.scaled(240)
+              + _ETA_HALF.scaled(256)),
+    "Z0": _Z0,
+    "Z_even": _ZEVEN,
+    "Z_odd": _ZODD,
+    "Zw0": _ETA_HALF.scaled(_HALF) + _ETA_HALF_SHIFTED.scaled(0, _HALF),
+    "Zw1": _ETA_HALF.scaled(_HALF) + _ETA_HALF_SHIFTED.scaled(0, -_HALF),
+}
+
+
 def _exact(node, trunc, e2_mode, provider):
     from .forms import gen_form
     from .qseries import QQ

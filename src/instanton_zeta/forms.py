@@ -145,6 +145,25 @@ def sieve(trunc, fn):
                               Fraction(trunc), 1)
 
 
+def double_sum(ring, trunc, term):
+    """The series sum of c q^e over m, n >= 1, with (e, c) = term(m, n)
+    and e increasing in both m and n."""
+    trunc = Fraction(trunc)
+    acc = {}
+    m = 1
+    while term(m, 1)[0] <= trunc:
+        n = 1
+        while True:
+            e, c = term(m, n)
+            if e > trunc:
+                break
+            acc[e] = acc.get(e, ring.zero) + c
+            n += 1
+        m += 1
+    return QSeries.from_pairs(ring, [(e, c) for e, c in acc.items() if c],
+                              trunc, 1)
+
+
 @functools.lru_cache(maxsize=None)
 def eta_pow_inverse(scale, power, trunc):
     """1 / eta(scale tau)^power = q^-lead / prod_(n>=1) (1 - q^(scale n))^power

@@ -67,7 +67,8 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionError
-from .formexpr import DERIVED_FORMS, Add, Const, E2Slot, Leaf, Mul, Pow, Scal
+from .formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, Const, E2Slot, Leaf,
+                       Mul, Pow, Scal)
 from .forms import DIVISOR_LEAVES, GAUSSIAN_LEAVES
 
 MIN_IM = 0.05          # reject evaluation closer to the real axis
@@ -289,12 +290,10 @@ def sduality_check(tau, digits=40, resolution="anomaly"):
     of the SO(3) function at tau.  With the anomaly-corrected slot this is
     the transformation law and is pass/fail; resolving the slot
     holomorphically is a diagnostic that only reports the residual."""
-    from .results import gauge_partition_functions
     t0 = time.perf_counter()
     tau = mp.mpc(tau)
     if mp.im(tau) <= 0:
         raise PrecisionError("tau must lie in the upper half-plane")
-    su2, so3 = gauge_partition_functions()
     with mp.workdps(digits + 15):
         tau_dual = -1 / tau
         for name, point in (("tau", tau), ("-1/tau", tau_dual)):
@@ -303,11 +302,16 @@ def sduality_check(tau, digits=40, resolution="anomaly"):
                     f"Im({name}) = {mp.nstr(mp.im(point), 5)} below the "
                     f"configured minimum {MIN_IM} for the given tau = "
                     f"{mp.nstr(tau, 5)}")
-        lhs = eval_form(su2.expr, tau_dual, digits, e2_mode=resolution)
-        so3_val = eval_form(so3.expr, tau, digits, e2_mode=resolution)
+        lhs = eval_form(CLOSED_FORMS["Z_SU2"], tau_dual, digits,
+                        e2_mode=resolution)
+        so3_val = eval_form(CLOSED_FORMS["Z_SO3"], tau, digits,
+                            e2_mode=resolution)
         rhs = -(tau / 1j) ** (-6) / 64 * so3_val
         rel = abs(lhs - rhs) / abs(rhs)
-        threshold = mp.mpf(10) ** (-(digits - 10))
+        # 10 digits of slack from 20 digits on, half the digits below: at
+        # 10 digits a slack of 10 would pass anything, the holomorphic
+        # slot's residual of about 0.3 included
+        threshold = mp.mpf(10) ** (-(digits - min(10, digits // 2)))
         passed = bool(rel < threshold) if resolution == "anomaly" else None
     return SDualityReport(
         tau=complex(tau), digits=digits, resolution=resolution,

@@ -37,10 +37,6 @@ class VerifyReport:
     def ok(self):
         return all(r.passed for r in self.results)
 
-    def extend(self, other):
-        self.results.extend(other.results)
-        return self
-
     def lines(self):
         return [r.line() for r in self.results]
 

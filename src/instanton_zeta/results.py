@@ -1,12 +1,12 @@
-"""t -> 1 limits, partition functions, closed-form comparisons, and the
-gauge-theoretic combinations entering the S-duality check.
+"""t -> 1 limits, partition functions and closed-form comparisons.
 
 The per-coefficient limit of the wall-crossing assembly produces the
 Euler-characteristic generating functions (prefixed by q^(-1), one
 negative power from q^(-2 chi / 24) with chi = 12).  The f-shifted classes
 enter through their stated relations to the unshifted ones; the averaged
-functions are compared against closed forms in eta, theta and
-Eisenstein series with a holomorphic weight-2 slot.
+functions are compared against their closed forms in
+``formexpr.CLOSED_FORMS``, expanded with the holomorphic weight-2 series in
+the slot.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .assembly import DEN, proposition_series, vacuum_product
 from .errors import IntegrityError, PoleAtOneError, TruncationError
-from .formexpr import E2Slot, FormExpr, Pow, as_qseries, leaf
-from .forms import eta_pow_inverse, gen_form, sieve
+from .formexpr import CLOSED_FORMS, as_qseries
+from .forms import double_sum, eta_pow_inverse, gen_form, sieve
 from .laurent import LPoly
 from .lattice import b_substituted
 from .qseries import QQ, QSeries
@@ -27,15 +27,14 @@ from .report import IdentityResult, VerifyReport, compare
 from .surface import CLASSES, V0
 from .tratfunc import exact_quotient, value_at_one
 
-PIPELINE_LABELS = {"v0": "Zt_v0", "vEven": "Zt_vEven", "vOdd": "Zt_vOdd"}
+# key -> (tag, c): Zt_key = Zt_tag + c / eta(2 tau)^12, Zt_0 = (v0 + f_v0)/2
+RELATIONS = {"f_v0": ("v0", Fraction(1, 4)), "f_vEven": ("vEven", 0),
+             "f_vOdd": ("vOdd", 0), "0": ("v0", Fraction(1, 8)),
+             "even": ("vEven", 0), "odd": ("vOdd", 0),
+             "v0_int": ("v0", Fraction(1, 4))}
 
-
-@dataclass
-class PartitionFunction:
-    label: str
-    series: QSeries | None
-    provenance: str                 # "pipeline" | "closed-form" | "relation"
-    expr: FormExpr | None = None
+# the averaged functions Zt_lam -> their closed forms
+LAMBDA_FORMS = {"0": "Z0", "even": "Z_even", "odd": "Z_odd"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,28 +58,29 @@ def ztilde(tag, trunc):
             raise IntegrityError(
                 f"{tag}: non-integer Euler characteristic {c} at "
                 f"Delta = {delta}")
-    return PartitionFunction(PIPELINE_LABELS[tag], series, "pipeline")
+    return series
 
 
 @functools.lru_cache(maxsize=None)
 def theorem_closed_form(lam, trunc):
-    """Closed form of an averaged partition function: its expression from
-    ``mnvw_form_expr`` expanded with the holomorphic weight-2 series in the
-    slot."""
-    return as_qseries(mnvw_form_expr(lam), trunc, e2_mode="E2")
+    """Closed form of an averaged partition function, expanded with the
+    holomorphic weight-2 series in the slot."""
+    return as_qseries(CLOSED_FORMS[LAMBDA_FORMS[lam]], trunc, e2_mode="E2")
 
 
 @functools.lru_cache(maxsize=None)
 def main_closed_form(tag, trunc):
-    """Closed forms of the three unshifted partition functions: even and odd
-    agree with their averaged forms, the trivial class differs by
-    1/(8 eta(2 tau)^12)."""
-    lam = {"v0": "0", "vEven": "even", "vOdd": "odd"}.get(tag)
+    """Closed form of an unshifted partition function: the closed form of
+    the averaged function whose relation reads the class, less the
+    relation's c / eta(2 tau)^12."""
+    lam = next((lam for lam in LAMBDA_FORMS if RELATIONS[lam][0] == tag),
+               None)
     if lam is None:
         raise ValueError(f"unknown class tag {tag!r}")
     out = theorem_closed_form(lam, trunc)
-    if tag == "v0":
-        out = out - eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 8))
+    c = RELATIONS[lam][1]
+    if c:
+        out = out - eta_pow_inverse(2, 12, trunc).scale(c)
     return out
 
 
@@ -124,8 +124,8 @@ def check_limit_lemmas(trunc):
         b0t = b_substituted(0, trunc)
         b01 = b_substituted(0, trunc, char=False)
         lhs = at_one(b0t - b01, _RULED)
-        s1 = _double_sum(trunc, lambda m, n: (m * (2 * n - 1),
-                                              (-1) ** m * m))
+        s1 = double_sum(QQ, trunc, lambda m, n: (m * (2 * n - 1),
+                                                 (-1) ** m * m))
         return lhs, s1.scale(Fraction(-1, 2)) * gen_form("theta3", trunc, 2)
 
     # blow-up limit, half-shifted factor (with the -1/8 correction); the
@@ -135,7 +135,7 @@ def check_limit_lemmas(trunc):
         b1t = b_substituted(Fraction(1, 2), trunc, t_scale=2)
         b11 = b_substituted(Fraction(1, 2), trunc, char=False, t_scale=2)
         lhs = at_one(b1t - b11, _RULED.stretch(2))
-        s2 = _double_sum(trunc, lambda m, n: (2 * m * n, (-1) ** m * m))
+        s2 = double_sum(QQ, trunc, lambda m, n: (2 * m * n, (-1) ** m * m))
         return lhs, ((s2 - Fraction(1, 8)).scale(Fraction(-1, 2))
                      * gen_form("theta2", trunc, 2))
 
@@ -149,52 +149,28 @@ def check_limit_lemmas(trunc):
              blowup_half))])
 
 
-def _double_sum(trunc, term):
-    """sum over m, n > 0 of c * q^e with (e, c) = term(m, n)."""
-    trunc = Fraction(trunc)
-    acc = {}
-    m = 1
-    while term(m, 1)[0] <= trunc:
-        n = 1
-        while True:
-            e, c = term(m, n)
-            if e > trunc:
-                break
-            acc[e] = acc.get(e, 0) + c
-            n += 1
-        m += 1
-    return QSeries.from_pairs(QQ, [(e, c) for e, c in acc.items() if c],
-                              trunc, 1)
-
-
 # -- theorem assembly ----------------------------------------------------------
-
-# key -> (tag, c): Zt_key = Zt_tag + c / eta(2 tau)^12, Zt_0 = (v0 + f_v0)/2
-RELATIONS = {"f_v0": ("v0", Fraction(1, 4)), "f_vEven": ("vEven", 0),
-             "f_vOdd": ("vOdd", 0), "0": ("v0", Fraction(1, 8)),
-             "even": ("vEven", 0), "odd": ("vOdd", 0),
-             "v0_int": ("v0", Fraction(1, 4))}
-
 
 def relation(key, trunc):
     """One stated relation, built from the one pipeline class it reads."""
     tag, c = RELATIONS[key]
-    series = ztilde(tag, trunc).series
+    series = ztilde(tag, trunc)
     if c:
         series = series + eta_pow_inverse(2, 12, trunc).scale(c)
-    return PartitionFunction(f"Zt_{key}", series, "relation")
+    return series
 
 
 def assemble_theorem(trunc):
     """Build all partition functions (pipeline + relations), compare with
     the closed forms, and run the structural checks.  Returns the report
-    and the functions keyed by label."""
+    and the series keyed by class tag or relation key; the function of
+    key k is Zt_k."""
     trunc = Fraction(trunc)
     results = [compare(f"pipeline Zt_{tag} = closed form",
-                       lambda: (ztilde(tag, trunc).series,
+                       lambda: (ztilde(tag, trunc),
                                 main_closed_form(tag, trunc)), trunc)
                for tag in ("vEven", "vOdd", "v0")]
-    funcs = {tag: ztilde(tag, trunc) for tag in PIPELINE_LABELS}
+    funcs = {tag: ztilde(tag, trunc) for tag in ("v0", "vEven", "vOdd")}
     funcs.update((key, relation(key, trunc)) for key in RELATIONS)
 
     # the eta identity behind the final rewriting of the c1 = 0 form
@@ -209,7 +185,7 @@ def assemble_theorem(trunc):
     for lam in ("0", "even", "odd"):
         hits = theorem_closed_form.cache_info().hits
         result = compare(f"Zt_{lam} = theorem closed form",
-                         lambda: (funcs[lam].series,
+                         lambda: (funcs[lam],
                                   theorem_closed_form(lam, trunc)), trunc)
         if theorem_closed_form.cache_info().hits > hits:
             result.note = "; ".join(filter(None, (
@@ -218,7 +194,7 @@ def assemble_theorem(trunc):
         results.append(result)
 
     # intersection-cohomology variant and the conjecture shape
-    v0, v0_int = funcs["v0"].series, funcs["v0_int"].series
+    v0, v0_int = funcs["v0"], funcs["v0_int"]
 
     def c4():
         return eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
@@ -233,27 +209,27 @@ def assemble_theorem(trunc):
     t0 = time.perf_counter()
     bad = []
     for key in [key for key in funcs if key not in ("v0", "0")]:
-        for e, c in funcs[key].series.pairs():
+        for e, c in funcs[key].pairs():
             if c.denominator != 1:
-                bad.append((funcs[key].label, e, c))
+                bad.append((key, e, c))
     for key in ("v0", "0"):
-        for e, c in funcs[key].series.pairs():
+        for e, c in funcs[key].pairs():
             if V0.is_smooth(e + 1) and c.denominator != 1:
-                bad.append((funcs[key].label, e, c))
+                bad.append((key, e, c))
     results.append(IdentityResult(
         name="integrality of Euler characteristics (smooth and "
              "intersection-cohomology classes; odd Delta for the "
              "singular family)",
         max_exponent=trunc, passed=not bad,
-        note="; ".join(f"{l}[q^{e}]={c}" for l, e, c in bad[:4]),
+        note="; ".join(f"Zt_{key}[q^{e}]={c}" for key, e, c in bad[:4]),
         seconds=time.perf_counter() - t0))
 
     # grid structure: leading exponents of the even and odd families; the
     # odd family is empty below its first term at q^(1/2)
     t0 = time.perf_counter()
-    lead_even = funcs["even"].series.leading()[0]
-    lead_odd = (None if funcs["odd"].series.is_zero()
-                else funcs["odd"].series.leading()[0])
+    lead_even = funcs["even"].leading()[0]
+    lead_odd = (None if funcs["odd"].is_zero()
+                else funcs["odd"].leading()[0])
     want_odd = Fraction(1, 2) if trunc >= Fraction(1, 2) else None
     results.append(IdentityResult(
         name="leading exponents: even at q^0, odd at q^(1/2)",
@@ -265,7 +241,7 @@ def assemble_theorem(trunc):
     # diagnostic: the singular-space discrepancy series (difference between
     # the pipeline average and the closed form with the slot holomorphic)
     t0 = time.perf_counter()
-    disc = funcs["0"].series - theorem_closed_form("0", trunc)
+    disc = funcs["0"] - theorem_closed_form("0", trunc)
     results.append(IdentityResult(
         name="singular-discrepancy series (diagnostic, not asserted)",
         max_exponent=trunc, passed=True,
@@ -274,59 +250,6 @@ def assemble_theorem(trunc):
         seconds=time.perf_counter() - t0))
 
     return VerifyReport(suite="theorem", results=results), funcs
-
-
-# -- gauge combinations --------------------------------------------------------
-
-def mnvw_form_expr(lam):
-    """The three closed partition-function expressions with the weight-2
-    slot left unresolved."""
-    th2, th3, th4 = leaf("theta2"), leaf("theta3"), leaf("theta4")
-    inv24 = Pow(leaf("eta"), -24)
-    eighth = Fraction(1, 8)
-    if lam == "0":
-        bracket = (E2Slot() * leaf("P0")
-                   + (th3 ** 4 * th4 ** 4 - (th2 ** 8).scaled(eighth))
-                   * (th3 ** 4 + th4 ** 4))
-    elif lam == "even":
-        bracket = (E2Slot() * leaf("Peven").scaled(Fraction(1, 135))
-                   - (th2 ** 8 * (th3 ** 4 + th4 ** 4)).scaled(eighth))
-    elif lam == "odd":
-        bracket = (E2Slot() * leaf("Podd").scaled(Fraction(1, 120))
-                   - (th2 ** 4 * leaf("E4")).scaled(eighth))
-    else:
-        raise ValueError(f"unknown lambda label {lam!r}")
-    return (inv24 * bracket).scaled(Fraction(-1, 24))
-
-
-def gauge_partition_functions(trunc=None):
-    """The two gauge-group partition functions as expressions (weight-2
-    slot unresolved), with exact holomorphic expansions when a truncation
-    is supplied."""
-    z0 = mnvw_form_expr("0")
-    zeven = mnvw_form_expr("even")
-    zodd = mnvw_form_expr("odd")
-    half = Fraction(1, 2)
-    su2 = z0.scaled(half) + Pow(leaf("eta", 2), -12).scaled(Fraction(-1, 16))
-    so3 = (z0.scaled(2) + zeven.scaled(270) + zodd.scaled(240)
-           + Pow(leaf("eta", half), -12).scaled(256))
-    series_su2 = series_so3 = None
-    if trunc is not None:
-        series_su2 = as_qseries(su2, trunc, e2_mode="E2")
-        series_so3 = as_qseries(so3, trunc, e2_mode="E2")
-    return (PartitionFunction("Z_SU2", series_su2, "closed-form", su2),
-            PartitionFunction("Z_SO3", series_so3, "closed-form", so3))
-
-
-def zw_forms():
-    """The two section-class partition functions (numeric-only: the
-    half-period-shifted eta has no rational q-series)."""
-    half = Fraction(1, 2)
-    a = Pow(leaf("eta", half), -12)
-    b = Pow(leaf("eta", half, 1), -12)
-    w0 = a.scaled(half) + b.scaled(0, half)
-    w1 = a.scaled(half) + b.scaled(0, -half)
-    return w0, w1
 
 
 # -- presentation --------------------------------------------------------------
@@ -366,9 +289,9 @@ def euler_table(class_tag, max_delta):
             f"max_delta {max_delta} below the first grid point {offset}")
 
     if source in RELATIONS:
-        series, prop = relation(source, max_delta).series, None
+        series, prop = relation(source, max_delta), None
     else:
-        series = ztilde(base, max_delta).series
+        series = ztilde(base, max_delta)
         # ztilde built the assembly one order further; its coefficients up
         # to max_delta are the same, so this is a cache hit
         prop = proposition_series(base, max_delta + 1)

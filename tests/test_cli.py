@@ -9,7 +9,8 @@ import mpmath as mp
 import pytest
 
 import instanton_zeta
-from instanton_zeta.cli import main, parse_tau, table_to_dict
+from instanton_zeta.cli import FORM_LEAVES, main, parse_tau, table_to_dict
+from instanton_zeta.formexpr import CLOSED_FORMS
 from instanton_zeta.results import euler_table
 
 # the child interpreter imports the package this test imported, whether it
@@ -241,6 +242,19 @@ def test_eval_requires_target(capsys):
 
 def test_eval_unknown_form(capsys):
     assert main(["eval", "--form", "nope", "--tau", "i"]) == 1
+
+
+def test_eval_forms_are_the_leaves_and_the_closed_forms(capsys):
+    for name in FORM_LEAVES + tuple(CLOSED_FORMS):
+        assert main(["eval", "--form", name, "--tau", "i",
+                     "--digits", "10"]) == 0, name
+    capsys.readouterr()
+    assert main(["eval", "--form", "nope", "--tau", "i"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown form 'nope'; choose from ('theta2', 'theta3', "
+        "'theta4', 'BigTheta', 'E2', 'E2hat', 'E4', 'eta', 'e1', 'F', 'P0', "
+        "'Peven', 'Podd', 'Z_SU2', 'Z_SO3', 'Z0', 'Z_even', 'Z_odd', 'Zw0', "
+        "'Zw1')\n")
 
 
 def test_sduality_pass(capsys):

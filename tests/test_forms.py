@@ -7,8 +7,8 @@ from instanton_zeta.cli import FORM_LEAVES
 from instanton_zeta.errors import InstantonZetaError
 from instanton_zeta.formexpr import DERIVED_FORMS
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
-                                  FormProvider, eta_pow_inverse, gen_form,
-                                  verify_section1)
+                                  FormProvider, double_sum, eta_pow_inverse,
+                                  gen_form, sieve, verify_section1)
 from instanton_zeta.lattice import zn_shell_counts_dp
 from instanton_zeta.numeric import eval_leaf
 from instanton_zeta.qseries import DEFAULT_DENOM, QQ, QSeries
@@ -51,6 +51,16 @@ def test_eta_pow_inverse_equals_the_inverted_eta_power(scale, power):
         want = (eta ** power).inverse().truncate(trunc)
         assert got.pairs() == want.pairs()
         assert got.trunc == want.trunc
+
+
+@pytest.mark.parametrize("trunc", [0, Fraction(13, 2), 12])
+def test_double_sum_is_the_signed_divisor_sum(trunc):
+    # sum over m, n >= 1 of (-1)^m q^(mn) is sum_k (sum_(d | k) (-1)^d) q^k,
+    # whose coefficient vanishes at k = 2, 6, 10
+    got = double_sum(QQ, trunc, lambda m, n: (m * n, (-1) ** m))
+    want = sieve(trunc, lambda k: sum((-1) ** d for d in range(1, k + 1)
+                                      if k % d == 0))
+    assert got.pairs() == want.pairs() and got.trunc == want.trunc
 
 
 def test_every_leaf_has_one_definition():

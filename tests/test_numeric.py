@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,17 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import instanton_zeta
 import instanton_zeta.numeric as numeric
 from instanton_zeta.errors import PrecisionError
-from instanton_zeta.formexpr import (DERIVED_FORMS, E2Slot, Mul, Pow,
-                                     as_qseries, leaf)
+from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, E2Slot, Mul,
+                                     Pow, as_qseries, leaf)
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
                                   gen_form, sigma_odd_n_table,
                                   sigma_odd_table, sigma_table)
 from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _qpow, _tail_cutoff,
                                     eval_form, sduality_check)
-from instanton_zeta.results import (gauge_partition_functions,
-                                    mnvw_form_expr, zw_forms)
 
 TAU = mp.mpc(0.13, 1.21)
 
@@ -235,12 +237,11 @@ def test_exact_vs_numeric_consistency_eisenstein():
 
 
 def _closed_exprs():
-    su2, so3 = gauge_partition_functions()
     exprs = {name: leaf(name)
              for name in (*DERIVED_FORMS, *DIVISOR_LEAVES, *GAUSSIAN_LEAVES)}
-    exprs.update({"Z0": mnvw_form_expr("0"), "Z_even": mnvw_form_expr("even"),
-                  "Z_odd": mnvw_form_expr("odd"), "Z_SU2": su2.expr,
-                  "Z_SO3": so3.expr})
+    # every closed form with a q-series (Zw0 and Zw1 have none)
+    exprs.update((name, CLOSED_FORMS[name])
+                 for name in ("Z0", "Z_even", "Z_odd", "Z_SU2", "Z_SO3"))
     return exprs
 
 
@@ -266,10 +267,10 @@ def test_exact_gauge_truncations_within_tail_bound():
     # r^e over quarter steps e > T; at Im tau >= 2 each term is below half
     # the one before, so the summed terms plus the last one bound the rest.
     T = 8
-    su2, so3 = gauge_partition_functions(T)
-    long = gauge_partition_functions(24)
-    for pf in long:
-        for e, c in pf.series.pairs():
+    names = ("Z_SU2", "Z_SO3")
+    short = {name: as_qseries(CLOSED_FORMS[name], T) for name in names}
+    for name in names:
+        for e, c in as_qseries(CLOSED_FORMS[name], 24).pairs():
             assert abs(c) <= math.exp(4 * math.pi * math.sqrt(e + 1)), e
     with mp.workdps(65):
         for tau in (mp.mpc(0, 2), mp.mpc(0.5, 2), mp.mpc(-0.31, 2.7)):
@@ -278,9 +279,9 @@ def test_exact_gauge_truncations_within_tail_bound():
                      for e in (T + mp.mpf(k) / 4 for k in range(1, 41))]
             assert all(b < a / 2 for a, b in zip(terms, terms[1:]))
             tail = mp.fsum(terms) + terms[-1]
-            for pf in (su2, so3):
-                exact = eval_exact_series_at(pf.series, tau, digits=50)
-                num = eval_form(pf.expr, tau, 50, e2_mode="E2")
+            for name in names:
+                exact = eval_exact_series_at(short[name], tau, digits=50)
+                num = eval_form(CLOSED_FORMS[name], tau, 50, e2_mode="E2")
                 # the bound is tight enough to matter: 4e-29 at Im tau = 2,
                 # where |Z| is about 1e4
                 assert tail < mp.mpf(10) ** -20 * abs(num)
@@ -293,7 +294,7 @@ def test_min_im_rejected():
 
 
 def test_zw_sum_is_eta_inverse_power():
-    w0, w1 = zw_forms()
+    w0, w1 = CLOSED_FORMS["Zw0"], CLOSED_FORMS["Zw1"]
     with mp.workdps(55):
         lhs = eval_form(w0, TAU, 40) + eval_form(w1, TAU, 40)
         rhs = eval_form(Pow(leaf("eta", Fraction(1, 2)), -12), TAU, 40)
@@ -307,6 +308,30 @@ def test_sduality_at_required_points(tau):
     assert report.passed
     assert report.rel_error < 1e-30
     assert report.seconds < 30
+
+
+@pytest.mark.parametrize("tau", [mp.mpc(0, 1), mp.mpc(0.3, 1.1),
+                                 mp.mpc(-0.2, 0.9)])
+def test_sduality_at_ten_digits_rejects_the_holomorphic_slot(tau):
+    # at the smallest --digits the threshold still separates the law from
+    # the wrong one: the holomorphic slot's residual is above it
+    report = sduality_check(tau, digits=10)
+    assert report.passed
+    assert sduality_check(tau, 10, "E2").rel_error > report.threshold
+
+
+def test_sduality_check_leaves_results_unimported():
+    # the check reads its two trees from formexpr, not from results
+    src = os.path.dirname(os.path.dirname(instanton_zeta.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys\n"
+            "from instanton_zeta.numeric import sduality_check\n"
+            "assert sduality_check(1j).passed\n"
+            "print('instanton_zeta.results' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _stratified_taus(seed, columns, rows):

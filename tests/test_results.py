@@ -4,37 +4,36 @@ import pytest
 
 from instanton_zeta.assembly import DEN
 from instanton_zeta.errors import IntegrityError, TruncationError
-from instanton_zeta.formexpr import as_qseries
+from instanton_zeta.formexpr import CLOSED_FORMS, as_qseries
 from instanton_zeta.forms import gen_form
 from instanton_zeta.qseries import LAURENT, QSeries
 from instanton_zeta.results import (TABLE_CLASSES, assemble_theorem,
                                     check_limit_lemmas, euler_table,
-                                    gauge_partition_functions,
                                     main_closed_form, theorem_closed_form,
-                                    ztilde, zw_forms)
+                                    ztilde)
 from instanton_zeta.tratfunc import exact_quotient
 
 ORDER = 10
 
 
 def test_ztilde_vodd_leading_cancellation():
-    z = ztilde("vOdd", ORDER).series
+    z = ztilde("vOdd", ORDER)
     assert z.coeff(Fraction(-1, 2)) == 0
     assert z.coeff(Fraction(1, 2)) == 20
 
 
 def test_ztilde_grids_and_integrality():
-    zev = ztilde("vEven", ORDER).series
+    zev = ztilde("vEven", ORDER)
     assert zev.leading()[0] == 0
     assert all(e.denominator == 1 and c.denominator == 1
                for e, c in zev.pairs())
-    zodd = ztilde("vOdd", ORDER).series
+    zodd = ztilde("vOdd", ORDER)
     assert zodd.leading()[0] == Fraction(1, 2)
     assert all(c.denominator == 1 for _, c in zodd.pairs())
 
 
 def test_ztilde_v0_singular_rationals():
-    z = ztilde("v0", ORDER).series
+    z = ztilde("v0", ORDER)
     assert z.coeff(-1) == Fraction(-1, 4)
     # odd-Delta (even exponent) coefficients are honest Euler numbers
     assert all(z.coeff(e).denominator == 1
@@ -43,7 +42,7 @@ def test_ztilde_v0_singular_rationals():
 
 def test_pipeline_matches_closed_forms():
     for tag in ("v0", "vEven", "vOdd"):
-        z = ztilde(tag, ORDER).series
+        z = ztilde(tag, ORDER)
         closed = main_closed_form(tag, ORDER)
         assert z.first_difference(closed, upto=ORDER) is None, tag
 
@@ -55,14 +54,29 @@ def test_check_limit_lemmas():
 def test_assemble_theorem_small():
     report, funcs = assemble_theorem(8)
     assert report.ok
-    z0 = funcs["0"].series
+    z0 = funcs["0"]
     assert z0.coeff(-1) == Fraction(-1, 8)
-    assert funcs["f_v0"].series.coeff(-1) == 0
-    assert all(c.denominator == 1 for _, c in funcs["f_v0"].series.pairs())
-    assert funcs["even"].series.first_difference(
-        funcs["vEven"].series) is None
-    assert funcs["v0_int"].series.first_difference(
-        funcs["f_v0"].series) is None
+    assert funcs["f_v0"].coeff(-1) == 0
+    assert all(c.denominator == 1 for _, c in funcs["f_v0"].pairs())
+    assert funcs["even"].first_difference(funcs["vEven"]) is None
+    assert funcs["v0_int"].first_difference(funcs["f_v0"]) is None
+
+
+def test_integrality_note_names_the_function(monkeypatch):
+    # a relation with a non-integer c breaks integrality at its first term
+    from instanton_zeta import results
+    monkeypatch.setitem(results.RELATIONS, "f_vEven",
+                        ("vEven", Fraction(1, 3)))
+    report, _ = assemble_theorem(2)
+    line = next(r for r in report.results
+                if r.name.startswith("integrality"))
+    assert not line.passed
+    assert line.note == "Zt_f_vEven[q^-1]=1/3"
+
+
+def test_main_closed_form_rejects_an_unknown_class():
+    with pytest.raises(ValueError, match="unknown class tag 'f_v0'"):
+        main_closed_form("f_v0", 2)
 
 
 def test_theorem_lines_name_the_closed_form_cache_hit():
@@ -81,24 +95,24 @@ def test_theorem_lines_name_the_closed_form_cache_hit():
 
 
 def test_gauge_partition_functions_exact_heads():
-    su2, so3 = gauge_partition_functions(3)
-    assert su2.series.coeff(-1) == Fraction(-1, 8)
+    su2 = as_qseries(CLOSED_FORMS["Z_SU2"], 3)
+    so3 = as_qseries(CLOSED_FORMS["Z_SO3"], 3)
+    assert su2.coeff(-1) == Fraction(-1, 8)
     # the ruling-class term contributes 256 q^(-1/4) to the SO(3) function
-    assert so3.series.coeff(Fraction(-1, 4)) == 256
-    assert so3.series.coeff(-1) == Fraction(-1, 4)
-    assert su2.provenance == "closed-form" and su2.expr is not None
+    assert so3.coeff(Fraction(-1, 4)) == 256
+    assert so3.coeff(-1) == Fraction(-1, 4)
 
 
 def test_su2_is_half_z0_minus_eta_term():
-    su2, _ = gauge_partition_functions(5)
+    su2 = as_qseries(CLOSED_FORMS["Z_SU2"], 5)
     z0 = theorem_closed_form("0", 5)
     eta2_12_inv = (gen_form("eta", 8, 2) ** 12).inverse().truncate(5)
     want = z0.scale(Fraction(1, 2)) - eta2_12_inv.scale(Fraction(1, 16))
-    assert su2.series.first_difference(want) is None
+    assert su2.first_difference(want) is None
 
 
 def test_zw_forms_exist_numeric_only():
-    w0, w1 = zw_forms()
+    w0 = CLOSED_FORMS["Zw0"]
     from instanton_zeta.errors import FractionalExponentError
     from instanton_zeta.errors import InstantonZetaError
     with pytest.raises((FractionalExponentError, InstantonZetaError)):
@@ -146,7 +160,7 @@ def test_euler_table_bad_request():
 def test_smooth_chi_equals_poincare_at_one():
     from instanton_zeta.assembly import proposition_series
     prop = proposition_series("vEven", 5)
-    z = ztilde("vEven", 5).series
+    z = ztilde("vEven", 5)
     for delta in range(1, 6):
         poincare = exact_quotient(prop.coeff(delta), DEN)
         assert poincare.eval_one() == z.coeff(delta - 1)
