@@ -6,7 +6,8 @@ was out of range, 2 usage errors (bad flags, unparsable tau, tau off the
 upper half-plane, --digits outside 10..1000, --scale <= 0).
 All rational quantities are serialized as exact fraction strings; floats
 appear only in the numeric evaluation output, and a value outside the
-double range is null there, with its digits in ``value_str``.
+double range is null there, with its digits in ``value_str`` (--digits
+significant digits).
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ def cmd_eval(args):
         out["tau"] = str(tau)
         out["value"] = {"re": _json_float(val.real),
                         "im": _json_float(val.imag)}
-        out["value_str"] = str(val)
+        out["value_str"] = mp.nstr(val, args.digits)
         out["e2_resolution"] = args.e2
     if args.format == "json":
         print(json.dumps(out, indent=2))

@@ -11,11 +11,11 @@ theta4, eta) sums c (+-1)^k x^(n^2) over the progressions n = n0 + k d in
 integer powers of x = q^(1/m) (so no branch ambiguity), until a term
 falls below eps/100.  Where c0 = 0 (theta2, eta, F), the kernel sums the
 quotient by the lowest monomial, x^(n0^2) or q (every s(1) is 1), and
-multiplies it by that monomial in floating point.  The bounds below are
-absolute, so on the quotient they are relative, and the leaf keeps its
-relative accuracy where q lies far below the fixed-point grid.  The
-divisor tail target is then eps |q| / |w|: the quotient's tail is the
-plain one over |q|.
+multiplies it by that monomial in floating point, as a power of the x or
+q it has already computed.  The bounds below are absolute, so on the
+quotient they are relative, and the leaf keeps its relative accuracy
+where q lies far below the fixed-point grid.  The divisor tail target is
+then eps |q| / |w|: the quotient's tail is the plain one over |q|.
 
 The sums run in fixed point.  Each kernel rounds q (or x) once to the
 nearest pair of integers scaled by 2^P, runs the recurrence as integer
@@ -50,18 +50,27 @@ digits against eps = 10^-(digits+5), so 2^-prec < 10^-(digits+15).  Every
 bound above is then far below the eps/100 = 10^-(digits+7) of the
 termination tests.
 
-One ``eval_form`` call computes each (leaf, argument) pair once: the
-values live in a dict passed down the tree walk, keyed on the leaf name,
-the scaled argument and the tolerance, and dropped when the call returns.
-Every value still comes from the leaf's own sum at that argument, never
-through a modular transformation, which is what the S-duality check
-tests."""
+``eval_form`` compiles an expression once, on its first evaluation, into
+a program kept per expression object: its structurally distinct subtrees
+in postorder (equal subtrees, compared as frozen dataclasses, share one
+step), one step per distinct argument k tau (+ 1/2), and its
+Gaussian-rational constants, converted to mpc once per working
+precision.  A call runs the steps in order, each reading the values of
+earlier steps, with the same arithmetic as a walk of the tree, so the
+values agree bit for bit.  One call computes each (leaf, argument) pair
+once: the values live in a dict passed to every program the call runs (a
+derived leaf runs its own), keyed on the leaf name, the argument and the
+tolerance, and dropped when the call returns.  A divisor leaf's integer
+coefficients w s(n) are built once per (leaf, cutoff) and kept.  Every
+leaf value still comes from the leaf's own sum at its own argument,
+never through a modular transformation, which is what the S-duality
+check tests."""
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp
@@ -156,21 +165,30 @@ def _gauss(tau, m, c0, progressions, eps):
         else:
             raise PrecisionError("Gaussian sum did not converge")
     value = _from_fixed(total_r, total_i, p)
-    return value * _qpow(tau, Fraction(lead, m)) if lead else value
+    return value * x ** lead if lead else value
 
 
-def _eisenstein(tau, c0, w, table, degree, eps):
+@functools.lru_cache(maxsize=None)
+def _divisor_coefficients(name, n_max):
+    """The integer coefficients w s(n), 1 <= n <= n_max, of a divisor leaf;
+    the cutoffs are 4 * 2^k below MAX_TERMS, so each leaf keeps at most
+    16 tables."""
+    _, w, table, _ = DIVISOR_LEAVES[name]
+    return tuple(w * s for s in table(n_max)[1:])
+
+
+def _eisenstein(name, tau, eps):
     """A divisor leaf of ``forms.DIVISOR_LEAVES`` at tau, by Horner over
     the integer coefficients."""
+    c0, w, _, degree = DIVISOR_LEAVES[name]
     q = mp.exp(2j * mp.pi * tau)
     absq = abs(q)
     lead = 0 if c0 else 1
     n_max = _tail_cutoff(absq, eps * (absq if lead else 1) / abs(w), degree)
-    sig = table(n_max)
     p = mp.mp.prec + 32 + (degree + 2) * (n_max + 1).bit_length()
     qr, qi = _fixed_pair(q, p)
     coeffs = ([(c0.numerator << p) // c0.denominator]
-              + [w * s << p for s in sig[1:]])
+              + [c << p for c in _divisor_coefficients(name, n_max)])
     re = im = 0
     for c in reversed(coeffs[lead:]):
         re, im = (((re * qr - im * qi) >> p) + c, (re * qi + im * qr) >> p)
@@ -178,20 +196,14 @@ def _eisenstein(tau, c0, w, table, degree, eps):
     return value * q if lead else value
 
 
-def _qpow(tau, exponent):
-    """exp(2 pi i tau * exponent) for rational exponent (branch-free)."""
-    e = Fraction(exponent)
-    return mp.exp(2j * mp.pi * tau * mp.mpf(e.numerator) / e.denominator)
-
-
 def eval_leaf(name, tau, eps, values):
     """Value of one named form at tau: a primitive leaf from its table in
     ``forms``, a derived form through its tree, reading and filling
-    ``values`` like ``_eval_node``."""
+    ``values`` like ``eval_form``."""
     if name in DERIVED_FORMS:
-        return _eval_node(DERIVED_FORMS[name], tau, eps, "E2", values)
+        return _run(_program(DERIVED_FORMS[name]), tau, eps, "E2", values)
     if name in DIVISOR_LEAVES:
-        return _eisenstein(tau, *DIVISOR_LEAVES[name], eps)
+        return _eisenstein(name, tau, eps)
     if name in GAUSSIAN_LEAVES:
         return _gauss(tau, *GAUSSIAN_LEAVES[name], eps)
     raise ValueError(f"no numeric evaluator for leaf {name!r}")
@@ -205,42 +217,139 @@ def _leaf_value(name, tau, eps, values):
     return val
 
 
-def _eval_node(node, tau, eps, e2_mode, values):
-    """Value of an expression tree; ``values`` holds the leaf values
-    already computed in this evaluation, keyed on (name, argument, eps)."""
-    if isinstance(node, Leaf):
-        tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
-        if node.half_shift:
-            tt = tt + mp.mpf(1) / 2
-        return _leaf_value(node.name, tt, eps, values)
-    if isinstance(node, E2Slot):
-        tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
-        val = _leaf_value("E2", tt, eps, values)
-        if e2_mode == "anomaly":
-            val -= 3 / (mp.pi * mp.im(tt))
-        return val
-    if isinstance(node, Const):
-        return mp.mpc(node.value.numerator) / node.value.denominator
-    if isinstance(node, Add):
-        return mp.fsum(_eval_node(c, tau, eps, e2_mode, values)
-                       for c in node.children)
-    if isinstance(node, Mul):
-        out = mp.mpc(1)
-        for c in node.children:
-            out *= _eval_node(c, tau, eps, e2_mode, values)
-        return out
-    if isinstance(node, Pow):
-        return _eval_node(node.base, tau, eps, e2_mode, values) ** node.n
-    if isinstance(node, Scal):
-        w = (mp.mpc(node.re.numerator) / node.re.denominator
-             + 1j * mp.mpc(node.im.numerator) / node.im.denominator)
-        return w * _eval_node(node.child, tau, eps, e2_mode, values)
-    raise TypeError(f"unknown expression node {node!r}")
+# The steps of a compiled program, each a tuple led by its opcode:
+# (_ARG, num, den, half_shift) makes the argument num tau / den (+ 1/2);
+# (_LEAF, name, arg) and (_SLOT, arg) are a named form and the weight-2
+# slot there; (_CONST, k) is the k-th constant; (_ADD, children),
+# (_MUL, children), (_POW, base, n) and (_SCAL, k, child) combine earlier
+# steps, named by their index.
+_ARG, _LEAF, _SLOT, _CONST, _ADD, _MUL, _POW, _SCAL = range(8)
+
+
+class _Program:
+    """A form tree compiled for numeric evaluation: its structurally
+    distinct subtrees and arguments as steps in postorder, and its
+    Gaussian-rational constants, converted to mpc once per working
+    precision."""
+
+    def __init__(self, expr):
+        self.steps = []
+        self.constants = []     # the Const and Scal nodes, in step order
+        self._index = {}        # subtree or argument key -> step index
+        self._by_prec = {}
+        self._compile(expr)
+
+    def _step(self, key, step):
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self.steps)
+            self.steps.append(step)
+        return index
+
+    def _arg(self, scale, half_shift=0):
+        return self._step(("arg", scale, half_shift),
+                          (_ARG, scale.numerator, scale.denominator,
+                           half_shift))
+
+    def _constant(self, node):
+        self.constants.append(node)
+        return len(self.constants) - 1
+
+    def _compile(self, node):
+        index = self._index.get(node)
+        if index is not None:
+            return index
+        if isinstance(node, Leaf):
+            step = (_LEAF, node.name, self._arg(node.scale, node.half_shift))
+        elif isinstance(node, E2Slot):
+            step = (_SLOT, self._arg(node.scale))
+        elif isinstance(node, Const):
+            step = (_CONST, self._constant(node))
+        elif isinstance(node, (Add, Mul)):
+            step = (_ADD if isinstance(node, Add) else _MUL,
+                    tuple(self._compile(c) for c in node.children))
+        elif isinstance(node, Pow):
+            step = (_POW, self._compile(node.base), node.n)
+        elif isinstance(node, Scal):
+            step = (_SCAL, self._constant(node), self._compile(node.child))
+        else:
+            raise TypeError(f"unknown expression node {node!r}")
+        return self._step(node, step)
+
+    def constants_at(self, prec):
+        values = self._by_prec.get(prec)
+        if values is None:
+            values = self._by_prec[prec] = [
+                mp.mpc(c.value.numerator) / c.value.denominator
+                if isinstance(c, Const) else
+                (mp.mpc(c.re.numerator) / c.re.denominator
+                 + 1j * mp.mpc(c.im.numerator) / c.im.denominator)
+                for c in self.constants]
+        return values
+
+
+# compiled programs by expression object; each entry holds its expression,
+# so no other object can take the id while the entry lives
+_PROGRAMS = {}
+_MAX_PROGRAMS = 256
+
+
+def _program(expr):
+    entry = _PROGRAMS.get(id(expr))
+    if entry is None:
+        if len(_PROGRAMS) >= _MAX_PROGRAMS:
+            _PROGRAMS.clear()
+        entry = _PROGRAMS[id(expr)] = (expr, _Program(expr))
+    return entry[1]
+
+
+def _run(program, tau, eps, e2_mode, values):
+    """Value of a compiled expression at tau; ``values`` holds the leaf
+    values already computed in this evaluation, keyed on (name, argument,
+    eps)."""
+    constants = program.constants_at(mp.mp.prec)
+    vals = []
+    for step in program.steps:
+        op = step[0]
+        if op == _ARG:
+            val = tau * mp.mpf(step[1]) / step[2]
+            if step[3]:
+                val = val + mp.mpf(1) / 2
+        elif op == _LEAF:
+            val = _leaf_value(step[1], vals[step[2]], eps, values)
+        elif op == _SLOT:
+            tt = vals[step[1]]
+            val = _leaf_value("E2", tt, eps, values)
+            if e2_mode == "anomaly":
+                val = val - 3 / (mp.pi * mp.im(tt))
+        elif op == _CONST:
+            val = constants[step[1]]
+        elif op == _ADD:
+            val = mp.fsum([vals[i] for i in step[1]])
+        elif op == _MUL:
+            val = mp.mpc(1)
+            for i in step[1]:
+                val *= vals[i]
+        elif op == _POW:
+            val = vals[step[1]] ** step[2]
+        else:
+            val = constants[step[1]] * vals[step[2]]
+        vals.append(val)
+    return vals[-1]
+
+
+def _check_e2_mode(mode):
+    if mode not in ("anomaly", "E2"):
+        raise ValueError(f"unknown weight-2 slot mode {mode!r}: expected "
+                         f"'anomaly' or 'E2'")
 
 
 def eval_form(expr, tau, digits=40, e2_mode="anomaly", min_im=MIN_IM):
     """Value of the expression at tau (Im tau > 0), accurate to roughly the
-    requested number of digits."""
+    requested number of digits.  ``e2_mode`` resolves the weight-2 slot:
+    "anomaly" (the anomaly-corrected form) or "E2" (holomorphic)."""
+    _check_e2_mode(e2_mode)
+    program = _program(expr)
     tau = mp.mpc(tau)
     if mp.im(tau) < min_im:
         raise PrecisionError(
@@ -248,7 +357,7 @@ def eval_form(expr, tau, digits=40, e2_mode="anomaly", min_im=MIN_IM):
             f"minimum {min_im}")
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
-        val = _eval_node(expr, tau, eps, e2_mode, {})
+        val = _run(program, tau, eps, e2_mode, {})
     return val
 
 
@@ -289,8 +398,10 @@ def sduality_check(tau, digits=40, resolution="anomaly"):
     """Evaluate the SU(2) function at -1/tau against the weight -6 multiple
     of the SO(3) function at tau.  With the anomaly-corrected slot this is
     the transformation law and is pass/fail; resolving the slot
-    holomorphically is a diagnostic that only reports the residual."""
+    holomorphically (``resolution="E2"``) is a diagnostic that only
+    reports the residual."""
     t0 = time.perf_counter()
+    _check_e2_mode(resolution)
     tau = mp.mpc(tau)
     if mp.im(tau) <= 0:
         raise PrecisionError("tau must lie in the upper half-plane")

@@ -10,7 +10,8 @@ import pytest
 
 import instanton_zeta
 from instanton_zeta.cli import FORM_LEAVES, main, parse_tau, table_to_dict
-from instanton_zeta.formexpr import CLOSED_FORMS
+from instanton_zeta.formexpr import CLOSED_FORMS, leaf
+from instanton_zeta.numeric import eval_form
 from instanton_zeta.results import euler_table
 
 # the child interpreter imports the package this test imported, whether it
@@ -18,10 +19,10 @@ from instanton_zeta.results import euler_table
 _SRC = os.path.dirname(os.path.dirname(instanton_zeta.__file__))
 
 
-def run_cli(*args):
+def run_cli(*args, module="instanton_zeta.cli"):
     path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "instanton_zeta.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -167,6 +168,16 @@ def _strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")
     return json.loads(text, parse_constant=reject)
+
+
+def test_eval_value_str_carries_the_requested_digits(capsys):
+    assert main(["eval", "--form", "E4", "--tau", "i", "--digits", "60",
+                 "--format", "json"]) == 0
+    text = json.loads(capsys.readouterr().out)["value_str"]
+    with mp.workdps(80):
+        want = eval_form(leaf("E4"), 1j, 60)
+        got = mp.mpmathify(text)
+        assert abs(got - want) < mp.mpf(10) ** -58 * abs(want)
 
 
 def test_eval_json_beyond_float_range_is_strict(capsys):
@@ -329,3 +340,10 @@ def test_sduality_negative_real_part_equals_form(capsys):
     # argparse needs the --tau=value form when the real part is negative
     assert main(["sduality", "--tau=-0.2+0.9i", "--digits", "30"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_package_runs_as_a_module():
+    code, out, err = run_cli("sduality", "--tau", "i",
+                             module="instanton_zeta")
+    assert code == 0, err
+    assert "pass" in out

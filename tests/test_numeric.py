@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 import instanton_zeta
 import instanton_zeta.numeric as numeric
 from instanton_zeta.errors import PrecisionError
-from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, E2Slot, Mul,
-                                     Pow, as_qseries, leaf)
+from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, Const,
+                                     E2Slot, Leaf, Mul, Pow, Scal, as_qseries,
+                                     leaf)
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
                                   gen_form, sigma_odd_n_table,
                                   sigma_odd_table, sigma_table)
-from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _qpow, _tail_cutoff,
+from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _tail_cutoff,
                                     eval_form, sduality_check)
 
 TAU = mp.mpc(0.13, 1.21)
@@ -26,6 +27,12 @@ TAU = mp.mpc(0.13, 1.21)
 
 def _close(a, b, digits):
     return abs(a - b) < mp.mpf(10) ** (-digits)
+
+
+def _qpow(tau, exponent):
+    """exp(2 pi i tau * exponent) for rational exponent (branch-free)."""
+    e = Fraction(exponent)
+    return mp.exp(2j * mp.pi * tau * mp.mpf(e.numerator) / e.denominator)
 
 
 def eval_exact_series_at(series, tau, digits=40):
@@ -181,6 +188,148 @@ def test_kernel_leaves_where_q_rounds_to_zero():
             for name, value in want.items():
                 assert value != 0
                 assert abs(got[name] - value) < tol * abs(value), (name, tau)
+
+
+# -- oracle: the recursive tree walk that the compiled program replaced --------
+
+def _walk_leaf(name, tau, eps, values):
+    key = (name, tau, eps)
+    if key not in values:
+        values[key] = (walk_node(DERIVED_FORMS[name], tau, eps, "E2", values)
+                       if name in DERIVED_FORMS
+                       else numeric.eval_leaf(name, tau, eps, values))
+    return values[key]
+
+
+def walk_node(node, tau, eps, e2_mode, values):
+    """Value of an expression tree, revisiting every occurrence of a
+    subtree; ``values`` holds the leaf values already computed, keyed on
+    (name, argument, eps)."""
+    if isinstance(node, Leaf):
+        tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
+        if node.half_shift:
+            tt = tt + mp.mpf(1) / 2
+        return _walk_leaf(node.name, tt, eps, values)
+    if isinstance(node, E2Slot):
+        tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
+        val = _walk_leaf("E2", tt, eps, values)
+        if e2_mode == "anomaly":
+            val -= 3 / (mp.pi * mp.im(tt))
+        return val
+    if isinstance(node, Const):
+        return mp.mpc(node.value.numerator) / node.value.denominator
+    if isinstance(node, Add):
+        return mp.fsum(walk_node(c, tau, eps, e2_mode, values)
+                       for c in node.children)
+    if isinstance(node, Mul):
+        out = mp.mpc(1)
+        for c in node.children:
+            out *= walk_node(c, tau, eps, e2_mode, values)
+        return out
+    if isinstance(node, Pow):
+        return walk_node(node.base, tau, eps, e2_mode, values) ** node.n
+    if isinstance(node, Scal):
+        w = (mp.mpc(node.re.numerator) / node.re.denominator
+             + 1j * mp.mpc(node.im.numerator) / node.im.denominator)
+        return w * walk_node(node.child, tau, eps, e2_mode, values)
+    raise TypeError(f"unknown expression node {node!r}")
+
+
+def walk_form(expr, tau, digits, e2_mode):
+    """eval_form through the recursive walk."""
+    tau = mp.mpc(tau)
+    with mp.workdps(digits + 15):
+        eps = mp.mpf(10) ** (-(digits + 5))
+        return walk_node(expr, tau, eps, e2_mode, {})
+
+
+def _outcome(evaluate, *args):
+    """The raw value of an evaluation, or the type of what it raised."""
+    try:
+        return evaluate(*args)._mpc_
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+NAMED_LEAVES = (*DIVISOR_LEAVES, *GAUSSIAN_LEAVES, *DERIVED_FORMS)
+_SCALES = (Fraction(1, 2), Fraction(1), Fraction(2))
+_FRACTIONS = st.fractions(-7, 7, max_denominator=12)
+
+
+def _repeated(parts):
+    # one subtree at three places: as a factor, a summand and a power base
+    a, b = parts
+    return Mul((a, Add((b, a)), Pow(a, 2)))
+
+
+_TREES = st.recursive(
+    st.one_of(
+        st.builds(Leaf, st.sampled_from(NAMED_LEAVES),
+                  st.sampled_from(_SCALES), st.sampled_from((0, 1))),
+        st.builds(E2Slot, st.sampled_from(_SCALES)),
+        st.builds(Const, _FRACTIONS.filter(bool))),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(
+            lambda c: Add(tuple(c))),
+        st.lists(kids, min_size=1, max_size=3).map(
+            lambda c: Mul(tuple(c))),
+        st.builds(Pow, kids, st.sampled_from((-3, -2, -1, 0, 1, 2))),
+        st.builds(Scal, _FRACTIONS, _FRACTIONS.filter(bool), kids),
+        st.tuples(kids, kids).map(_repeated)),
+    max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_TREES, st.sampled_from([mp.mpc(0.13, 1.21), mp.mpc(-0.41, 0.93),
+                                mp.mpc(0, 1)]),
+       st.sampled_from([20, 40]))
+def test_compiled_program_matches_the_tree_walk(expr, tau, digits):
+    # bit for bit, in both slot modes, shared subtrees and the exceptions
+    # of a zero raised to a negative power included
+    for mode in ("anomaly", "E2"):
+        assert (_outcome(eval_form, expr, tau, digits, mode)
+                == _outcome(walk_form, expr, tau, digits, mode)), mode
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_closed_forms_match_the_tree_walk(name):
+    expr = CLOSED_FORMS[name]
+    for tau in (mp.mpc(0, 1), mp.mpc(0.3, 1.1), mp.mpc(-0.2, 0.9)):
+        for digits in (20, 40, 300):
+            for mode in ("anomaly", "E2"):
+                got = eval_form(expr, tau, digits, mode)
+                want = walk_form(expr, tau, digits, mode)
+                assert got._mpc_ == want._mpc_, (tau, digits, mode)
+
+
+def test_divisor_tables_are_built_once_per_cutoff(monkeypatch):
+    # one sieve per (leaf, cutoff), however many points read it
+    built = []
+    sieve = DIVISOR_LEAVES["E4"]
+
+    def counting(n_max):
+        built.append(n_max)
+        return sieve[2](n_max)
+
+    monkeypatch.setitem(DIVISOR_LEAVES, "E4", (*sieve[:2], counting,
+                                               sieve[3]))
+    numeric._divisor_coefficients.cache_clear()
+    for tau in (mp.mpc(0, 1), mp.mpc(0.2, 1), mp.mpc(0.4, 1)):
+        eval_form(leaf("E4"), tau, 40)
+    assert len(built) == 1
+    numeric._divisor_coefficients.cache_clear()
+
+
+@pytest.mark.parametrize("mode", ["anomally", "holomorphic", None])
+def test_eval_form_refuses_an_unknown_slot_mode(mode):
+    with pytest.raises(ValueError, match="'anomaly' or 'E2'"):
+        eval_form(E2Slot(), TAU, 20, e2_mode=mode)
+
+
+@pytest.mark.parametrize("resolution", ["anomally", "x"])
+def test_sduality_check_refuses_an_unknown_resolution(resolution):
+    with pytest.raises(ValueError, match="'anomaly' or 'E2'"):
+        sduality_check(TAU, 20, resolution=resolution)
 
 
 def test_theta3_at_i_closed_form():
