@@ -5,9 +5,11 @@ brute-force oracle that recomputes the wall terms from raw degree-2
 cohomology classes.
 
 Everything here is a QSeries over the Laurent polynomials in t; the
-substitution u = t^2 q is baked into each constructor.  The assemblies are
-built as Laurent-polynomial numerators over the one denominator DEN, with
-no division; ``tratfunc`` applies DEN where a value is read.
+substitution u = t^2 q is baked into each constructor, and the rank-8
+coset thetas are ``lattice.d8_theta_ambient`` read to half the order.  The
+assemblies are built as Laurent-polynomial numerators over the one
+denominator DEN, with no division; ``tratfunc`` applies DEN where a value
+is read.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from math import floor
 from .errors import ConfigurationError, IntegrityError
 from .forms import double_sum, gen_form, sieve
 from .laurent import LPoly
-from .lattice import (coset_parities, coset_points, d8_ambient,
-                      zn_shell_counts_dp)
+from .lattice import coset_points, d8_ambient, d8_theta_ambient
 from .qseries import LAURENT, QQ, QSeries, euler_product
 from .report import IdentityResult, VerifyReport, compare
 from .surface import CLASSES, SURFACE, C1Class, pair, vec_add, vec_scale
 from .tratfunc import exact_quotient
 
-_BETTI = {"X": (1, 10, 1), "Sigma1": (1, 2, 1)}
+_BETTI = {"X": SURFACE.betti, "Sigma1": SURFACE.sigma1_betti}
 
 
 def zeta_factors(surface, t_pow, q_pow):
@@ -56,7 +57,8 @@ def zeta_product_x(trunc):
 # numerators over DEN, so every product stays polynomial, and DEN is
 # applied only where a coefficient is read.
 _T = LPoly.t_pow(1)
-DEN = 2 * _T * (_T - 1) ** 2 * (_T + 1)
+RULED = (_T + 1) * (_T - 1) ** 2   # (t^2 - 1)(t - 1), the ruled prefactor
+DEN = 2 * _T * RULED
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,18 +109,16 @@ def pochhammer16_inverse(trunc):
 
 def theta_coset_sub(e_coords, trunc):
     """Theta of the even-sum rank-8 lattice coset (shift in e-basis
-    coordinates), evaluated at u^2 with u = t^2 q: the norm-j shell
-    contributes (count) * t^(2j) q^j."""
+    coordinates), evaluated at u^2 with u = t^2 q: the coset theta read to
+    q^(trunc/2), whose shell at q^(j/2) becomes (count) * t^(2j) q^j."""
     trunc = Fraction(trunc)
-    max_q = int(4 * trunc)  # doubled-coordinate norms: 4 * (x, x)
-    counts = zn_shell_counts_dp(*coset_parities(d8_ambient(e_coords)), max_q)
-    pairs = []
-    for qq, c in counts.items():
-        norm = Fraction(qq, 4)
-        tpow = 2 * norm
-        assert tpow.denominator == 1
-        pairs.append((norm, LPoly.t_pow(int(tpow), c)))
-    return QSeries.from_pairs(LAURENT, pairs, trunc, 4).normalize_denom()
+    th = d8_theta_ambient(d8_ambient(e_coords), trunc / 2)
+    terms = {}
+    for k, c in th.terms.items():   # the shell at q^(k/denom)
+        tpow, rest = divmod(4 * k, th.denom)
+        assert rest == 0
+        terms[2 * k] = LPoly.t_pow(tpow, c)
+    return QSeries(LAURENT, th.denom, trunc, terms).normalize_denom()
 
 
 def _coset_shift(c1: C1Class, eps1, eps2):
@@ -133,7 +133,7 @@ def _coset_shift(c1: C1Class, eps1, eps2):
 # numerators over DEN of the closed wall-crossing bracket
 _RAY_EVEN = LPoly.const(-2)    # -1/(t (t^2-1)(t-1)), even-b degenerate ray
 _RAY_ODD = -2 * _T             # -1/((t^2-1)(t-1)), odd-b degenerate ray
-_A_SUMS = 2 * (_T - 1) ** 2 * (_T + 1)   # 1/t, the four double sums
+_A_SUMS = 2 * RULED            # 1/t, the four double sums
 _MIDDLE = 1 - _T ** 2          # -1/(2 t (t-1)), boundary filtration term
 
 

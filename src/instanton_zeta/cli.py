@@ -3,7 +3,8 @@ evaluation, and the numeric S-duality check.
 
 Exit codes: 0 success / all checks pass, 1 a check failed or a request
 was out of range, 2 usage errors (bad flags, unparsable tau, tau off the
-upper half-plane, --digits outside 10..1000, --scale <= 0).
+upper half-plane, --digits outside 10..1000, --scale <= 0, an order above
+its bound in ``MAX_ORDER``).
 All rational quantities are serialized as exact fraction strings; floats
 appear only in the numeric evaluation output, and a value outside the
 double range is null there, with its digits in ``value_str`` (--digits
@@ -34,6 +35,14 @@ FORMS = FORM_LEAVES + tuple(CLOSED_FORMS)
 # working precision range of eval and sduality: sduality at tau = i takes
 # under a second at the cap, while 10^8 digits ran over a minute unanswered
 MIN_DIGITS, MAX_DIGITS = 10, 1000
+
+# upper bound of each order flag, per command, from measured cost on 2
+# vCPUs: the slowest job at its bound takes under 45 s.  verify --order 120:
+# the theorem suite 15 s, smoothness 12 s, limit-lemmas 7 s.  The wall-sum
+# oracle at 16: 43 s.  table --max-delta (and --order) 160: 23 s.  eval
+# --series bounds the order it expands, --order/--scale; Z_SO3 to q^4000:
+# 18 s.
+MAX_ORDER = {"verify": 120, "oracle": 16, "table": 160, "eval": 4000}
 
 
 def _fraction(text):
@@ -85,29 +94,35 @@ def build_parser():
                     "check.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--order", type=_fraction, default=Fraction(20),
-                       help="series truncation order (rational, default 20)")
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text")
+    def common(p, bound, order=Fraction(20),
+               formats=("json", "csv", "text")):
+        default = "--max-delta" if order is None else order
+        p.add_argument("--order", type=_fraction, default=order,
+                       help=f"series truncation order (rational, at most "
+                            f"{bound}, default {default})")
+        p.add_argument("--format", choices=formats, default="text")
 
     p_verify = sub.add_parser("verify", help="run identity suites")
-    common(p_verify)
+    common(p_verify, MAX_ORDER["verify"])
     p_verify.add_argument("--suite", default="all",
                           choices=SUITES + ("all",))
     p_verify.add_argument("--oracle-order", type=_fraction,
                           default=Fraction(6),
-                          help="order for the wall-sum oracle comparison")
+                          help=f"order for the wall-sum oracle comparison "
+                               f"(at most {MAX_ORDER['oracle']}, default 6)")
 
     p_table = sub.add_parser("table", help="Euler characteristic table")
-    common(p_table)
+    common(p_table, MAX_ORDER["table"], order=None)
     p_table.add_argument("--class", dest="cls", required=True,
                          choices=("v0", "even", "odd", "lambda0",
                                   "lambdaEven", "lambdaOdd"))
-    p_table.add_argument("--max-delta", type=_fraction, required=True)
+    p_table.add_argument("--max-delta", type=_fraction, required=True,
+                         help=f"last discriminant of the table (at most "
+                              f"{MAX_ORDER['table']})")
 
     p_eval = sub.add_parser("eval", help="evaluate a named form")
-    common(p_eval)
+    common(p_eval, f"{MAX_ORDER['eval']} times --scale",
+           formats=("json", "text"))
     p_eval.add_argument("--form", required=True,
                         help=f"one of {FORMS}")
     p_eval.add_argument("--scale", type=_fraction, default=Fraction(1),
@@ -130,6 +145,8 @@ def build_parser():
 
 
 def _validate(parser, args):
+    if args.command == "table" and args.order is None:
+        args.order = args.max_delta
     if getattr(args, "order", None) is not None and args.order < 0:
         parser.error("--order must be nonnegative")
     if getattr(args, "oracle_order", None) is not None:
@@ -147,6 +164,20 @@ def _validate(parser, args):
                      f"{MAX_DIGITS}")
     if getattr(args, "scale", None) is not None and args.scale <= 0:
         parser.error("--scale must be positive")
+    if args.command == "verify":
+        bounded = (("--order", args.order, "verify"),
+                   ("--oracle-order", args.oracle_order, "oracle"))
+    elif args.command == "table":
+        bounded = (("--max-delta", args.max_delta, "table"),
+                   ("--order", args.order, "table"))
+    elif args.command == "eval" and args.series:
+        bounded = (("--order/--scale", args.order / args.scale, "eval"),)
+    else:
+        bounded = ()
+    for flag, value, key in bounded:
+        if value > MAX_ORDER[key]:
+            parser.error(f"{flag} must be at most {MAX_ORDER[key]} for "
+                         f"{args.command}")
 
 
 # -- verify --------------------------------------------------------------------
@@ -290,7 +321,7 @@ def cmd_eval(args):
         print("nothing to do: pass --tau and/or --series", file=sys.stderr)
         return 2
     if args.series:
-        series = as_qseries(expr, args.order / k, e2_mode="E2").dilate(k)
+        series = as_qseries(expr, args.order / k).dilate(k)
         out["series"] = [{"exponent": str(e), "coefficient": str(c)}
                          for e, c in series.pairs()]
         out["truncation"] = str(series.trunc)

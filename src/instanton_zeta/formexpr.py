@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstantonZetaError
-from .qseries import QSeries
+from .qseries import QQ, QSeries
 
 
 class FormExpr:
@@ -66,6 +66,9 @@ class E2Slot(FormExpr):
     """Weight-2 quasi-modular slot: filled with the holomorphic series in
     the exact layer and with the anomaly-corrected form numerically."""
     scale: Fraction = Fraction(1)
+    # the exact layer expands the slot as the leaf E2 at the same scale
+    name = "E2"
+    half_shift = 0
 
 
 @dataclass(frozen=True)
@@ -154,53 +157,47 @@ CLOSED_FORMS = {
 }
 
 
-def _exact(node, trunc, e2_mode, provider):
-    from .forms import gen_form
-    from .qseries import QQ
-    if isinstance(node, Leaf):
-        base = gen_form(node.name, trunc / node.scale, provider=provider)
+def _exact(node, trunc, provider):
+    """Exact q-expansion of the tree, each leaf read from ``provider``."""
+    if isinstance(node, (Leaf, E2Slot)):
+        base = provider.series(node.name, trunc / node.scale)
         if node.half_shift:
             base = base.half_period_shift()
-        return base.dilate(node.scale) if node.scale != 1 else base
-    if isinstance(node, E2Slot):
-        if e2_mode != "E2":
-            raise InstantonZetaError(
-                "the anomaly-corrected weight-2 form has no q-series; "
-                "resolve the slot holomorphically for exact expansion")
-        base = gen_form("E2", trunc / node.scale, provider=provider)
         return base.dilate(node.scale) if node.scale != 1 else base
     if isinstance(node, Const):
         return QSeries.constant(QQ, node.value, trunc)
     if isinstance(node, Add):
         out = None
         for ch in node.children:
-            s = _exact(ch, trunc, e2_mode, provider)
+            s = _exact(ch, trunc, provider)
             out = s if out is None else out + s
         return out
     if isinstance(node, Mul):
         out = None
         for ch in node.children:
-            s = _exact(ch, trunc, e2_mode, provider)
+            s = _exact(ch, trunc, provider)
             out = s if out is None else out * s
         return out
     if isinstance(node, Pow):
-        return _exact(node.base, trunc, e2_mode, provider) ** node.n
+        return _exact(node.base, trunc, provider) ** node.n
     if isinstance(node, Scal):
         if node.im:
             raise InstantonZetaError(
                 "imaginary scalar weight has no rational q-series")
-        return _exact(node.child, trunc, e2_mode, provider).scale(node.re)
+        return _exact(node.child, trunc, provider).scale(node.re)
     raise TypeError(f"unknown expression node {node!r}")
 
 
-def as_qseries(expr, trunc, e2_mode="E2", provider=None):
-    """Exact q-expansion of the expression, guaranteed to the requested
-    truncation (internal computations run with a margin that is widened
-    until inverse powers stop eating into the bound)."""
+def as_qseries(expr, trunc):
+    """Exact q-expansion of the expression, with the holomorphic E2 in the
+    weight-2 slot, guaranteed to the requested truncation (internal
+    computations run with a margin that is widened until inverse powers
+    stop eating into the bound)."""
+    from .forms import DEFAULT_PROVIDER
     trunc = Fraction(trunc)
     margin = Fraction(2)
     for _ in range(8):
-        s = _exact(expr, trunc + margin, e2_mode, provider)
+        s = _exact(expr, trunc + margin, DEFAULT_PROVIDER)
         if s.trunc >= trunc:
             return s.truncate(trunc)
         margin += trunc - s.trunc

@@ -111,7 +111,7 @@ class FormProvider:
 
     def _base(self, name, trunc):
         if name in DERIVED_FORMS:
-            return _exact(DERIVED_FORMS[name], trunc, "E2", self)
+            return _exact(DERIVED_FORMS[name], trunc, self)
         if name in DIVISOR_LEAVES:
             c0, w, table, _ = DIVISOR_LEAVES[name]
             sig = table(int(trunc))
@@ -131,11 +131,11 @@ class FormProvider:
         return QSeries.from_pairs(QQ, pairs, trunc, DEFAULT_DENOM)
 
 
-_DEFAULT = FormProvider()
+DEFAULT_PROVIDER = FormProvider()
 
 
-def gen_form(name, trunc, scaling=1, provider=None):
-    return (provider or _DEFAULT).series(name, trunc, scaling)
+def gen_form(name, trunc, scaling=1):
+    return DEFAULT_PROVIDER.series(name, trunc, scaling)
 
 
 def sieve(trunc, fn):
@@ -181,7 +181,7 @@ def verify_section1(trunc, provider=None):
     trunc = Fraction(trunc)
     if trunc < 1:
         raise ValueError("trunc must be at least 1")
-    p = provider or _DEFAULT
+    p = provider or DEFAULT_PROVIDER
 
     def f(name, scaling=1):
         return p.series(name, trunc, scaling)

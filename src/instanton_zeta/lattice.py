@@ -12,8 +12,11 @@ engine per job:
   norm at most the bound.  The wall-sum oracle walks its cosets with it;
 * ``zn_shell_counts_dp`` counts the shells of a coset of Z^m, or of its
   even-sum sublattice, by a convolution over coordinates in doubled
-  integer coordinates; the rank-8 coset thetas use it.  The tests compare
-  it against point-by-point enumeration.
+  integer coordinates; its one reader is ``d8_theta_ambient``, the one
+  rank-8 coset theta, which the assembly and ``e8_theta_series`` read.
+  The tests compare it against point-by-point enumeration;
+* ``b_substituted`` sums the one-dimensional theta with character in one
+  loop over n in shift + Z, for the shifts 0 and 1/2.
 """
 
 from __future__ import annotations
@@ -175,6 +178,8 @@ def zn_shell_counts_dp(parities, target4, max_q):
     return {q: c for q, c in enumerate(total) if c}
 
 
+# -- rank-8 coset thetas ----------------------------------------------------
+
 def coset_parities(shift_ambient):
     """Coordinate parities of y = 2x and the residue of sum(y) mod 4 for x
     in the coset (even-sum sublattice of Z^m) + shift_ambient: the
@@ -191,53 +196,48 @@ def _counts_to_series(counts, trunc):
                               denom=8).normalize_denom()
 
 
+def d8_theta_ambient(shift_ambient, trunc):
+    """Theta of the even-sum sublattice of Z^8 shifted by an ambient
+    half-integer vector: the one rank-8 coset theta, which the assembly
+    and the rank-8 root lattice read."""
+    trunc = Fraction(trunc)
+    counts = zn_shell_counts_dp(*coset_parities(shift_ambient),
+                                int(8 * trunc))
+    return _counts_to_series(counts, trunc)
+
+
 def e8_theta_series(trunc):
     """Theta of the rank-8 root lattice, realized as the even-sum sublattice
     of Z^8 glued with its half-sum coset."""
-    trunc = Fraction(trunc)
-    max_q = int(8 * trunc)
-    counts = zn_shell_counts_dp((0,) * 8, 0, max_q)
-    for q, c in zn_shell_counts_dp((1,) * 8, 0, max_q).items():
-        counts[q] = counts.get(q, 0) + c
-    return _counts_to_series(counts, trunc)
+    return (d8_theta_ambient((0,) * 8, trunc)
+            + d8_theta_ambient((Fraction(1, 2),) * 8, trunc))
 
 
 # -- one-dimensional theta with character (B series) -------------------------
 
 def b_substituted(shift, trunc, char=True, t_scale=1):
-    """B series after the substitution u = t^2 q: exponent n^2 in q and
-    2 n^2 + n in t (or 2 n^2 when the character variable is set to 1).
+    """B series after the substitution u = t^2 q: the sum over n in
+    shift + Z (shift 0 or 1/2) of q^(n^2) times t^(2 n^2 + n), or t^(2 n^2)
+    when the character variable is set to 1.
 
     With ``t_scale = k`` the coefficients are encoded in s = t^(1/k); the
     half-shifted series with the character at 1 has half-odd t-powers and
     needs t_scale = 2."""
     trunc = Fraction(trunc)
-    shift = Fraction(shift)
+    n = Fraction(shift)
+    if n not in (0, Fraction(1, 2)):
+        raise ConfigurationError("shift must be 0 or 1/2")
+    denom = 4 if n else 1
     pairs = []
-    if shift == 0:
-        denom = 1
-        rng = []
-        n = 0
-        while n * n <= trunc:
-            rng.append(n)
-            if n:
-                rng.append(-n)
-            n += 1
-        for n in rng:
-            tpow = t_scale * (2 * n * n + (n if char else 0))
-            pairs.append((n * n, LPoly.t_pow(tpow)))
-    else:
-        denom = 4
-        k = 0
-        while Fraction((2 * k + 1) ** 2, 4) <= trunc:
-            for n in (Fraction(2 * k + 1, 2), Fraction(-(2 * k + 1), 2)):
-                tpow = t_scale * (2 * n * n + (n if char else 0))
-                if tpow.denominator != 1:
-                    raise ConfigurationError(
-                        f"t-power {tpow} needs a finer encoding; "
-                        f"raise t_scale")
-                pairs.append((n * n, LPoly.t_pow(int(tpow))))
-            k += 1
+    while n * n <= trunc:
+        for m in (n, -n) if n else (n,):
+            tpow = t_scale * (2 * m * m + (m if char else 0))
+            if tpow.denominator != 1:
+                raise ConfigurationError(
+                    f"t-power {tpow} needs a finer encoding; "
+                    f"raise t_scale")
+            pairs.append((m * m, LPoly.t_pow(int(tpow))))
+        n += 1
     return QSeries.from_pairs(LAURENT, pairs, trunc, denom)
 
 
@@ -252,16 +252,7 @@ def _add_vec(*vecs):
     return tuple(sum(col) for col in zip(*vecs))
 
 
-def d8_theta_ambient(shift_ambient, trunc):
-    """Theta of the even-sum sublattice of Z^8 shifted by an ambient
-    half-integer vector."""
-    trunc = Fraction(trunc)
-    counts = zn_shell_counts_dp(*coset_parities(shift_ambient),
-                                int(8 * trunc))
-    return _counts_to_series(counts, trunc)
-
-
-def verify_d8_decompositions(trunc, provider=None):
+def verify_d8_decompositions(trunc):
     """Check the eight coset thetas of the even-sum rank-8 lattice against
     their one-dimensional theta expressions, plus the bridge identity used
     by the wall-crossing assembly."""
@@ -271,7 +262,7 @@ def verify_d8_decompositions(trunc, provider=None):
         raise ValueError("trunc must be at least 1")
 
     def th(name):
-        return gen_form(name, trunc, provider=provider)
+        return gen_form(name, trunc)
 
     half = Fraction(1, 2)
     zero = (Fraction(0),) * 8
@@ -302,7 +293,7 @@ def verify_d8_decompositions(trunc, provider=None):
     def bridge():
         lhs = (d8_theta_ambient(zero, trunc / 2)
                + d8_theta_ambient(q, trunc / 2)).dilate(2)
-        return lhs, gen_form("theta3", trunc, 2, provider=provider) ** 8
+        return lhs, gen_form("theta3", trunc, 2) ** 8
 
     results.append(compare("(Theta_D8 + Theta_D8|q)(0,u^2) = B0(1,u)^8",
                            bridge, trunc))

@@ -11,7 +11,7 @@ unpack) which CPython's big-int multiplication makes fast.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _trim(num):
@@ -132,9 +132,7 @@ class LPoly:
         pairs = [(e, Fraction(c)) for e, c in pairs if c]
         if not pairs:
             return LPoly()
-        den = 1
-        for _, c in pairs:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for _, c in pairs))
         lo = min(e for e, _ in pairs)
         hi = max(e for e, _ in pairs)
         num = [0] * (hi - lo + 1)
@@ -191,7 +189,7 @@ class LPoly:
             return self
         lo = min(self.off, other.off)
         hi = max(self.off + len(self.num), other.off + len(other.num))
-        den = self.den * other.den // gcd(self.den, other.den)
+        den = lcm(self.den, other.den)
         sa = den // self.den
         sb = den // other.den
         num = [0] * (hi - lo)

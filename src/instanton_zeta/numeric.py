@@ -344,17 +344,17 @@ def _check_e2_mode(mode):
                          f"'anomaly' or 'E2'")
 
 
-def eval_form(expr, tau, digits=40, e2_mode="anomaly", min_im=MIN_IM):
+def eval_form(expr, tau, digits=40, e2_mode="anomaly"):
     """Value of the expression at tau (Im tau > 0), accurate to roughly the
     requested number of digits.  ``e2_mode`` resolves the weight-2 slot:
     "anomaly" (the anomaly-corrected form) or "E2" (holomorphic)."""
     _check_e2_mode(e2_mode)
     program = _program(expr)
     tau = mp.mpc(tau)
-    if mp.im(tau) < min_im:
+    if mp.im(tau) < MIN_IM:
         raise PrecisionError(
             f"Im tau = {mp.nstr(mp.im(tau), 5)} below the configured "
-            f"minimum {min_im}")
+            f"minimum {MIN_IM}")
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
         val = _run(program, tau, eps, e2_mode, {})

@@ -46,7 +46,7 @@ s_k p_(n-k)``, one pass of plain ring multiply-adds from ``p_0 = 1``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 from .errors import (FractionalExponentError, NotInvertibleError,
                      RingMismatchError, TruncationError)
@@ -76,11 +76,7 @@ class RationalRing:
     def numerators(cs):
         """Integer numerators over one denominator, each a one-slot
         t-polynomial: ``(nums, t offset, den)``."""
-        den = 1
-        for c in cs:
-            d = c.denominator
-            if den % d:
-                den = den * d // gcd(den, d)
+        den = lcm(*(c.denominator for c in cs))
         return [[c.numerator * (den // c.denominator)] for c in cs], 0, den
 
     @staticmethod
@@ -113,13 +109,8 @@ class LaurentRing:
     def numerators(cs):
         """Integer t-polynomial numerators over one integer denominator, the
         lcm of the coefficients' own: ``(nums, t offset, den)``."""
-        den = 1
-        off = cs[0].off
-        for c in cs:
-            d = c.den
-            if den % d:
-                den = den * d // gcd(den, d)
-            off = min(off, c.off)
+        den = lcm(*(c.den for c in cs))
+        off = min(c.off for c in cs)
         return [[0] * (c.off - off) + [x * (den // c.den) for x in c.num]
                 for c in cs], off, den
 
@@ -132,10 +123,6 @@ QQ = RationalRing()
 LAURENT = LaurentRing()
 
 DEFAULT_DENOM = 48
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def _product(ring, a, b, bound):
@@ -271,9 +258,6 @@ class QSeries:
 
     # -- views ---------------------------------------------------------------
 
-    def exponents(self):
-        return sorted(Fraction(k, self.denom) for k in self.terms)
-
     def pairs(self):
         return [(Fraction(k, self.denom), self.terms[k])
                 for k in sorted(self.terms)]
@@ -331,7 +315,7 @@ class QSeries:
         if self.ring is not other.ring:
             raise RingMismatchError(
                 f"cannot combine {self.ring.name} and {other.ring.name}")
-        d = _lcm(self.denom, other.denom)
+        d = lcm(self.denom, other.denom)
         return self.lift(d), other.lift(d)
 
     # -- ring operations -----------------------------------------------------
@@ -470,7 +454,7 @@ class QSeries:
     def shift_exp(self, d):
         """Multiply by q**d (d rational, possibly negative)."""
         d = Fraction(d)
-        denom = _lcm(self.denom, d.denominator)
+        denom = lcm(self.denom, d.denominator)
         s = self.lift(denom)
         step = int(d * denom)
         return QSeries(self.ring, denom, s.trunc + d,

@@ -16,11 +16,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .assembly import DEN, proposition_series, vacuum_product
+from .assembly import DEN, RULED, proposition_series, vacuum_product
 from .errors import IntegrityError, PoleAtOneError, TruncationError
 from .formexpr import CLOSED_FORMS, as_qseries
 from .forms import double_sum, eta_pow_inverse, gen_form, sieve
-from .laurent import LPoly
 from .lattice import b_substituted
 from .qseries import QQ, QSeries
 from .report import IdentityResult, VerifyReport, compare
@@ -65,10 +64,9 @@ def ztilde(tag, trunc):
 def theorem_closed_form(lam, trunc):
     """Closed form of an averaged partition function, expanded with the
     holomorphic weight-2 series in the slot."""
-    return as_qseries(CLOSED_FORMS[LAMBDA_FORMS[lam]], trunc, e2_mode="E2")
+    return as_qseries(CLOSED_FORMS[LAMBDA_FORMS[lam]], trunc)
 
 
-@functools.lru_cache(maxsize=None)
 def main_closed_form(tag, trunc):
     """Closed form of an unshifted partition function: the closed form of
     the averaged function whose relation reads the class, less the
@@ -86,10 +84,6 @@ def main_closed_form(tag, trunc):
 
 # -- limit lemmas --------------------------------------------------------------
 
-_T = LPoly.t_pow(1)
-_RULED = (_T + 1) * (_T - 1) ** 2   # (t^2 - 1)(t - 1)
-
-
 def check_limit_lemmas(trunc):
     """The ruled-surface vacuum limit and the two blow-up factor limits,
     each the value at t = 1 of a numerator over (t+1)(t-1)^2, against an
@@ -103,7 +97,7 @@ def check_limit_lemmas(trunc):
     # normalization q^(-1/3) G(1,q) = (1 - E2)/(12 eta^8) is the same
     # statement after cancelling q^(1/3)
     def vacuum_at_one():
-        return at_one(vacuum_product("G", trunc), _RULED)
+        return at_one(vacuum_product("G", trunc), RULED)
 
     def inv8():
         third = Fraction(1, 3)
@@ -123,7 +117,7 @@ def check_limit_lemmas(trunc):
     def blowup_unshifted():
         b0t = b_substituted(0, trunc)
         b01 = b_substituted(0, trunc, char=False)
-        lhs = at_one(b0t - b01, _RULED)
+        lhs = at_one(b0t - b01, RULED)
         s1 = double_sum(QQ, trunc, lambda m, n: (m * (2 * n - 1),
                                                  (-1) ** m * m))
         return lhs, s1.scale(Fraction(-1, 2)) * gen_form("theta3", trunc, 2)
@@ -134,7 +128,7 @@ def check_limit_lemmas(trunc):
     def blowup_half():
         b1t = b_substituted(Fraction(1, 2), trunc, t_scale=2)
         b11 = b_substituted(Fraction(1, 2), trunc, char=False, t_scale=2)
-        lhs = at_one(b1t - b11, _RULED.stretch(2))
+        lhs = at_one(b1t - b11, RULED.stretch(2))
         s2 = double_sum(QQ, trunc, lambda m, n: (2 * m * n, (-1) ** m * m))
         return lhs, ((s2 - Fraction(1, 8)).scale(Fraction(-1, 2))
                      * gen_form("theta2", trunc, 2))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,9 +9,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import instanton_zeta
-from instanton_zeta.cli import FORM_LEAVES, main, parse_tau, table_to_dict
+from instanton_zeta import cli, results
+from instanton_zeta.cli import (FORM_LEAVES, MAX_ORDER, main, parse_tau,
+                                table_to_dict)
 from instanton_zeta.formexpr import CLOSED_FORMS, leaf
 from instanton_zeta.numeric import eval_form
 from instanton_zeta.results import euler_table
@@ -139,6 +145,22 @@ def test_table_max_delta_beyond_order(capsys):
                  "--order", "4"]) == 1
 
 
+def test_table_order_defaults_to_max_delta(monkeypatch, capsys):
+    # --order only bounds --max-delta for a table, so it defaults to it; the
+    # table itself is stubbed out, so nothing is built
+    asked = []
+
+    def table(cls, max_delta):
+        asked.append(max_delta)
+        return results.EulerTable(label=cls, rows=[])
+
+    monkeypatch.setattr(results, "euler_table", table)
+    assert main(["table", "--class", "odd", "--max-delta", "24",
+                 "--format", "json"]) == 0
+    assert asked == [24]
+    assert "exceeds" not in capsys.readouterr().err
+
+
 def test_table_csv(capsys):
     assert main(["table", "--class", "odd", "--max-delta", "3/2",
                  "--order", "2", "--format", "csv"]) == 0
@@ -154,6 +176,15 @@ def test_eval_series(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["series"][0] == {"exponent": "0", "coefficient": "1"}
     assert data["series"][1] == {"exponent": "1", "coefficient": "-24"}
+
+
+def test_eval_format_csv_is_a_usage_error(capsys):
+    # eval writes json or text only
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--form", "E2", "--series", "--order", "2",
+              "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_eval_numeric(capsys):
@@ -347,3 +378,107 @@ def test_package_runs_as_a_module():
                              module="instanton_zeta")
     assert code == 0, err
     assert "pass" in out
+
+
+def _refuse_to_build(monkeypatch):
+    def build(args):
+        raise AssertionError("an out-of-range order reached a build")
+
+    for name in ("cmd_verify", "cmd_table", "cmd_eval"):
+        monkeypatch.setattr(cli, name, build)
+
+
+_ABOVE_BOUND = [
+    pytest.param(["verify", "--suite", "d8", "--order", "1000000000"],
+                 "--order", "verify", id="verify-order-1e9"),
+    pytest.param(["verify", "--suite", "theorem", "--order", "121"],
+                 "--order", "verify", id="verify-order"),
+    pytest.param(["verify", "--suite", "d8", "--order", "2",
+                  "--oracle-order", "17"],
+                 "--oracle-order", "oracle", id="verify-oracle-order"),
+    pytest.param(["table", "--class", "even", "--max-delta", "161"],
+                 "--max-delta", "table", id="table-max-delta"),
+    pytest.param(["table", "--class", "even", "--max-delta", "2",
+                  "--order", "1e400"], "--order", "table", id="table-order"),
+    pytest.param(["eval", "--form", "Z_SO3", "--series", "--order", "4001"],
+                 "--order/--scale", "eval", id="eval-order"),
+    pytest.param(["eval", "--form", "E2", "--series", "--order", "41",
+                  "--scale", "1/100"], "--order/--scale", "eval",
+                 id="eval-order-over-scale"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,key", _ABOVE_BOUND)
+def test_order_above_its_bound_is_a_usage_error(argv, flag, key,
+                                                monkeypatch, capsys):
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert (f"{flag} must be at most {MAX_ORDER[key]} for {argv[0]}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--order", "120", "--oracle-order", "16"],
+    ["table", "--class", "odd", "--max-delta", "160"],
+    ["eval", "--form", "Z_SO3", "--series", "--order", "4000"],
+    ["eval", "--form", "E2", "--series", "--order", "40", "--scale", "1/100"],
+    # the order bounds only the series expansion
+    ["eval", "--form", "E2", "--tau", "i", "--order", "100000"],
+])
+def test_orders_at_their_bound_pass_validation(argv, monkeypatch):
+    for name in ("cmd_verify", "cmd_table", "cmd_eval"):
+        monkeypatch.setattr(cli, name, lambda args: 0)
+    assert main(argv) == 0
+
+
+# Every value either fails validation or runs at a tiny order, so no
+# example starts a large build.
+_ORDERS = ("0", "1/2", "1", "2", "-1", "abc", "1/0", "nan", "1e400", "121",
+           "161", "4001")
+_FLAGS = {
+    "verify": (("--suite", ("section1", "d8", "limit-lemmas", "smoothness",
+                            "wall-oracle", "theorem", "all", "bogus")),
+               ("--order", _ORDERS), ("--oracle-order", _ORDERS + ("17",)),
+               ("--format", ("json", "csv", "text", "xml"))),
+    "table": (("--class", ("v0", "even", "odd", "lambda0", "lambdaEven",
+                           "lambdaOdd", "bogus")),
+              ("--max-delta", _ORDERS), ("--order", _ORDERS),
+              ("--format", ("json", "csv", "text", "xml"))),
+    "eval": (("--form", ("E2", "E2hat", "theta3", "Z_SU2", "Zw0", "nope")),
+             ("--series", None),
+             ("--tau", ("i", "0.3+1.1i", "300i", "0.01i", "1", "abc")),
+             ("--scale", ("1", "2", "1/2", "0", "-1", "1/1000000000")),
+             ("--digits", ("10", "9", "1001", "x")),
+             ("--e2", ("anomaly", "E2", "bogus")),
+             ("--order", _ORDERS), ("--format", ("json", "csv", "text"))),
+    "sduality": (("--tau", ("i", "0.3+1.1i", "300i", "-1i", "1", "abc")),
+                 ("--digits", ("10", "9", "1001", "x")),
+                 ("--holomorphic", None),
+                 ("--format", ("json", "csv", "text"))),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command]:
+        if draw(st.booleans()):
+            argv.append(flag if values is None
+                        else f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_argv())
+def test_any_argv_ends_with_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -451,6 +451,29 @@ def test_b_substituted_grids():
     assert all(e.denominator in (1, 2) for e, _ in sq.pairs())
 
 
+def test_b_substituted_half_odd_t_power_needs_finer_encoding():
+    # n = +-1/2 with the character at 1 gives t^(1/2), which t_scale = 1
+    # cannot encode
+    with pytest.raises(ConfigurationError,
+                       match="t-power 1/2 needs a finer encoding"):
+        b_substituted(Fraction(1, 2), 3, char=False, t_scale=1)
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 3), Fraction(-1, 2), 1])
+def test_b_substituted_refuses_a_shift_off_the_half_grid(shift):
+    with pytest.raises(ConfigurationError, match="shift must be 0 or 1/2"):
+        b_substituted(shift, 3)
+
+
+def test_e8_roots_split_over_the_two_cosets():
+    # the 240 roots: 112 vectors +-e_i +- e_j of the even-sum lattice and
+    # 128 of the all-halves coset
+    zero, halves = (0,) * 8, (Fraction(1, 2),) * 8
+    assert d8_theta_ambient(zero, 1).coeff(1) == 112
+    assert d8_theta_ambient(halves, 1).coeff(1) == 128
+    assert e8_theta_series(1).coeff(1) == 240
+
+
 def test_verify_d8_decompositions():
     report = verify_d8_decompositions(6)
     assert report.ok

@@ -399,7 +399,7 @@ def test_exact_vs_numeric_derived_and_closed_forms(name):
     # both evaluators read the same table or tree; the q^12 truncation
     # tail is far below 1e-30 at Im tau >= 2
     expr = _closed_exprs()[name]
-    series = as_qseries(expr, 12, e2_mode="E2")
+    series = as_qseries(expr, 12)
     with mp.workdps(55):
         for tau in (mp.mpc(0, 2), mp.mpc(0.3, 2.5)):
             exact = eval_exact_series_at(series, tau)

@@ -83,7 +83,6 @@ def test_theorem_lines_name_the_closed_form_cache_hit():
     # the pipeline lines build theorem_closed_form; the three theorem lines
     # read it from the cache, take about 0 s, and say why
     theorem_closed_form.cache_clear()
-    main_closed_form.cache_clear()
     report, _ = assemble_theorem(7)
     notes = {r.name: r.note for r in report.results}
     for tag in ("vEven", "vOdd", "v0"):
