@@ -188,11 +188,40 @@ def _validate_smooth(tag, series):
                 f"polynomial despite smoothness")
 
 
+def poincare_problems(poly, dim):
+    """What keeps ``poly`` (``None`` when the coefficient is not a Laurent
+    polynomial) from being the Poincare polynomial, in t^2-degree units, of
+    a smooth projective variety of dimension ``dim``: nonnegative integer
+    coefficients, palindromic of degree ``dim`` (Poincare duality) and
+    unimodal (Hard Lefschetz), vanishing when ``dim`` is negative, constant
+    term 1 when nonempty."""
+    problems = []
+    if poly is None:
+        problems.append("not a polynomial")
+    elif dim < 0:
+        if not poly.is_zero:
+            problems.append("nonzero below the empty threshold")
+    elif not poly.is_zero:
+        if poly.low() != 0:
+            problems.append("negative t-powers")
+        if poly.degree() != dim:
+            problems.append(f"degree {poly.degree()} != {dim}")
+        cs = [poly.coeff(k) for k in range(poly.degree() + 1)]
+        if any(c.denominator != 1 or c < 0 for c in cs):
+            problems.append("coefficients not nonneg integers")
+        if cs != cs[::-1]:
+            problems.append("not palindromic")
+        # b_(2k) <= b_(2k+2) up to the middle degree
+        if any(b > c for b, c in zip(cs, cs[1:(len(cs) - 1) // 2 + 1])):
+            problems.append("not unimodal")
+        if cs and cs[0] != 1:
+            problems.append("constant term != 1")
+    return problems
+
+
 def smoothness_report(tag, trunc):
-    """Structural check of the smooth-case coefficients: Laurent polynomial,
-    nonnegative integer coefficients, palindromic of degree 4*Delta - 3,
-    vanishing when that degree is negative, constant term 1 when
-    nonempty."""
+    """Structural check of the smooth-case coefficients, one line per
+    discriminant (``poincare_problems``)."""
     trunc = Fraction(trunc)
     t0 = time.perf_counter()   # the first line's time includes the build
     # ztilde's order: the same coefficients to trunc, and one build for both
@@ -201,29 +230,10 @@ def smoothness_report(tag, trunc):
     c1 = CLASSES[tag]
     delta = c1.grid_offset
     while delta <= trunc:
-        coeff = series.coeff(delta)
-        smooth = c1.is_smooth(delta)
         problems = []
-        dim = 4 * delta - 3
-        if smooth:
-            poly = exact_quotient(coeff, DEN)
-            if poly is None:
-                problems.append("not a polynomial")
-            elif dim < 0:
-                if not poly.is_zero:
-                    problems.append("nonzero below the empty threshold")
-            elif not poly.is_zero:
-                if poly.low() != 0:
-                    problems.append("negative t-powers")
-                if poly.degree() != dim:
-                    problems.append(f"degree {poly.degree()} != {dim}")
-                cs = [poly.coeff(k) for k in range(poly.degree() + 1)]
-                if any(c.denominator != 1 or c < 0 for c in cs):
-                    problems.append("coefficients not nonneg integers")
-                if cs != cs[::-1]:
-                    problems.append("not palindromic")
-                if cs and cs[0] != 1:
-                    problems.append("constant term != 1")
+        if c1.is_smooth(delta):
+            problems = poincare_problems(
+                exact_quotient(series.coeff(delta), DEN), 4 * delta - 3)
         results.append(IdentityResult(
             name=f"{tag} Delta={delta}: Poincare polynomial structure",
             max_exponent=delta, passed=not problems,

@@ -38,10 +38,10 @@ MIN_DIGITS, MAX_DIGITS = 10, 1000
 
 # upper bound of each order flag, per command, from measured cost on 2
 # vCPUs: the slowest job at its bound takes under 45 s.  verify --order 120:
-# the theorem suite 15 s, smoothness 12 s, limit-lemmas 7 s.  The wall-sum
-# oracle at 16: 43 s.  table --max-delta (and --order) 160: 23 s.  eval
-# --series bounds the order it expands, --order/--scale; Z_SO3 to q^4000:
-# 18 s.
+# the theorem suite 9 s, smoothness 6 s, limit-lemmas 2 s.  The wall-sum
+# oracle at 16: 43 s.  table --max-delta (and --order) 160: 13 s, most of
+# it in qseries._product.  eval --series bounds the order it expands,
+# --order/--scale; Z_SO3 to q^4000: 18 s.
 MAX_ORDER = {"verify": 120, "oracle": 16, "table": 160, "eval": 4000}
 
 
@@ -94,6 +94,13 @@ def build_parser():
                     "check.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help):
+        # the subcommand's parser reports its validation errors, so their
+        # usage line shows its flags
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(parser=p)
+        return p
+
     def common(p, bound, order=Fraction(20),
                formats=("json", "csv", "text")):
         default = "--max-delta" if order is None else order
@@ -102,7 +109,7 @@ def build_parser():
                             f"{bound}, default {default})")
         p.add_argument("--format", choices=formats, default="text")
 
-    p_verify = sub.add_parser("verify", help="run identity suites")
+    p_verify = command("verify", help="run identity suites")
     common(p_verify, MAX_ORDER["verify"])
     p_verify.add_argument("--suite", default="all",
                           choices=SUITES + ("all",))
@@ -111,7 +118,7 @@ def build_parser():
                           help=f"order for the wall-sum oracle comparison "
                                f"(at most {MAX_ORDER['oracle']}, default 6)")
 
-    p_table = sub.add_parser("table", help="Euler characteristic table")
+    p_table = command("table", help="Euler characteristic table")
     common(p_table, MAX_ORDER["table"], order=None)
     p_table.add_argument("--class", dest="cls", required=True,
                          choices=("v0", "even", "odd", "lambda0",
@@ -120,7 +127,7 @@ def build_parser():
                          help=f"last discriminant of the table (at most "
                               f"{MAX_ORDER['table']})")
 
-    p_eval = sub.add_parser("eval", help="evaluate a named form")
+    p_eval = command("eval", help="evaluate a named form")
     common(p_eval, f"{MAX_ORDER['eval']} times --scale",
            formats=("json", "text"))
     p_eval.add_argument("--form", required=True,
@@ -134,7 +141,7 @@ def build_parser():
     p_eval.add_argument("--series", action="store_true",
                         help="print the exact q-expansion to --order")
 
-    p_sd = sub.add_parser("sduality", help="S-duality transformation check")
+    p_sd = command("sduality", help="S-duality transformation check")
     p_sd.add_argument("--tau", required=True)
     p_sd.add_argument("--digits", type=int, default=40)
     p_sd.add_argument("--holomorphic", action="store_true",
@@ -144,26 +151,25 @@ def build_parser():
     return parser
 
 
-def _validate(parser, args):
+def _validate(args):
+    error = args.parser.error
     if args.command == "table" and args.order is None:
         args.order = args.max_delta
     if getattr(args, "order", None) is not None and args.order < 0:
-        parser.error("--order must be nonnegative")
+        error("--order must be nonnegative")
     if getattr(args, "oracle_order", None) is not None:
         if args.oracle_order < 0:
-            parser.error("--oracle-order must be nonnegative")
+            error("--oracle-order must be nonnegative")
         if (args.suite in ("wall-oracle", "all")
                 and args.oracle_order > args.order):
-            parser.error("--oracle-order must not exceed --order")
+            error("--oracle-order must not exceed --order")
         if args.suite in ("section1", "d8", "all") and args.order < 1:
-            parser.error(f"--order must be at least 1 for --suite "
-                         f"{args.suite}")
+            error(f"--order must be at least 1 for --suite {args.suite}")
     if getattr(args, "digits", None) is not None and not (
             MIN_DIGITS <= args.digits <= MAX_DIGITS):
-        parser.error(f"--digits must be between {MIN_DIGITS} and "
-                     f"{MAX_DIGITS}")
+        error(f"--digits must be between {MIN_DIGITS} and {MAX_DIGITS}")
     if getattr(args, "scale", None) is not None and args.scale <= 0:
-        parser.error("--scale must be positive")
+        error("--scale must be positive")
     if args.command == "verify":
         bounded = (("--order", args.order, "verify"),
                    ("--oracle-order", args.oracle_order, "oracle"))
@@ -176,8 +182,8 @@ def _validate(parser, args):
         bounded = ()
     for flag, value, key in bounded:
         if value > MAX_ORDER[key]:
-            parser.error(f"{flag} must be at most {MAX_ORDER[key]} for "
-                         f"{args.command}")
+            error(f"{flag} must be at most {MAX_ORDER[key]} for "
+                  f"{args.command}")
 
 
 # -- verify --------------------------------------------------------------------
@@ -386,7 +392,7 @@ def cmd_sduality(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    _validate(args)
     try:
         if args.command == "verify":
             return cmd_verify(args)

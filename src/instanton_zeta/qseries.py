@@ -40,16 +40,32 @@ Every infinite product ``P = prod (1 - x q^a)^(-m)`` over factor triples
 ``(x, a, m)`` (``x`` in the ring, ``a >= 1``, ``m`` of either sign) is built
 by ``euler_product`` from its logarithmic derivative ``q P'/P = sum s_k q^k``,
 ``s_k = sum_{a | k} m a x^(k/a)``: Euler's recurrence ``n p_n = sum_{k=1..n}
-s_k p_(n-k)``, one pass of plain ring multiply-adds from ``p_0 = 1``.
+s_k p_(n-k)`` from ``p_0 = 1``, run in plain integers. The factors are cleared
+once to integer t-polynomial numerators over one denominator ``D`` (a rational
+is the one-slot case), and two substitutions make them integral polynomials:
+``q -> q t^r``, with the least integer ``r`` (of either sign) that leaves no
+negative t-power in any ``x t^(r a)``, and ``q -> D q``, which turns each
+factor into ``1 - Y D^(a-1) q^a`` with ``Y = x t^(r a) D`` and the recurrence
+into one for ``D^n p_n``. Each ``Y D^(a-1)`` is packed once at ``t = 2**w``,
+so every ``s_k`` and every ``p_n`` is one integer. The slot width ``w`` comes
+from the majorant ``prod (1 - |Y D^(a-1)|_1 q^a)^(-|m|)``, itself one cheap
+one-slot recurrence: its coefficient at ``q^n`` bounds the l1 norm of
+``D^n p_n``, so a whole number of bytes above its largest coefficient holds
+every coefficient of every ``p_n``. When every ``Y`` is one slot (always over
+Q) the values are the integers themselves and no width is needed. Evaluation
+at ``2**w`` is a ring homomorphism and ``D^n p_n`` is integral, so each
+division by ``n`` is exact; a remainder raises ``IntegrityError``. Each
+``p_n`` is unpacked once, shifted back by ``t^(-r n)`` and put over ``D^n``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, gcd, lcm
+from operator import mul
 
-from .errors import (FractionalExponentError, NotInvertibleError,
-                     RingMismatchError, TruncationError)
+from .errors import (FractionalExponentError, IntegrityError,
+                     NotInvertibleError, RingMismatchError, TruncationError)
 from .laurent import LPoly, _conv, _pack, _trim, _unpack
 
 
@@ -502,18 +518,77 @@ class QSeries:
 
 def euler_product(ring, factors, trunc):
     """``prod (1 - x q^a)^(-m)`` over the triples ``(x, a, m)``, exact to
-    ``trunc``, by Euler's recurrence (see the module docstring)."""
+    ``trunc``, by Euler's recurrence in packed integers (see the module
+    docstring)."""
     top = floor(trunc)
-    s = [ring.zero] * (top + 1)
+    merged = {}
     for x, a, m in factors:
         if a < 1:
             raise ValueError(f"factor q^{a} is not a positive power of q")
-        for j in range(1, top // a + 1):
-            s[a * j] += m * a * ring.coerce(x) ** j
-    p = [ring.one]
-    for n in range(1, top + 1):
-        p.append(sum((s[k] * p[n - k] for k in range(1, n + 1)), ring.zero)
-                 * Fraction(1, n))
-    # a negative trunc knows no coefficient, not even p_0
-    terms = {n: c for n, c in enumerate(p[:top + 1]) if c}
+        if m and a <= top:
+            x = ring.coerce(x)
+            if x:
+                # equal (x, a) multiply: (1 - x q^a)^(-m1 - m2)
+                merged[x, a] = merged.get((x, a), 0) + m
+    kept = [(x, a, m) for (x, a), m in merged.items() if m]
+    if top < 0:
+        # a negative trunc knows no coefficient, not even p_0
+        return QSeries(ring, 1, trunc, {}, _checked=True)
+    if not kept:
+        return QSeries.constant(ring, 1, trunc)
+    nums, off, den = ring.numerators([x for x, _, _ in kept])
+    trimmed = [_trim(n) for n in nums]
+    # q -> q t^r with the least r that makes every x t^(r a) a polynomial
+    # in t: the lowest t-powers, and so the packed integers, stay small
+    r = max(-((off + lo) // a) for (lo, _), (_, a, _) in zip(trimmed, kept))
+    # q -> den q: each factor becomes (1 - Y den^(a-1) q^a) with the integer
+    # t-polynomial Y = x t^(r a) den, and the recurrence runs on den^n p_n
+    ys = [([0] * (off + lo + r * a) + [c * den ** (a - 1) for c in n], a, m)
+          for (lo, n), (_, a, m) in zip(trimmed, kept)]
+    wide = max(len(y) for y, _, _ in ys) > 1
+    if wide:
+        # the l1 norm of every p_n is at most the coefficient of q^n in
+        # prod (1 - |Y|_1 q^a)^(-|m|), so a signed slot above the largest
+        # of those holds every coefficient of every p_n
+        majorant = _recurrence(_log_derivative(
+            [(sum(map(abs, y)), a, abs(m)) for y, a, m in ys], top))
+        nbytes = (max(majorant).bit_length() + 1 + 7) // 8
+        bits = 8 * nbytes
+        packed = [(_pack(y, nbytes), a, m) for y, a, m in ys]
+    else:
+        packed = [(y[0], a, m) for y, a, m in ys]
+    terms = {}
+    for n, v in enumerate(_recurrence(_log_derivative(packed, top))):
+        if v:
+            num = (_unpack(v, nbytes, abs(v).bit_length() // bits + 1)
+                   if wide else [v])
+            terms[n] = ring.from_numerator(num, -r * n, den ** n)
     return QSeries(ring, 1, trunc, terms, _checked=True)
+
+
+def _log_derivative(factors, top):
+    """``s_0 .. s_top`` of ``q P'/P`` for ``P = prod (1 - z q^a)^(-m)`` over
+    integer triples ``(z, a, m)``: ``s_k = sum_{a | k} m a z^(k/a)``."""
+    s = [0] * (top + 1)
+    for z, a, m in factors:
+        c = m * a
+        for k in range(a, top + 1, a):
+            c *= z
+            s[k] += c
+    return s
+
+
+def _recurrence(s):
+    """``p_0 .. p_top``, ``top = len(s) - 1``, of Euler's recurrence
+    ``n p_n = sum_{k=1..n} s_k p_(n-k)`` from ``p_0 = 1`` in integers.
+    Every division by ``n`` is exact when ``s`` is the logarithmic
+    derivative of a product with integer coefficients, so a remainder is a
+    broken invariant."""
+    p = [1]
+    for n in range(1, len(s)):
+        pn, rem = divmod(sum(map(mul, s[1:n + 1], reversed(p))), n)
+        if rem:
+            raise IntegrityError(
+                f"Euler recurrence: n p_n is not divisible by n = {n}")
+        p.append(pn)
+    return p

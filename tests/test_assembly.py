@@ -4,7 +4,8 @@ import pytest
 
 from instanton_zeta.assembly import (DEN, a_sum, check_asum_closed_forms,
                                      mg_series, pochhammer16_inverse,
-                                     proposition_series, smoothness_report,
+                                     poincare_problems, proposition_series,
+                                     smoothness_report,
                                      theta_coset_sub, vacuum_product,
                                      verify_wall_oracle, wall_sum_oracle,
                                      zeta_factors, zeta_product_x)
@@ -12,6 +13,7 @@ from instanton_zeta.errors import IntegrityError
 from instanton_zeta.laurent import LPoly
 from instanton_zeta.qseries import LAURENT, QQ, QSeries, euler_product
 from instanton_zeta.tratfunc import exact_quotient, value_at_one
+from test_qseries import plain_euler_product
 
 _T = LPoly.t_pow(1)
 _RULED = (_T + 1) * (_T - 1) ** 2   # the vacuum prefactor's denominator
@@ -138,6 +140,51 @@ def test_proposition_v0_singular_values():
 def test_smoothness_reports():
     assert smoothness_report("vEven", 6).ok
     assert smoothness_report("vOdd", 6).ok
+
+
+def test_palindromic_row_that_falls_before_the_middle_is_not_unimodal():
+    assert poincare_problems(LPoly(0, (1, 3, 1, 3, 1)), 4) == [
+        "not unimodal"]
+    assert poincare_problems(LPoly(0, (1, 3, 4, 3, 1)), 4) == []
+    assert poincare_problems(LPoly(0, (1, 3, 3, 1)), 3) == []
+
+
+def test_smoothness_report_flags_a_non_unimodal_row(monkeypatch):
+    # Delta = 2 of vEven has dimension 5: a palindromic sextic that dips
+    # before the middle keeps Poincare duality and breaks Hard Lefschetz
+    from instanton_zeta import assembly
+    row = LPoly(0, (1, 3, 1, 1, 3, 1))
+
+    def build(tag, trunc):
+        return QSeries.from_pairs(LAURENT, [(2, DEN * row)], trunc, 1)
+
+    monkeypatch.setattr(assembly, "proposition_series", build)
+    report = smoothness_report("vEven", 2)
+    assert [(r.max_exponent, r.passed, r.note) for r in report.results] == [
+        (0, True, ""), (1, True, ""), (2, False, "not unimodal")]
+
+
+def _zeta_product_factors(surface, shifts, trunc):
+    return [f for a in range(1, trunc + 1) for s in shifts
+            for f in zeta_factors(surface, 2 * a + s, a)]
+
+
+def test_assembly_products_match_the_plain_recurrence():
+    # zeta_product_x, the vacuum product F, the second product of G and
+    # the 16-fold partition denominator, at q^25
+    g_second = vacuum_product("F", 25) - vacuum_product("G", 25)
+    cases = [
+        (zeta_product_x(25), _zeta_product_factors("X", (-1, -1), 25)),
+        (vacuum_product("F", 25),
+         _zeta_product_factors("Sigma1", (-2, 0), 25)),
+        (g_second, _zeta_product_factors("Sigma1", (-1, -1), 25)),
+        (pochhammer16_inverse(25),
+         [(tp(2 * a), a, 16) for a in range(1, 26)]),
+    ]
+    for got, factors in cases:
+        want = plain_euler_product(LAURENT, factors, 25)
+        assert got.trunc == want.trunc
+        assert got.terms == want.terms
 
 
 def test_wall_oracle_small_order():

@@ -69,6 +69,21 @@ def test_verify_negative_order_usage_error():
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--order", "-1"],
+    ["table", "--class", "odd", "--max-delta", "161"],
+    ["eval", "--form", "E4", "--tau", "i", "--scale", "0"],
+    ["sduality", "--tau", "i", "--digits", "5"],
+])
+def test_validation_error_prints_the_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: instanton-zeta {argv[0]} ")
+    assert f"instanton-zeta {argv[0]}: error: " in err
+
+
+@pytest.mark.parametrize("argv", [
     ["--suite", "d8", "--order", "1/2"],
     ["--suite", "section1", "--order", "0"],
     ["--suite", "all", "--order", "1/2", "--oracle-order", "0"],

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instanton_zeta.errors import (FractionalExponentError,
+from instanton_zeta import qseries
+from instanton_zeta.errors import (FractionalExponentError, IntegrityError,
                                    NotInvertibleError, RingMismatchError,
                                    TruncationError)
 from instanton_zeta.forms import gen_form
@@ -116,6 +117,26 @@ def _euler_factors(draw):
     return ring, factors, trunc
 
 
+def plain_euler_product(ring, factors, trunc):
+    """Euler's recurrence ``n p_n = sum_k s_k p_(n-k)`` in the ring's own
+    arithmetic, one ring multiply-add per term: the oracle for the packed
+    integer recurrence of ``euler_product``."""
+    top = floor(trunc)
+    s = [ring.zero] * (top + 1)
+    for x, a, m in factors:
+        if a < 1:
+            raise ValueError(f"factor q^{a} is not a positive power of q")
+        for j in range(1, top // a + 1):
+            s[a * j] += m * a * ring.coerce(x) ** j
+    p = [ring.one]
+    for n in range(1, top + 1):
+        p.append(sum((s[k] * p[n - k] for k in range(1, n + 1)), ring.zero)
+                 * Fraction(1, n))
+    # a negative trunc knows no coefficient, not even p_0
+    terms = {n: c for n, c in enumerate(p[:top + 1]) if c}
+    return QSeries(ring, 1, trunc, terms, _checked=True)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_euler_factors())
 def test_euler_product_matches_the_factor_by_factor_product(case):
@@ -127,6 +148,73 @@ def test_euler_product_matches_the_factor_by_factor_product(case):
     got = euler_product(ring, factors, trunc)
     assert got.trunc == want.trunc
     assert got.pairs() == want.pairs()
+
+
+@st.composite
+def _wide_euler_factors(draw):
+    """Factor triples with numerators up to 10^12 and denominators up to
+    10^3, so that the packed slots take from a few bytes to about a
+    hundred, t-offsets of both signs, m of both signs, and a truncation up
+    to 30.  Over Q[t,1/t] every x has two to four terms, so that every
+    product packs."""
+    ring = draw(st.sampled_from([QQ, LAURENT, LAURENT]))
+
+    def scalar():
+        top = 10 ** draw(st.integers(0, 12))
+        return Fraction(draw(st.integers(-top, top)),
+                        draw(st.sampled_from([1, 1, 2, 7, 1000])))
+
+    def x():
+        if ring is QQ:
+            return scalar()
+        off = draw(st.integers(-3, 4))
+        return LPoly.from_pairs((off + i, scalar())
+                                for i in range(draw(st.integers(2, 4))))
+
+    factors = [(x(), draw(st.integers(1, 6)), draw(st.integers(-3, 3)))
+               for _ in range(draw(st.integers(1, 4)))]
+    trunc = draw(st.fractions(min_value=0, max_value=30, max_denominator=3))
+    return ring, factors, trunc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_wide_euler_factors())
+def test_euler_product_matches_the_plain_recurrence(case):
+    ring, factors, trunc = case
+    got = euler_product(ring, factors, trunc)
+    want = plain_euler_product(ring, factors, trunc)
+    assert got.trunc == want.trunc
+    assert got.terms == want.terms
+    assert repr(got.pairs()) == repr(want.pairs())
+
+
+def _perturbed_log_derivative(monkeypatch):
+    """s_2 off by one: no product with integer coefficients has it as its
+    logarithmic derivative, so 2 p_2 = s_2 + s_1 p_1 turns odd."""
+    build = qseries._log_derivative
+
+    def perturbed(factors, top):
+        s = build(factors, top)
+        s[2] += 1
+        return s
+
+    monkeypatch.setattr(qseries, "_log_derivative", perturbed)
+
+
+def _halved_pack(monkeypatch):
+    """Each x packed at half its value, which is not integral."""
+    pack = qseries._pack
+    monkeypatch.setattr(qseries, "_pack", lambda coeffs, nbytes: Fraction(
+        pack(coeffs, nbytes), 2))
+
+
+@pytest.mark.parametrize("patch", [_perturbed_log_derivative, _halved_pack])
+def test_inexact_division_in_the_recurrence_is_an_integrity_error(
+        patch, monkeypatch):
+    patch(monkeypatch)
+    # 1 + 2t packs to an odd integer at every slot width
+    with pytest.raises(IntegrityError, match="not divisible by n"):
+        euler_product(LAURENT, [(LPoly(0, (1, 2)), 1, 1)], 4)
 
 
 @pytest.mark.parametrize("a", [0, -1])
