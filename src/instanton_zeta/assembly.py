@@ -15,16 +15,16 @@ is read.
 from __future__ import annotations
 
 import functools
-import time
 from fractions import Fraction
 from math import floor
 
 from .errors import ConfigurationError, IntegrityError
 from .forms import double_sum, gen_form, sieve
 from .laurent import LPoly
-from .lattice import coset_points, d8_ambient, d8_theta_ambient
+from .lattice import (b_substituted, coset_points, d8_ambient,
+                      d8_theta_ambient)
 from .qseries import LAURENT, QQ, QSeries, euler_product
-from .report import IdentityResult, VerifyReport, compare
+from .report import VerifyReport, check, compare
 from .surface import CLASSES, SURFACE, C1Class, pair, vec_add, vec_scale
 from .tratfunc import exact_quotient
 
@@ -116,7 +116,9 @@ def theta_coset_sub(e_coords, trunc):
     terms = {}
     for k, c in th.terms.items():   # the shell at q^(k/denom)
         tpow, rest = divmod(4 * k, th.denom)
-        assert rest == 0
+        if rest:
+            raise IntegrityError(f"coset theta term at "
+                                 f"q^{Fraction(k, th.denom)} is off q^(Z/4)")
         terms[2 * k] = LPoly.t_pow(tpow, c)
     return QSeries(LAURENT, th.denom, trunc, terms).normalize_denom()
 
@@ -143,7 +145,6 @@ def mg_series(tag, trunc):
     F times the character theta powers B0^(8-n) B1^n at u = t^2 q over the
     16-fold partition denominator.  The 1/((t^2-1)(t-1)) prefactor of F is
     2t over DEN."""
-    from .lattice import b_substituted
     c1 = CLASSES[tag]
     trunc = Fraction(trunc)
     n = c1.blowup_parity
@@ -221,27 +222,24 @@ def poincare_problems(poly, dim):
 
 def smoothness_report(tag, trunc):
     """Structural check of the smooth-case coefficients, one line per
-    discriminant (``poincare_problems``)."""
+    discriminant (``poincare_problems``).  Each line reads the assembly,
+    so the first line's time includes its build."""
     trunc = Fraction(trunc)
-    t0 = time.perf_counter()   # the first line's time includes the build
-    # ztilde's order: the same coefficients to trunc, and one build for both
-    series = proposition_series(tag, trunc + 1)
-    results = []
     c1 = CLASSES[tag]
-    delta = c1.grid_offset
-    while delta <= trunc:
-        problems = []
-        if c1.is_smooth(delta):
-            problems = poincare_problems(
-                exact_quotient(series.coeff(delta), DEN), 4 * delta - 3)
-        results.append(IdentityResult(
-            name=f"{tag} Delta={delta}: Poincare polynomial structure",
-            max_exponent=delta, passed=not problems,
-            note="; ".join(problems),
-            seconds=time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        delta += 1
-    return VerifyReport(suite=f"smoothness[{tag}]", results=results)
+
+    def row(delta):
+        # ztilde's order: the same coefficients to trunc, one build for both
+        coeff = proposition_series(tag, trunc + 1).coeff(delta)
+        problems = (poincare_problems(exact_quotient(coeff, DEN),
+                                      4 * delta - 3)
+                    if c1.is_smooth(delta) else [])
+        return {"passed": not problems, "note": "; ".join(problems)}
+
+    deltas = [c1.grid_offset + n
+              for n in range(floor(trunc - c1.grid_offset) + 1)]
+    return VerifyReport(suite=f"smoothness[{tag}]", results=[
+        check(f"{tag} Delta={delta}: Poincare polynomial structure", delta,
+              lambda: row(delta)) for delta in deltas])
 
 
 # -- the independent wall-sum oracle ------------------------------------------
@@ -299,7 +297,9 @@ def wall_sum_oracle(tag, trunc):
                 xi2 = tuple([A * a + B * b + c for a, b, c in zip(f, g, d2)])
                 norm4 = -pair(xi2, xi2)   # 4 q-exponent
                 tpow2 = norm4 + pair(xi2, K)
-                assert tpow2 % 2 == 0 and norm4 == -4 * A * B + qd
+                if tpow2 % 2 or norm4 != -4 * A * B + qd:
+                    raise IntegrityError(f"{tag}: 2 xi at A = {A}, B = {B} "
+                                         f"breaks its norm or t-parity")
                 add(norm4, tpow2 // 2, wall, sign)
 
             # first cone: (xi, g) > 0, (xi, f) < 0, i.e. A > 0 > B
@@ -324,7 +324,8 @@ def wall_sum_oracle(tag, trunc):
                 # t-power 2*(that) - 2b; the sum of t^(-2b) over b is
                 # t^eps2/(t^2-1), which times the wall prefactor leaves
                 # -2 t^eps2 over DEN
-                assert qd % 2 == 0
+                if qd % 2:
+                    raise IntegrityError(f"{tag}: odd (2 delta)^2 = {qd}")
                 add(qd, qd // 2 + eps2, ((0, -2),), 1)
                 if eps2 == 0:
                     # middle stratum contribution only from a = b = 0

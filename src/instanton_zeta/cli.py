@@ -22,8 +22,8 @@ import sys
 from fractions import Fraction
 
 from .errors import InstantonZetaError
-from .formexpr import CLOSED_FORMS, E2Slot, leaf
-from .report import VerifyReport
+from .formexpr import CLOSED_FORMS, E2Slot, as_qseries, leaf
+from .report import csv_rows
 
 SUITES = ("section1", "d8", "limit-lemmas", "smoothness", "wall-oracle",
           "theorem")
@@ -190,21 +190,16 @@ def _validate(args):
 
 def _run_suite(name, order, oracle_order):
     from . import assembly, forms, lattice, results
-    if name == "section1":
-        return [forms.verify_section1(order)]
-    if name == "d8":
-        return [lattice.verify_d8_decompositions(order)]
-    if name == "limit-lemmas":
-        return [assembly.check_asum_closed_forms(order),
-                results.check_limit_lemmas(order)]
-    if name == "smoothness":
-        return [assembly.smoothness_report("vEven", order),
-                assembly.smoothness_report("vOdd", order)]
-    if name == "wall-oracle":
-        return [assembly.verify_wall_oracle(oracle_order)]
-    if name == "theorem":
-        return [results.assemble_theorem(order)[0]]
-    raise ValueError(name)
+    return {
+        "section1": lambda: [forms.verify_section1(order)],
+        "d8": lambda: [lattice.verify_d8_decompositions(order)],
+        "limit-lemmas": lambda: [assembly.check_asum_closed_forms(order),
+                                 results.check_limit_lemmas(order)],
+        "smoothness": lambda: [assembly.smoothness_report(tag, order)
+                               for tag in ("vEven", "vOdd")],
+        "wall-oracle": lambda: [assembly.verify_wall_oracle(oracle_order)],
+        "theorem": lambda: [results.assemble_theorem(order)[0]],
+    }[name]()
 
 
 def cmd_verify(args):
@@ -212,21 +207,12 @@ def cmd_verify(args):
     reports = []
     for suite in suites:
         reports.extend(_run_suite(suite, args.order, args.oracle_order))
-    payload = [_report_dict(r) for r in reports]
     ok = all(r.ok for r in reports)
     if args.format == "json":
-        print(json.dumps({"ok": ok, "suites": payload}, indent=2))
+        print(json.dumps({"ok": ok, "suites": [r.as_dict() for r in reports]},
+                         indent=2))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["suite", "identity", "max_exponent", "passed",
-                         "first_difference", "seconds"])
-        for r in reports:
-            for item in r.results:
-                writer.writerow([r.suite, item.name, str(item.max_exponent),
-                                 item.passed,
-                                 "" if item.first_difference is None
-                                 else str(item.first_difference),
-                                 f"{item.seconds:.3f}"])
+        csv.writer(sys.stdout).writerows(csv_rows(reports))
     else:
         for r in reports:
             print(f"[{r.suite}]")
@@ -234,8 +220,7 @@ def cmd_verify(args):
                 print("  " + line)
         print("all passed" if ok else "FAILURES present")
     if not ok:
-        bad = next(item for r in reports for item in r.results
-                   if not item.passed)
+        bad = next(item for r in reports for item in r.failures())
         print(f"first failure: {bad.name}"
               + (f" at q^{bad.first_difference}"
                  if bad.first_difference is not None else ""),
@@ -244,35 +229,13 @@ def cmd_verify(args):
     return 0
 
 
-def _report_dict(report: VerifyReport):
-    return {
-        "suite": report.suite,
-        "ok": report.ok,
-        "results": [{
-            "name": r.name,
-            "max_exponent": str(r.max_exponent),
-            "passed": r.passed,
-            "first_difference": (None if r.first_difference is None
-                                 else str(r.first_difference)),
-            "seconds": round(r.seconds, 4),
-            "note": r.note,
-        } for r in report.results],
-    }
-
-
 # -- table ---------------------------------------------------------------------
 
 def table_to_dict(table):
-    return {
-        "class": table.label,
-        "rows": [{
-            "delta": str(r.delta),
-            "dim": r.dim,
-            "euler": str(r.euler),
-            "betti": r.betti,
-            "singular": r.singular,
-        } for r in table.rows],
-    }
+    # a dataclass's vars hold its fields in order; rationals as strings
+    return {"class": table.label, "rows": [
+        {**vars(r), "delta": str(r.delta), "euler": str(r.euler)}
+        for r in table.rows]}
 
 
 def cmd_table(args):
@@ -319,7 +282,6 @@ def _json_float(x):
 
 
 def cmd_eval(args):
-    from .formexpr import as_qseries
     expr = _form_expr(args.form)
     k = args.scale  # f(k tau): the tree of f at the argument k tau
     out = {"form": args.form, "scale": str(args.scale)}
@@ -368,19 +330,7 @@ def cmd_sduality(args):
     resolution = "E2" if args.holomorphic else "anomaly"
     report = sduality_check(tau, digits=args.digits, resolution=resolution)
     if args.format == "json":
-        print(json.dumps({
-            "tau": str(report.tau),
-            "digits": report.digits,
-            "resolution": report.resolution,
-            "lhs": {"re": report.lhs.real, "im": report.lhs.imag},
-            "rhs": {"re": report.rhs.real, "im": report.rhs.imag},
-            "rel_error": report.rel_error,
-            "threshold": report.threshold,
-            "rel_error_str": report.rel_error_str,
-            "threshold_str": report.threshold_str,
-            "passed": report.passed,
-            "seconds": round(report.seconds, 3),
-        }, indent=2))
+        print(json.dumps(report.as_dict(), indent=2))
     else:
         for line in report.lines():
             print(line)

@@ -50,6 +50,16 @@ def _conv_school(a, b):
 # adding the half width to every slot turns each one into a plain unsigned
 # byte field, which is how both directions convert.
 
+def _slot_bytes(bound):
+    """Bytes of the narrowest signed slot that holds every |v| <= bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _slot_count(value, nbytes):
+    """Slots that ``_unpack`` reads to reach the top slot of ``value``."""
+    return abs(value).bit_length() // (8 * nbytes) + 1
+
+
 def _bias(nbytes, count):
     """The half width in each of ``count`` slots."""
     half = (1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
@@ -72,10 +82,10 @@ def _unpack(value, nbytes, count):
 
 
 def _conv_kronecker(a, b):
-    amax = max(abs(c) for c in a)
-    bmax = max(abs(c) for c in b)
-    bound = amax * bmax * min(len(a), len(b))
-    nbytes = (bound.bit_length() + 2 + 7) // 8
+    """One packed multiply; ``max|a| max|b| min(len)`` bounds every output
+    slot, so ``_slot_bytes`` of it is exact."""
+    nbytes = _slot_bytes(max(map(abs, a)) * max(map(abs, b))
+                         * min(len(a), len(b)))
     return _unpack(_pack(a, nbytes) * _pack(b, nbytes), nbytes,
                    len(a) + len(b) - 1)
 

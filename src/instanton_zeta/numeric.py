@@ -370,12 +370,12 @@ class SDualityReport:
     rhs: complex
     rel_error: float
     threshold: float | None
-    passed: bool | None
-    seconds: float
     # the two compared numbers to 5 digits; the floats underflow to 0.0
     # once digits passes about 320
     rel_error_str: str
     threshold_str: str | None
+    passed: bool | None
+    seconds: float
 
     def lines(self):
         out = [
@@ -392,6 +392,14 @@ class SDualityReport:
                        + ("pass" if self.passed else "FAIL"))
         out.append(f"({self.seconds:.2f}s)")
         return out
+
+    def as_dict(self):
+        """The JSON fields in field order (a dataclass's ``vars``), each
+        complex as re and im."""
+        return {**vars(self), "tau": str(self.tau),
+                "lhs": {"re": self.lhs.real, "im": self.lhs.imag},
+                "rhs": {"re": self.rhs.real, "im": self.rhs.imag},
+                "seconds": round(self.seconds, 3)}
 
 
 def sduality_check(tau, digits=40, resolution="anomaly"):

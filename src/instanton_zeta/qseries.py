@@ -30,8 +30,8 @@ The unpack is exact because of the slot width.  A slot of a sum holds
 pairs meet at one exponent, each convolution overlaps in at most
 ``min(width_a, width_b)`` places, and every factor is at most ``max|a|``
 and ``max|b|``.  So ``|slot| <= L = max|a| max|b| min(width) min(terms)``,
-and ``w`` is the whole number of bytes that holds ``bit_length(L) + 1``
-bits, which makes ``|slot| < 2**(w - 1)``.  Slots in that range are the
+and ``w`` is ``laurent._slot_bytes(L)`` bytes, the fewest that make
+``|slot| < 2**(w - 1)``.  Slots in that range are the
 unique signed base-``2**w`` digits of the sum, which the unpack reads back.
 Inverses are Newton steps ``x <- x - x (u x - 1)`` on the unit part
 ``u``, each one a pair of kernel products that doubles the exact range.
@@ -50,7 +50,7 @@ into one for ``D^n p_n``. Each ``Y D^(a-1)`` is packed once at ``t = 2**w``,
 so every ``s_k`` and every ``p_n`` is one integer. The slot width ``w`` comes
 from the majorant ``prod (1 - |Y D^(a-1)|_1 q^a)^(-|m|)``, itself one cheap
 one-slot recurrence: its coefficient at ``q^n`` bounds the l1 norm of
-``D^n p_n``, so a whole number of bytes above its largest coefficient holds
+``D^n p_n``, so ``laurent._slot_bytes`` of its largest coefficient holds
 every coefficient of every ``p_n``. When every ``Y`` is one slot (always over
 Q) the values are the integers themselves and no width is needed. Evaluation
 at ``2**w`` is a ring homomorphism and ``D^n p_n`` is integral, so each
@@ -66,7 +66,8 @@ from operator import mul
 
 from .errors import (FractionalExponentError, IntegrityError,
                      NotInvertibleError, RingMismatchError, TruncationError)
-from .laurent import LPoly, _conv, _pack, _trim, _unpack
+from .laurent import (LPoly, _conv, _pack, _slot_bytes, _slot_count, _trim,
+                      _unpack)
 
 
 class RationalRing:
@@ -188,12 +189,11 @@ def _product(ring, a, b, bound):
                 out[k] = make([c], off, den)
             k += g
         return out
-    # |each slot of a sum| <= pairs per exponent * overlap * max * max, and
-    # a slot of 8 * nbytes bits holds any value below 2**(8 * nbytes - 1)
+    # |each slot of a sum| <= pairs per exponent * overlap * max * max
     top_a = max(max(map(abs, n)) for n in na)
     top_b = max(max(map(abs, n)) for n in nb)
     limit = top_a * top_b * min(wa, wb) * min(len(ka), len(kb))
-    nbytes = (limit.bit_length() + 1 + 7) // 8
+    nbytes = _slot_bytes(limit)
     bits = 8 * nbytes
     # each term packs from its own lowest t-power, shifted into place once
     # per pair, so the multiplies see no leading zero slots
@@ -212,7 +212,7 @@ def _product(ring, a, b, bound):
         if total:
             low = ((total & -total).bit_length() - 1) // bits
             total >>= low * bits
-            num = _unpack(total, nbytes, abs(total).bit_length() // bits + 1)
+            num = _unpack(total, nbytes, _slot_count(total, nbytes))
             out[k] = make(num, off + low, den)
     return out
 
@@ -552,15 +552,14 @@ def euler_product(ring, factors, trunc):
         # of those holds every coefficient of every p_n
         majorant = _recurrence(_log_derivative(
             [(sum(map(abs, y)), a, abs(m)) for y, a, m in ys], top))
-        nbytes = (max(majorant).bit_length() + 1 + 7) // 8
-        bits = 8 * nbytes
+        nbytes = _slot_bytes(max(majorant))
         packed = [(_pack(y, nbytes), a, m) for y, a, m in ys]
     else:
         packed = [(y[0], a, m) for y, a, m in ys]
     terms = {}
     for n, v in enumerate(_recurrence(_log_derivative(packed, top))):
         if v:
-            num = (_unpack(v, nbytes, abs(v).bit_length() // bits + 1)
+            num = (_unpack(v, nbytes, _slot_count(v, nbytes))
                    if wide else [v])
             terms[n] = ring.from_numerator(num, -r * n, den ** n)
     return QSeries(ring, 1, trunc, terms, _checked=True)

@@ -12,7 +12,6 @@ the slot.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .formexpr import CLOSED_FORMS, as_qseries
 from .forms import double_sum, eta_pow_inverse, gen_form, sieve
 from .lattice import b_substituted
 from .qseries import QQ, QSeries
-from .report import IdentityResult, VerifyReport, compare
+from .report import VerifyReport, check, compare
 from .surface import CLASSES, V0
 from .tratfunc import exact_quotient, value_at_one
 
@@ -158,14 +157,20 @@ def assemble_theorem(trunc):
     """Build all partition functions (pipeline + relations), compare with
     the closed forms, and run the structural checks.  Returns the report
     and the series keyed by class tag or relation key; the function of
-    key k is Zt_k."""
+    key k is Zt_k, each built by the first line that reads it."""
     trunc = Fraction(trunc)
+    keys, funcs = ("v0", "vEven", "vOdd", *RELATIONS), {}
+
+    def func(key):
+        if key not in funcs:
+            funcs[key] = (ztilde(key, trunc) if key in CLASSES
+                          else relation(key, trunc))
+        return funcs[key]
+
     results = [compare(f"pipeline Zt_{tag} = closed form",
-                       lambda: (ztilde(tag, trunc),
-                                main_closed_form(tag, trunc)), trunc)
+                       lambda: (func(tag), main_closed_form(tag, trunc)),
+                       trunc)
                for tag in ("vEven", "vOdd", "v0")]
-    funcs = {tag: ztilde(tag, trunc) for tag in ("v0", "vEven", "vOdd")}
-    funcs.update((key, relation(key, trunc)) for key in RELATIONS)
 
     # the eta identity behind the final rewriting of the c1 = 0 form
     def eta_identity():
@@ -179,7 +184,7 @@ def assemble_theorem(trunc):
     for lam in ("0", "even", "odd"):
         hits = theorem_closed_form.cache_info().hits
         result = compare(f"Zt_{lam} = theorem closed form",
-                         lambda: (funcs[lam],
+                         lambda: (func(lam),
                                   theorem_closed_form(lam, trunc)), trunc)
         if theorem_closed_form.cache_info().hits > hits:
             result.note = "; ".join(filter(None, (
@@ -188,62 +193,54 @@ def assemble_theorem(trunc):
         results.append(result)
 
     # intersection-cohomology variant and the conjecture shape
-    v0, v0_int = funcs["v0"], funcs["v0_int"]
-
     def c4():
         return eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
 
-    results.append(compare("Zt_v0_int = Zt_v0 + 1/(4 eta(2t)^12)",
-                           lambda: (v0_int, v0 + c4()), trunc))
-    results.append(compare(
-        "conjecture shape: Zt_v0_int - 1/(4 eta(2t)^12) = Zt_v0",
-        lambda: (v0_int - c4(), v0), trunc))
+    results += [compare(name, build, trunc) for name, build in (
+        ("Zt_v0_int = Zt_v0 + 1/(4 eta(2t)^12)",
+         lambda: (func("v0_int"), func("v0") + c4())),
+        ("conjecture shape: Zt_v0_int - 1/(4 eta(2t)^12) = Zt_v0",
+         lambda: (func("v0_int") - c4(), func("v0"))))]
 
     # integrality where smoothness or intersection cohomology demands it
-    t0 = time.perf_counter()
-    bad = []
-    for key in [key for key in funcs if key not in ("v0", "0")]:
-        for e, c in funcs[key].pairs():
-            if c.denominator != 1:
-                bad.append((key, e, c))
-    for key in ("v0", "0"):
-        for e, c in funcs[key].pairs():
-            if V0.is_smooth(e + 1) and c.denominator != 1:
-                bad.append((key, e, c))
-    results.append(IdentityResult(
-        name="integrality of Euler characteristics (smooth and "
-             "intersection-cohomology classes; odd Delta for the "
-             "singular family)",
-        max_exponent=trunc, passed=not bad,
-        note="; ".join(f"Zt_{key}[q^{e}]={c}" for key, e, c in bad[:4]),
-        seconds=time.perf_counter() - t0))
+    def integrality():
+        # Zt_v0 and Zt_0 last, and only at their smooth discriminants
+        order = [key for key in keys if key not in ("v0", "0")] + ["v0", "0"]
+        bad = [(key, e, c) for key in order for e, c in func(key).pairs()
+               if c.denominator != 1
+               and (key not in ("v0", "0") or V0.is_smooth(e + 1))]
+        return {"passed": not bad,
+                "note": "; ".join(f"Zt_{key}[q^{e}]={c}"
+                                  for key, e, c in bad[:4])}
 
     # grid structure: leading exponents of the even and odd families; the
     # odd family is empty below its first term at q^(1/2)
-    t0 = time.perf_counter()
-    lead_even = funcs["even"].leading()[0]
-    lead_odd = (None if funcs["odd"].is_zero()
-                else funcs["odd"].leading()[0])
-    want_odd = Fraction(1, 2) if trunc >= Fraction(1, 2) else None
-    results.append(IdentityResult(
-        name="leading exponents: even at q^0, odd at q^(1/2)",
-        max_exponent=trunc,
-        passed=(lead_even == 0 and lead_odd == want_odd),
-        note=f"even: {lead_even}, odd: {lead_odd}",
-        seconds=time.perf_counter() - t0))
+    def leading():
+        lead_even = func("even").leading()[0]
+        lead_odd = (None if func("odd").is_zero()
+                    else func("odd").leading()[0])
+        want_odd = Fraction(1, 2) if trunc >= Fraction(1, 2) else None
+        return {"passed": lead_even == 0 and lead_odd == want_odd,
+                "note": f"even: {lead_even}, odd: {lead_odd}"}
 
     # diagnostic: the singular-space discrepancy series (difference between
     # the pipeline average and the closed form with the slot holomorphic)
-    t0 = time.perf_counter()
-    disc = funcs["0"] - theorem_closed_form("0", trunc)
-    results.append(IdentityResult(
-        name="singular-discrepancy series (diagnostic, not asserted)",
-        max_exponent=trunc, passed=True,
-        note=("zero" if disc.is_zero() else
-              f"nonzero from q^{disc.leading()[0]}"),
-        seconds=time.perf_counter() - t0))
+    def discrepancy():
+        disc = func("0") - theorem_closed_form("0", trunc)
+        return {"passed": True,
+                "note": ("zero" if disc.is_zero() else
+                         f"nonzero from q^{disc.leading()[0]}")}
 
-    return VerifyReport(suite="theorem", results=results), funcs
+    results += [check(name, trunc, run) for name, run in (
+        ("integrality of Euler characteristics (smooth and intersection-"
+         "cohomology classes; odd Delta for the singular family)",
+         integrality),
+        ("leading exponents: even at q^0, odd at q^(1/2)", leading),
+        ("singular-discrepancy series (diagnostic, not asserted)",
+         discrepancy))]
+
+    return (VerifyReport(suite="theorem", results=results),
+            {key: func(key) for key in keys})
 
 
 # -- presentation --------------------------------------------------------------
@@ -294,7 +291,9 @@ def euler_table(class_tag, max_delta):
     delta = offset
     while delta <= max_delta:
         dim = 4 * delta - 3
-        assert dim.denominator == 1
+        if dim.denominator != 1:
+            raise IntegrityError(f"{class_tag}: non-integer dimension {dim} "
+                                 f"at Delta = {delta}")
         dim = int(dim)
         euler = series.coeff(delta - 1)
         singular = not CLASSES[base].is_smooth(delta)

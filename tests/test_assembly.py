@@ -257,3 +257,55 @@ def test_non_divisible_smooth_coefficient_is_an_integrity_error(monkeypatch):
         proposition_series.__wrapped__("vEven", 2)
     assert str(err.value) == ("vEven: coefficient at Delta = 1 is not a "
                               "Laurent polynomial despite smoothness")
+
+
+def test_coset_theta_term_off_its_grid_is_an_integrity_error(monkeypatch):
+    # a shell at q^(1/8) of the coset theta would land at t^(1/2)
+    from instanton_zeta import assembly
+
+    def off_grid(ambient, trunc):
+        return QSeries.from_pairs(QQ, [(0, 1), (Fraction(1, 8), 2)], trunc, 8)
+
+    monkeypatch.setattr(assembly, "d8_theta_ambient", off_grid)
+    with pytest.raises(IntegrityError, match=r"q\^1/8 is off q\^\(Z/4\)"):
+        theta_coset_sub((0,) * 8, 2)
+
+
+def _shifted_coset_points(monkeypatch, dq):
+    from instanton_zeta import assembly
+    points = assembly.coset_points
+
+    def shifted(gram, shift, max_q):
+        for y, qd in points(gram, shift, max_q):
+            yield y, qd + dq
+
+    monkeypatch.setattr(assembly, "coset_points", shifted)
+
+
+def test_wall_oracle_norm_mismatch_is_an_integrity_error(monkeypatch):
+    # (2 delta, 2 delta) reported 4 below the norm of the point
+    _shifted_coset_points(monkeypatch, -4)
+    with pytest.raises(IntegrityError, match="breaks its norm or t-parity"):
+        wall_sum_oracle("vEven", 1)
+
+
+def test_wall_oracle_odd_ray_norm_is_an_integrity_error(monkeypatch):
+    # at q^1 no cone term fits the a = 0 strata, so the degenerate ray
+    # reads the odd norm first
+    _shifted_coset_points(monkeypatch, 1)
+    with pytest.raises(IntegrityError, match=r"odd \(2 delta\)\^2"):
+        wall_sum_oracle("v0", 1)
+
+
+def test_wall_oracle_odd_t_power_is_an_integrity_error(monkeypatch):
+    # a canonical class moved by H pairs oddly with every 2 xi of vEven,
+    # whose representative pairs oddly with H; the first cone term is at q^2
+    import copy
+
+    from instanton_zeta import assembly
+    from instanton_zeta.surface import SURFACE, vec_add
+    surface = copy.copy(SURFACE)
+    surface.K = vec_add(SURFACE.K, SURFACE.H)
+    monkeypatch.setattr(assembly, "SURFACE", surface)
+    with pytest.raises(IntegrityError, match="breaks its norm or t-parity"):
+        wall_sum_oracle("vEven", 2)

@@ -58,6 +58,57 @@ def test_verify_json_format(capsys):
     assert {s["suite"] for s in data["suites"]} == {"a-sums", "limit-lemmas"}
 
 
+def test_verify_csv_format(capsys):
+    import csv
+    assert main(["verify", "--suite", "section1", "--order", "4",
+                 "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["suite", "identity", "max_exponent", "passed",
+                      "first_difference", "seconds"]
+    assert rows
+    for suite, _, bound, passed, diff, seconds in rows:
+        assert (suite, bound, passed, diff) == ("section1", "4", "True", "")
+        assert re.fullmatch(r"\d+\.\d{3}", seconds)
+
+
+def _failing_suite(monkeypatch):
+    # one passing and one failing line, the failure first at q^3
+    from instanton_zeta.qseries import QQ, QSeries
+    from instanton_zeta.report import VerifyReport, compare
+
+    def geometric(bump=0):
+        return QSeries.from_pairs(QQ, [(n, 1 + bump * (n == 3))
+                                       for n in range(7)], 6, 1)
+
+    report = VerifyReport(suite="demo", results=[
+        compare("same", lambda: (geometric(), geometric()), 6),
+        compare("perturbed", lambda: (geometric(), geometric(1)), 6)])
+    monkeypatch.setattr(cli, "_run_suite", lambda *args: [report])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_failure_path(fmt, monkeypatch, capsys):
+    _failing_suite(monkeypatch)
+    assert main(["verify", "--suite", "section1", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err == "first failure: perturbed at q^3\n"
+    if fmt == "text":
+        assert out.splitlines()[-1] == "FAILURES present"
+        assert re.search(r"FAIL perturbed  \(checked to q\^6, \d+\.\d\ds\)"
+                         r"  first difference at q\^3", out)
+    elif fmt == "json":
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert data["suites"][0]["ok"] is False
+        line = data["suites"][0]["results"][1]
+        assert (line["name"], line["passed"], line["first_difference"]) == (
+            "perturbed", False, "3")
+    else:
+        rows = out.splitlines()[1:]
+        assert [row.rsplit(",", 1)[0] for row in rows] == [
+            "demo,same,6,True,", "demo,perturbed,6,False,3"]
+
+
 def test_verify_wall_oracle_suite(capsys):
     assert main(["verify", "--suite", "wall-oracle", "--order", "8",
                  "--oracle-order", "3"]) == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from instanton_zeta.errors import PoleAtOneError
 from instanton_zeta.assembly import DEN
 from instanton_zeta.laurent import (LPoly, _conv_kronecker, _conv_school,
+                                    _pack, _slot_bytes, _slot_count, _unpack,
                                     poly_divexact_z)
 from instanton_zeta.qseries import LAURENT, QSeries
 from instanton_zeta.tratfunc import exact_quotient, value_at_one
@@ -257,3 +258,17 @@ def test_quotient_and_value_at_one_examples():
     with pytest.raises(PoleAtOneError) as err:
         value_at_one((_T - 1) * (_T + 3), DEN)
     assert err.value.order == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_slot_width_boundary(k):
+    # a signed slot of k bytes holds |v| <= 2^(8k-1) - 1, and 2^(8k-1)
+    # needs one byte more
+    top = 2 ** (8 * k - 1)
+    assert _slot_bytes(top - 1) == k
+    assert _slot_bytes(top) == k + 1
+    for bound, nbytes in ((top - 1, k), (top, k + 1)):
+        coeffs = [bound, -bound, 0, 1, -1, bound]
+        packed = _pack(coeffs, nbytes)
+        assert _slot_count(packed, nbytes) == len(coeffs)
+        assert _unpack(packed, nbytes, len(coeffs)) == coeffs

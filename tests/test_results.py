@@ -199,3 +199,42 @@ def test_smoothness_then_ztilde_builds_the_assembly_once():
     smoothness_report("vEven", 3)
     ztilde("vEven", 3)
     assert proposition_series.cache_info().misses == 1
+
+
+def test_off_grid_dimension_is_an_integrity_error(monkeypatch, capsys):
+    # a grid offset of 1/3 gives dimension 4/3 - 3 at the first row
+    import dataclasses
+
+    from instanton_zeta import cli, results
+    from instanton_zeta.surface import CLASSES
+    moved = dataclasses.replace(CLASSES["vEven"], grid_offset=Fraction(1, 3))
+    monkeypatch.setattr(results, "CLASSES", {**CLASSES, "vEven": moved})
+    with pytest.raises(IntegrityError) as err:
+        euler_table("even", 2)
+    assert str(err.value) == ("even: non-integer dimension -5/3 at "
+                              "Delta = 1/3")
+    assert cli.main(["table", "--class", "even", "--max-delta", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: even: non-integer dimension -5/3 at Delta = 1/3\n")
+
+
+def test_theorem_lines_time_the_relations(monkeypatch):
+    # every relation series is built inside a line, so the lines' seconds
+    # cover every sleep injected into its build
+    import time
+
+    from instanton_zeta import results
+    assemble_theorem(2)   # warm the caches: the lines themselves are fast
+    build = results.relation
+    sleeps = []
+
+    def slow_relation(key, trunc):
+        time.sleep(0.05)
+        sleeps.append(0.05)
+        return build(key, trunc)
+
+    monkeypatch.setattr(results, "relation", slow_relation)
+    report, funcs = assemble_theorem(2)
+    assert len(sleeps) == len(results.RELATIONS)
+    assert sum(r.seconds for r in report.results) >= sum(sleeps)
+    assert list(funcs) == ["v0", "vEven", "vOdd", *results.RELATIONS]

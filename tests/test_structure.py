@@ -1,0 +1,78 @@
+"""Structural rules of the package source, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import instanton_zeta
+
+PACKAGE = Path(instanton_zeta.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_modules(node):
+    """The modules an import statement reads, relative ones with their
+    leading dots: ``from .a import b`` reads ``.a``, ``from . import a``
+    reads ``.a``."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    prefix = "." * node.level
+    if node.module is None:
+        return {prefix + alias.name for alias in node.names}
+    return {prefix + node.module}
+
+
+def _imports(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_unused_import():
+    unused = []
+    for path in SOURCES:
+        tree = _tree(path)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                used |= {elt.value for elt in node.value.elts}
+        for node in _imports(tree):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_no_function_level_import_of_a_module_imported_at_the_top():
+    repeated = []
+    for path in SOURCES:
+        tree = _tree(path)
+        top = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                top |= _imported_modules(node)
+        for node in _imports(tree):
+            if node not in tree.body and _imported_modules(node) & top:
+                repeated.append(f"{path.name}:{node.lineno}")
+    assert repeated == []
+
+
+def test_identity_results_are_built_only_in_report():
+    builders = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name == "IdentityResult" and path.name != "report.py":
+                    builders.append(f"{path.name}:{node.lineno}")
+    assert builders == []
