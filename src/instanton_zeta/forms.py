@@ -85,10 +85,10 @@ class FormProvider:
 
     def perturbed(self, name, exponent, delta):
         clone = FormProvider()
-        clone._perturbations = dict(self._perturbations)
-        key = name
-        bucket = clone._perturbations.setdefault(key, [])
-        bucket.append((Fraction(exponent), Fraction(delta)))
+        clone._perturbations = {k: list(v)
+                                for k, v in self._perturbations.items()}
+        clone._perturbations.setdefault(name, []).append(
+            (Fraction(exponent), Fraction(delta)))
         return clone
 
     def series(self, name, trunc, scaling=1):

@@ -2,20 +2,30 @@
 half-plane, and the S-duality transformation check.
 
 Each primitive leaf is summed at its own argument from its one definition
-in ``forms``, the table that the exact expansion reads too.  A divisor
-leaf c0 + w sum s(n) q^n (E2, E4, e1, F) is cut where the geometric tail
-bound |q|^(N+1)/(1-|q|) times a coefficient-growth margin clears the
-target; the margin doubles with N, and a cap turns an unreachable target
-into an error instead of a silent loss.  A Gaussian leaf (theta2, theta3,
-theta4, eta) sums c (+-1)^k x^(n^2) over the progressions n = n0 + k d in
-integer powers of x = q^(1/m) (so no branch ambiguity), until a term
-falls below eps/100.  Where c0 = 0 (theta2, eta, F), the kernel sums the
-quotient by the lowest monomial, x^(n0^2) or q (every s(1) is 1), and
-multiplies it by that monomial in floating point, as a power of the x or
-q it has already computed.  The bounds below are absolute, so on the
-quotient they are relative, and the leaf keeps its relative accuracy
-where q lies far below the fixed-point grid.  The divisor tail target is
-then eps |q| / |w|: the quotient's tail is the plain one over |q|.
+in ``forms``, the table that the exact expansion reads too.  Its nome,
+q = exp(2 pi i tau) for a divisor leaf and x = q^(1/m) for a Gaussian
+one, comes from one helper and is computed once per (argument, m) in an
+evaluation: theta2, theta3 and theta4 at one argument read one x, and E2
+and E4 one q.  A divisor leaf c0 + w sum s(n) q^n (E2, E4, e1, F) is cut
+where the geometric tail bound |q|^(N+1)/(1-|q|) times a
+coefficient-growth margin clears the target; the margin doubles with N,
+and a cap turns an unreachable target into an error instead of a silent
+loss.  N runs over the grid 4 * 2^k and is chosen in floats first, on
+the log of the bound over the target, with log|q| = -2 pi Im tau read
+from the argument and log eps from the mantissa and exponent of eps, so
+nothing underflows however large Im tau or the precision.  A float
+margin within 2^-20 of zero hands the choice to the mpf rule
+``_tail_cutoff``, the rule of record, so N is always that rule's.  A
+Gaussian leaf (theta2, theta3, theta4, eta) sums c (+-1)^k x^(n^2) over
+the progressions n = n0 + k d in integer powers of x = q^(1/m) (so no
+branch ambiguity), until a term falls below eps/100.  Where c0 = 0
+(theta2, eta, F), the kernel sums the quotient by the lowest monomial,
+x^(n0^2) or q (every s(1) is 1), and multiplies it by that monomial in
+floating point, as a power of the x or q it has already computed.  The
+bounds below are absolute, so on the quotient they are relative, and the
+leaf keeps its relative accuracy where q lies far below the fixed-point
+grid.  The divisor tail target is then eps |q| / |w|: the quotient's tail
+is the plain one over |q|.
 
 The sums run in fixed point.  Each kernel rounds q (or x) once to the
 nearest pair of integers scaled by 2^P, runs the recurrence as integer
@@ -50,6 +60,15 @@ digits against eps = 10^-(digits+5), so 2^-prec < 10^-(digits+15).  Every
 bound above is then far below the eps/100 = 10^-(digits+7) of the
 termination tests.
 
+The bounds above take the nome as exact, but ``mp.exp`` rounds it at the
+working precision: x carries a relative error of a few units of 2^-prec,
+plus about |2 pi tau / m| 2^-prec from rounding the exponent.  A leaf f
+moves by its log-derivative x f'(x) / f(x) times that error.  Where |x|
+is small the log-derivative is the lowest exponent of x in the leaf, 0
+or 1, and where |x| nears 1, |tau| is small: at tau = MIN_IM i it is
+E2(tau), about -362, for eta.  The 10-digit gap between 2^-prec and eps
+covers a product up to 10^10, which holds for every |tau| below 10^8.
+
 ``eval_form`` compiles an expression once, on its first evaluation, into
 a program kept per expression object: its structurally distinct subtrees
 in postorder (equal subtrees, compared as frozen dataclasses, share one
@@ -59,16 +78,18 @@ precision.  A call runs the steps in order, each reading the values of
 earlier steps, with the same arithmetic as a walk of the tree, so the
 values agree bit for bit.  One call computes each (leaf, argument) pair
 once: the values live in a dict passed to every program the call runs (a
-derived leaf runs its own), keyed on the leaf name, the argument and the
-tolerance, and dropped when the call returns.  A divisor leaf's integer
-coefficients w s(n) are built once per (leaf, cutoff) and kept.  Every
-leaf value still comes from the leaf's own sum at its own argument,
-never through a modular transformation, which is what the S-duality
-check tests."""
+derived leaf runs its own), keyed on the leaf name and the raw mpmath
+tuples of the argument and the tolerance, and dropped when the call
+returns.  The nomes live in the same dict, keyed on the raw argument and
+m.  A divisor leaf's integer coefficients w s(n) are built once per
+(leaf, cutoff) and kept.  Every leaf value still comes from the leaf's
+own sum at its own argument, never through a modular transformation,
+which is what the S-duality check tests."""
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -100,6 +121,40 @@ def _tail_cutoff(absq, eps, degree):
         f"(|q| = {mp.nstr(absq, 5)})")
 
 
+_LOG2 = math.log(2)
+# half-width, in natural log, of the band around 0 in which the float
+# screen of ``_divisor_cutoff`` defers to the exact rule.  Near 0 the
+# screen's terms are about |log eps|, so its float error is near 2^-52
+# |log eps| (below 1e-12 at 1000 digits); the exact rule's mpf error is
+# below 2^-(prec-10)
+_SCREEN_BAND = 2.0 ** -20
+
+
+def _divisor_cutoff(tau, q, eps, w, lead, degree):
+    """The cutoff ``_tail_cutoff(|q|, eps |q|^lead / |w|, degree)`` for the
+    nome q = exp(2 pi i tau).  Each candidate N is screened in floats by
+    the log of the bound over the target, with log|q| = -2 pi Im tau and
+    log eps read from the mpf's mantissa and exponent, so nothing
+    underflows; a margin within the band hands the choice to the exact
+    rule, so N is always that rule's."""
+    log_q = -2 * math.pi * float(tau.imag)
+    _, man, exp, _ = eps._mpf_
+    log_target = (math.log(man) + exp * _LOG2 + (log_q if lead else 0)
+                  - math.log(abs(w)))
+    base = -math.log1p(-math.exp(log_q)) - log_target
+    n = 4
+    while n < MAX_TERMS:
+        margin = ((n + 1) * log_q + base + degree * math.log(n + 2)
+                  + n.bit_length() * _LOG2)
+        if margin < -_SCREEN_BAND:
+            return n
+        if margin <= _SCREEN_BAND:
+            break
+        n *= 2
+    absq = abs(q)
+    return _tail_cutoff(absq, eps * (absq if lead else 1) / abs(w), degree)
+
+
 def _fixed(x, p):
     """The raw mpf ``x`` as the nearest integer multiple of 2^-p."""
     sign, man, exp, bc = x
@@ -124,10 +179,12 @@ def _from_fixed(re, im, p):
                         from_man_exp(im, -p, prec, "n")))
 
 
+@functools.lru_cache(maxsize=64)
 def _stop_norm(eps, p):
     """Integer form of the early exit |x| < eps/100 for x on the 2^-p
-    grid: re^2 + im^2 below this value."""
-    return _fixed((eps * 0.01)._mpf_, p) ** 2
+    grid: re^2 + im^2 below this value.  ``eps`` is a raw mpf; p fixes the
+    working precision p - GAUSS_GUARD_BITS at which eps/100 is rounded."""
+    return _fixed((mp.make_mpf(eps) * 0.01)._mpf_, p) ** 2
 
 
 def _fixed_pow(zr, zi, e, p):
@@ -142,13 +199,26 @@ def _fixed_pow(zr, zi, e, p):
     return rr, ri
 
 
-def _gauss(tau, m, c0, progressions, eps):
-    """A Gaussian leaf of ``forms.GAUSSIAN_LEAVES`` at tau."""
+def _nome(tau, m):
+    """exp(2 pi i tau / m), the only exponential the leaf sums take."""
+    return mp.exp(2j * mp.pi * tau / m)
+
+
+def _shared_nome(tau, m, values):
+    """``_nome(tau, m)``, computed once per evaluation in ``values``."""
+    key = (tau._mpc_, m)
+    x = values.get(key)
+    if x is None:
+        x = values[key] = _nome(tau, m)
+    return x
+
+
+def _gauss(x, c0, progressions, eps):
+    """A Gaussian leaf of ``forms.GAUSSIAN_LEAVES`` at x = q^(1/m)."""
     lead = 0 if c0 else min(n0 for n0, *_ in progressions) ** 2
-    x = mp.exp(2j * mp.pi * tau / m)
     p = mp.mp.prec + GAUSS_GUARD_BITS
     xr, xi = _fixed_pair(x, p)
-    stop = _stop_norm(eps, p)
+    stop = _stop_norm(eps._mpf_, p)
     total_r, total_i = c0 << p, 0
     for n0, d, c, alternating in progressions:
         tr, ti = _fixed_pow(xr, xi, n0 * n0 - lead, p)
@@ -177,14 +247,11 @@ def _divisor_coefficients(name, n_max):
     return tuple(w * s for s in table(n_max)[1:])
 
 
-def _eisenstein(name, tau, eps):
-    """A divisor leaf of ``forms.DIVISOR_LEAVES`` at tau, by Horner over
-    the integer coefficients."""
-    c0, w, _, degree = DIVISOR_LEAVES[name]
-    q = mp.exp(2j * mp.pi * tau)
-    absq = abs(q)
+def _eisenstein(name, q, n_max):
+    """A divisor leaf of ``forms.DIVISOR_LEAVES`` at the nome q, by Horner
+    over its integer coefficients to q^n_max."""
+    c0, _, _, degree = DIVISOR_LEAVES[name]
     lead = 0 if c0 else 1
-    n_max = _tail_cutoff(absq, eps * (absq if lead else 1) / abs(w), degree)
     p = mp.mp.prec + 32 + (degree + 2) * (n_max + 1).bit_length()
     qr, qi = _fixed_pair(q, p)
     coeffs = ([(c0.numerator << p) // c0.denominator]
@@ -197,20 +264,24 @@ def _eisenstein(name, tau, eps):
 
 
 def eval_leaf(name, tau, eps, values):
-    """Value of one named form at tau: a primitive leaf from its table in
-    ``forms``, a derived form through its tree, reading and filling
-    ``values`` like ``eval_form``."""
+    """Value of one named form at the mpc tau: a primitive leaf from its
+    table in ``forms``, a derived form through its tree, reading and
+    filling ``values`` like ``eval_form``."""
     if name in DERIVED_FORMS:
         return _run(_program(DERIVED_FORMS[name]), tau, eps, "E2", values)
     if name in DIVISOR_LEAVES:
-        return _eisenstein(name, tau, eps)
+        c0, w, _, degree = DIVISOR_LEAVES[name]
+        q = _shared_nome(tau, 1, values)
+        n_max = _divisor_cutoff(tau, q, eps, w, 0 if c0 else 1, degree)
+        return _eisenstein(name, q, n_max)
     if name in GAUSSIAN_LEAVES:
-        return _gauss(tau, *GAUSSIAN_LEAVES[name], eps)
+        m, c0, progressions = GAUSSIAN_LEAVES[name]
+        return _gauss(_shared_nome(tau, m, values), c0, progressions, eps)
     raise ValueError(f"no numeric evaluator for leaf {name!r}")
 
 
 def _leaf_value(name, tau, eps, values):
-    key = (name, tau, eps)
+    key = (name, tau._mpc_, eps._mpf_)
     val = values.get(key)
     if val is None:
         val = values[key] = eval_leaf(name, tau, eps, values)
@@ -350,15 +421,14 @@ def eval_form(expr, tau, digits=40, e2_mode="anomaly"):
     "anomaly" (the anomaly-corrected form) or "E2" (holomorphic)."""
     _check_e2_mode(e2_mode)
     program = _program(expr)
-    tau = mp.mpc(tau)
-    if mp.im(tau) < MIN_IM:
-        raise PrecisionError(
-            f"Im tau = {mp.nstr(mp.im(tau), 5)} below the configured "
-            f"minimum {MIN_IM}")
     with mp.workdps(digits + 15):
+        tau = mp.mpc(tau)
+        if mp.im(tau) < MIN_IM:
+            raise PrecisionError(
+                f"Im tau = {mp.nstr(mp.im(tau), 5)} below the configured "
+                f"minimum {MIN_IM}")
         eps = mp.mpf(10) ** (-(digits + 5))
-        val = _run(program, tau, eps, e2_mode, {})
-    return val
+        return _run(program, tau, eps, e2_mode, {})
 
 
 @dataclass
@@ -410,10 +480,10 @@ def sduality_check(tau, digits=40, resolution="anomaly"):
     reports the residual."""
     t0 = time.perf_counter()
     _check_e2_mode(resolution)
-    tau = mp.mpc(tau)
-    if mp.im(tau) <= 0:
-        raise PrecisionError("tau must lie in the upper half-plane")
     with mp.workdps(digits + 15):
+        tau = mp.mpc(tau)
+        if mp.im(tau) <= 0:
+            raise PrecisionError("tau must lie in the upper half-plane")
         tau_dual = -1 / tau
         for name, point in (("tau", tau), ("-1/tau", tau_dual)):
             if mp.im(point) < MIN_IM:

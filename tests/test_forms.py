@@ -198,6 +198,19 @@ def test_negative_control_perturbed_theta():
     assert corollary.first_difference == Fraction(1, 2)
 
 
+def test_perturbed_leaves_the_provider_it_starts_from_unchanged():
+    # a negative control built in steps: the second step must not reach
+    # back into the first provider's perturbation list
+    first = FormProvider().perturbed("e1", 1, Fraction(1, 7))
+    second = first.perturbed("e1", 2, Fraction(1, 5))
+    assert first._perturbations == {"e1": [(1, Fraction(1, 7))]}
+    assert second._perturbations == {"e1": [(1, Fraction(1, 7)),
+                                            (2, Fraction(1, 5))]}
+    base = gen_form("e1", 4)
+    assert first.series("e1", 4).coeff(2) == base.coeff(2)
+    assert second.series("e1", 4).coeff(2) == base.coeff(2) + Fraction(1, 5)
+
+
 def test_corollary_first_coefficient():
     # both sides of the quartic theta identity carry 16 at q^(1/2):
     # (2 q^(1/8))^4 on the left, 2 * 4 * theta3-cross-terms on the right

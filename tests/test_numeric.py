@@ -190,6 +190,83 @@ def test_kernel_leaves_where_q_rounds_to_zero():
                 assert abs(got[name] - value) < tol * abs(value), (name, tau)
 
 
+# -- oracle: one exponential per leaf and the cutoff from |q| ---------------
+
+def _exact_cutoff(q, eps, w, lead, degree):
+    absq = abs(q)
+    return _tail_cutoff(absq, eps * (absq if lead else 1) / abs(w), degree)
+
+
+def per_leaf_recipe(name, tau, eps):
+    """A primitive leaf as each kernel once computed it alone: its own
+    mp.exp for the nome, and the divisor cutoff from abs(q) by the exact
+    rule."""
+    if name in DIVISOR_LEAVES:
+        c0, w, _, degree = DIVISOR_LEAVES[name]
+        q = mp.exp(2j * mp.pi * tau)
+        return numeric._eisenstein(
+            name, q, _exact_cutoff(q, eps, w, 0 if c0 else 1, degree))
+    m, c0, progressions = GAUSSIAN_LEAVES[name]
+    return numeric._gauss(mp.exp(2j * mp.pi * tau / m), c0, progressions,
+                          eps)
+
+
+_IM_TAU = st.one_of(st.just(MIN_IM), st.floats(MIN_IM, 2.0),
+                    st.floats(2.0, 300.0), st.just(300.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-0.5, 0.5), _IM_TAU, st.integers(10, 1000),
+       st.sampled_from([2, 4]), st.sampled_from([0, 1]),
+       st.sampled_from([-24, 240, -4, 1]))
+def test_screened_cutoff_is_the_exact_rule(x, y, digits, degree, lead, w):
+    tau = mp.mpc(x, y)
+    with mp.workdps(digits + 15):
+        eps = mp.mpf(10) ** (-(digits + 5))
+        q = numeric._nome(tau, 1)
+        assert (numeric._divisor_cutoff(tau, q, eps, w, lead, degree)
+                == _exact_cutoff(q, eps, w, lead, degree))
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("lead", [0, 1])
+def test_screened_cutoff_at_a_grid_boundary(monkeypatch, degree, lead):
+    # a target built as the bound at N itself: the float margin is about 0,
+    # so the screen must hand the choice to the exact rule
+    deferred = []
+    monkeypatch.setattr(numeric, "_tail_cutoff",
+                        lambda *args: deferred.append(args)
+                        or _tail_cutoff(*args))
+    tau = mp.mpc(0.21, 0.37)
+    with mp.workdps(55):
+        q = numeric._nome(tau, 1)
+        absq = abs(q)
+        grid = (4, 8, 16, 32, 64, 128)
+        for n in grid:
+            bound = (absq ** (n + 1) / (1 - absq) * mp.mpf(n + 2) ** degree
+                     * 2 ** n.bit_length())
+            eps = bound / absq if lead else bound
+            want = _exact_cutoff(q, eps, 1, lead, degree)
+            if not lead:
+                assert want == 2 * n
+            assert numeric._divisor_cutoff(tau, q, eps, 1, lead,
+                                           degree) == want
+    assert len(deferred) == len(grid)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.floats(-0.5, 0.5), _IM_TAU, st.booleans(), st.integers(10, 1000))
+def test_eval_leaf_matches_the_per_leaf_recipe(x, y, half_shift, digits):
+    # bit for bit, with the nomes shared between the leaves at one argument
+    tau = mp.mpc(x, y) + (mp.mpf(1) / 2 if half_shift else 0)
+    with mp.workdps(digits + 15):
+        eps = mp.mpf(10) ** (-(digits + 5))
+        values = {}
+        for name in KERNEL_LEAVES:
+            got = numeric.eval_leaf(name, tau, eps, values)
+            assert got._mpc_ == per_leaf_recipe(name, tau, eps)._mpc_, name
+
+
 # -- oracle: the recursive tree walk that the compiled program replaced --------
 
 def _walk_leaf(name, tau, eps, values):
@@ -318,6 +395,17 @@ def test_divisor_tables_are_built_once_per_cutoff(monkeypatch):
         eval_form(leaf("E4"), tau, 40)
     assert len(built) == 1
     numeric._divisor_coefficients.cache_clear()
+
+
+def test_eval_form_reads_tau_at_the_working_precision():
+    # a tau finer than a double, passed from the default context: it is
+    # converted at digits + 15, not rounded to 53 bits first
+    with mp.workdps(60):
+        tau = mp.mpc(1, 9) / 7
+    got = eval_form(leaf("E4"), tau, 40)
+    with mp.workdps(60):
+        want = eval_form(leaf("E4"), tau, 50)
+        assert abs(got - want) < mp.mpf(10) ** -40 * abs(want)
 
 
 @pytest.mark.parametrize("mode", ["anomally", "holomorphic", None])
@@ -519,16 +607,25 @@ def test_sduality_holomorphic_mode_is_diagnostic():
 
 def test_sduality_check_evaluates_each_leaf_once_per_point(monkeypatch):
     # 21 distinct (leaf, argument) pairs across Z_SU2(-1/tau) and
-    # Z_SO3(tau); evaluating every leaf occurrence separately makes 36
-    calls = []
-    original = numeric.eval_leaf
+    # Z_SO3(tau); evaluating every leaf occurrence separately makes 36.
+    # They read 12 nomes, one per distinct (argument, m): theta2, theta3
+    # and theta4 share x = q^(1/8), and the divisor leaves at one argument
+    # share q
+    calls, nomes = [], []
+    original, nome = numeric.eval_leaf, numeric._nome
 
     def counting(name, tau, *args):
         calls.append((name, tau))
         return original(name, tau, *args)
 
+    def counting_nome(tau, m):
+        nomes.append((tau, m))
+        return nome(tau, m)
+
     monkeypatch.setattr(numeric, "eval_leaf", counting)
+    monkeypatch.setattr(numeric, "_nome", counting_nome)
     report = numeric.sduality_check(mp.mpc(0.13, 1.21), digits=30)
     assert report.passed
     assert len(calls) == 21
     assert len(set(calls)) == 21
+    assert len(nomes) == len(set(nomes)) == 12

@@ -76,3 +76,18 @@ def test_identity_results_are_built_only_in_report():
                 if name == "IdentityResult" and path.name != "report.py":
                     builders.append(f"{path.name}:{node.lineno}")
     assert builders == []
+
+
+def test_numeric_takes_exponentials_only_in_the_nome_helper():
+    # every leaf kernel reads its nome through _nome, once per argument and
+    # m in an evaluation; an mp.exp anywhere else would bypass that sharing
+    tree = _tree(PACKAGE / "numeric.py")
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_nome")
+    inside = {id(node) for node in ast.walk(helper)}
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "exp"
+             and isinstance(node.value, ast.Name) and node.value.id == "mp"
+             and id(node) not in inside]
+    assert stray == []
