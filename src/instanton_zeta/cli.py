@@ -3,8 +3,8 @@ evaluation, and the numeric S-duality check.
 
 Exit codes: 0 success / all checks pass, 1 a check failed or a request
 was out of range, 2 usage errors (bad flags, unparsable tau, tau off the
-upper half-plane, --digits outside 10..1000, --scale <= 0, an order above
-its bound in ``MAX_ORDER``).
+upper half-plane, --digits outside 10..1000, --scale <= 0, a negative
+order or --max-delta, an order above its bound in ``MAX_ORDER``).
 All rational quantities are serialized as exact fraction strings; floats
 appear only in the numeric evaluation output, and a value outside the
 double range is null there, with its digits in ``value_str`` (--digits
@@ -22,7 +22,8 @@ import sys
 from fractions import Fraction
 
 from .errors import InstantonZetaError
-from .formexpr import CLOSED_FORMS, E2Slot, as_qseries, leaf
+from .formexpr import CLOSED_FORMS, E2Slot, leaf
+from .forms import as_qseries, verify_section1
 from .report import csv_rows
 
 SUITES = ("section1", "d8", "limit-lemmas", "smoothness", "wall-oracle",
@@ -153,8 +154,11 @@ def build_parser():
 
 def _validate(args):
     error = args.parser.error
-    if args.command == "table" and args.order is None:
-        args.order = args.max_delta
+    if args.command == "table":
+        if args.max_delta < 0:
+            error("--max-delta must be nonnegative")
+        if args.order is None:
+            args.order = args.max_delta
     if getattr(args, "order", None) is not None and args.order < 0:
         error("--order must be nonnegative")
     if getattr(args, "oracle_order", None) is not None:
@@ -189,9 +193,9 @@ def _validate(args):
 # -- verify --------------------------------------------------------------------
 
 def _run_suite(name, order, oracle_order):
-    from . import assembly, forms, lattice, results
+    from . import assembly, lattice, results
     return {
-        "section1": lambda: [forms.verify_section1(order)],
+        "section1": lambda: [verify_section1(order)],
         "d8": lambda: [lattice.verify_d8_decompositions(order)],
         "limit-lemmas": lambda: [assembly.check_asum_closed_forms(order),
                                  results.check_limit_lemmas(order)],
@@ -340,25 +344,18 @@ def cmd_sduality(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     _validate(args)
+    handlers = {"verify": cmd_verify, "table": cmd_table, "eval": cmd_eval,
+                "sduality": cmd_sduality}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "sduality":
-            return cmd_sduality(args)
+        return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InstantonZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser.error("no command")
 
 
 if __name__ == "__main__":

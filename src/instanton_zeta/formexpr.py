@@ -1,14 +1,15 @@
 """Symbolic expressions over the named forms.
 
 A FormExpr is a small tree whose leaves are named forms with a rational
-argument scaling (and an optional half-period shift tau -> k tau + 1/2),
-an unresolved quasi-modular slot, and rational constants; nodes are sums,
-products, integer powers and scalar multiples (Gaussian-rational scalars,
-so the two sqrt(-1)-weighted eta combinations are representable).
+argument scaling (and an optional half-period shift tau -> k tau + 1/2)
+and an unresolved quasi-modular slot; nodes are sums, products, integer
+powers and scalar multiples (Gaussian-rational scalars, so the two
+sqrt(-1)-weighted eta combinations are representable).
 
-The same tree evaluates two ways: as an exact q-series (when every leaf
-has one; the slot resolves to the holomorphic series) and as an
-arbitrary-precision complex number (the slot resolves to the
+The module holds trees only.  The same tree evaluates two ways: as an
+exact q-series by ``forms.as_qseries`` (when every leaf has one; the slot
+resolves to the holomorphic series) and as an arbitrary-precision complex
+number by ``numeric.eval_form`` (the slot resolves to the
 anomaly-corrected weight-2 form).
 """
 
@@ -17,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InstantonZetaError
-from .qseries import QQ, QSeries
-
 
 class FormExpr:
     """Base class; combinators build trees without manual node wrapping."""
@@ -27,17 +25,11 @@ class FormExpr:
     def __add__(self, other):
         return Add((self, _coerce(other)))
 
-    def __radd__(self, other):
-        return Add((_coerce(other), self))
-
     def __sub__(self, other):
         return Add((self, Scal(Fraction(-1), Fraction(0), _coerce(other))))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return Mul((self, other))
-
-    __rmul__ = __mul__
+        return Mul((self, _coerce(other)))
 
     def __pow__(self, n):
         return Pow(self, int(n))
@@ -49,8 +41,6 @@ class FormExpr:
 def _coerce(x):
     if isinstance(x, FormExpr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
     raise TypeError(f"cannot use {x!r} in a form expression")
 
 
@@ -69,11 +59,6 @@ class E2Slot(FormExpr):
     # the exact layer expands the slot as the leaf E2 at the same scale
     name = "E2"
     half_shift = 0
-
-
-@dataclass(frozen=True)
-class Const(FormExpr):
-    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -101,10 +86,6 @@ class Scal(FormExpr):
 
 def leaf(name, scale=1, half_shift=0):
     return Leaf(name, Fraction(scale), half_shift)
-
-
-def const(v):
-    return Const(Fraction(v))
 
 
 _HALF = Fraction(1, 2)
@@ -155,50 +136,3 @@ CLOSED_FORMS = {
     "Zw0": _ETA_HALF.scaled(_HALF) + _ETA_HALF_SHIFTED.scaled(0, _HALF),
     "Zw1": _ETA_HALF.scaled(_HALF) + _ETA_HALF_SHIFTED.scaled(0, -_HALF),
 }
-
-
-def _exact(node, trunc, provider):
-    """Exact q-expansion of the tree, each leaf read from ``provider``."""
-    if isinstance(node, (Leaf, E2Slot)):
-        base = provider.series(node.name, trunc / node.scale)
-        if node.half_shift:
-            base = base.half_period_shift()
-        return base.dilate(node.scale) if node.scale != 1 else base
-    if isinstance(node, Const):
-        return QSeries.constant(QQ, node.value, trunc)
-    if isinstance(node, Add):
-        out = None
-        for ch in node.children:
-            s = _exact(ch, trunc, provider)
-            out = s if out is None else out + s
-        return out
-    if isinstance(node, Mul):
-        out = None
-        for ch in node.children:
-            s = _exact(ch, trunc, provider)
-            out = s if out is None else out * s
-        return out
-    if isinstance(node, Pow):
-        return _exact(node.base, trunc, provider) ** node.n
-    if isinstance(node, Scal):
-        if node.im:
-            raise InstantonZetaError(
-                "imaginary scalar weight has no rational q-series")
-        return _exact(node.child, trunc, provider).scale(node.re)
-    raise TypeError(f"unknown expression node {node!r}")
-
-
-def as_qseries(expr, trunc):
-    """Exact q-expansion of the expression, with the holomorphic E2 in the
-    weight-2 slot, guaranteed to the requested truncation (internal
-    computations run with a margin that is widened until inverse powers
-    stop eating into the bound)."""
-    from .forms import DEFAULT_PROVIDER
-    trunc = Fraction(trunc)
-    margin = Fraction(2)
-    for _ in range(8):
-        s = _exact(expr, trunc + margin, DEFAULT_PROVIDER)
-        if s.trunc >= trunc:
-            return s.truncate(trunc)
-        margin += trunc - s.trunc
-    raise InstantonZetaError("could not reach the requested truncation")

@@ -8,6 +8,12 @@ F in ``DIVISOR_LEAVES``, and the Gaussian sums theta2, theta3, theta4 and
 eta in ``GAUSSIAN_LEAVES``.  The derived forms (Theta = theta3(2*tau) and
 the three weight-4 combinations P0 / Peven / Podd) are expanded from their
 trees in ``formexpr.DERIVED_FORMS``.
+
+``as_qseries`` expands any form tree exactly, each leaf read from
+``DEFAULT_PROVIDER``: the one exact walk of a tree, next to the leaves it
+reads.  The
+weight-2 slot is the holomorphic ``E2`` at the slot's scale here; the
+anomaly-corrected slot exists only numerically.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import InstantonZetaError
-from .formexpr import DERIVED_FORMS, _exact
+from .formexpr import DERIVED_FORMS, Add, E2Slot, Leaf, Mul, Pow, Scal
 from .qseries import DEFAULT_DENOM, QQ, QSeries, euler_product
 from .report import VerifyReport, compare
 
@@ -132,6 +138,50 @@ class FormProvider:
 
 
 DEFAULT_PROVIDER = FormProvider()
+
+
+def _exact(node, trunc, provider):
+    """Exact q-expansion of the tree, each leaf read from ``provider``."""
+    if isinstance(node, (Leaf, E2Slot)):
+        base = provider.series(node.name, trunc / node.scale)
+        if node.half_shift:
+            base = base.half_period_shift()
+        return base.dilate(node.scale) if node.scale != 1 else base
+    if isinstance(node, Add):
+        out = None
+        for ch in node.children:
+            s = _exact(ch, trunc, provider)
+            out = s if out is None else out + s
+        return out
+    if isinstance(node, Mul):
+        out = None
+        for ch in node.children:
+            s = _exact(ch, trunc, provider)
+            out = s if out is None else out * s
+        return out
+    if isinstance(node, Pow):
+        return _exact(node.base, trunc, provider) ** node.n
+    if isinstance(node, Scal):
+        if node.im:
+            raise InstantonZetaError(
+                "imaginary scalar weight has no rational q-series")
+        return _exact(node.child, trunc, provider).scale(node.re)
+    raise TypeError(f"unknown expression node {node!r}")
+
+
+def as_qseries(expr, trunc):
+    """Exact q-expansion of the expression, with the holomorphic E2 in the
+    weight-2 slot, guaranteed to the requested truncation (internal
+    computations run with a margin that is widened until inverse powers
+    stop eating into the bound)."""
+    trunc = Fraction(trunc)
+    margin = Fraction(2)
+    for _ in range(8):
+        s = _exact(expr, trunc + margin, DEFAULT_PROVIDER)
+        if s.trunc >= trunc:
+            return s.truncate(trunc)
+        margin += trunc - s.trunc
+    raise InstantonZetaError("could not reach the requested truncation")
 
 
 def gen_form(name, trunc, scaling=1):

@@ -262,14 +262,6 @@ class LPoly:
     def eval_one(self):
         return Fraction(sum(self.num), self.den)
 
-    def eval_at(self, x):
-        """Exact evaluation at a nonzero Fraction (Horner)."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.num):
-            acc = acc * x + c
-        return acc * x ** self.off / self.den
-
     def shift(self, k):
         """Multiply by t**k."""
         if not self.num:
@@ -284,20 +276,6 @@ class LPoly:
         for i, c in enumerate(self.num):
             num[i * k] = c
         return LPoly(self.off * k, num, self.den)
-
-    def compress(self, k):
-        """Inverse of stretch; every exponent must be divisible by k."""
-        if k == 1 or not self.num:
-            return self
-        if self.off % k:
-            raise ValueError("exponents not divisible")
-        num = []
-        for i, c in enumerate(self.num):
-            if i % k == 0:
-                num.append(c)
-            elif c:
-                raise ValueError("exponents not divisible")
-        return LPoly(self.off // k, num, self.den)
 
     def __repr__(self):
         if not self.num:

@@ -97,8 +97,8 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionError
-from .formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, Const, E2Slot, Leaf,
-                       Mul, Pow, Scal)
+from .formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, E2Slot, Leaf, Mul,
+                       Pow, Scal)
 from .forms import DIVISOR_LEAVES, GAUSSIAN_LEAVES
 
 MIN_IM = 0.05          # reject evaluation closer to the real axis
@@ -291,10 +291,10 @@ def _leaf_value(name, tau, eps, values):
 # The steps of a compiled program, each a tuple led by its opcode:
 # (_ARG, num, den, half_shift) makes the argument num tau / den (+ 1/2);
 # (_LEAF, name, arg) and (_SLOT, arg) are a named form and the weight-2
-# slot there; (_CONST, k) is the k-th constant; (_ADD, children),
-# (_MUL, children), (_POW, base, n) and (_SCAL, k, child) combine earlier
-# steps, named by their index.
-_ARG, _LEAF, _SLOT, _CONST, _ADD, _MUL, _POW, _SCAL = range(8)
+# slot there; (_ADD, children), (_MUL, children), (_POW, base, n) and
+# (_SCAL, k, child), with the k-th constant, combine earlier steps, named
+# by their index.
+_ARG, _LEAF, _SLOT, _ADD, _MUL, _POW, _SCAL = range(7)
 
 
 class _Program:
@@ -305,7 +305,7 @@ class _Program:
 
     def __init__(self, expr):
         self.steps = []
-        self.constants = []     # the Const and Scal nodes, in step order
+        self.constants = []     # the Scal nodes, in step order
         self._index = {}        # subtree or argument key -> step index
         self._by_prec = {}
         self._compile(expr)
@@ -334,8 +334,6 @@ class _Program:
             step = (_LEAF, node.name, self._arg(node.scale, node.half_shift))
         elif isinstance(node, E2Slot):
             step = (_SLOT, self._arg(node.scale))
-        elif isinstance(node, Const):
-            step = (_CONST, self._constant(node))
         elif isinstance(node, (Add, Mul)):
             step = (_ADD if isinstance(node, Add) else _MUL,
                     tuple(self._compile(c) for c in node.children))
@@ -351,10 +349,8 @@ class _Program:
         values = self._by_prec.get(prec)
         if values is None:
             values = self._by_prec[prec] = [
-                mp.mpc(c.value.numerator) / c.value.denominator
-                if isinstance(c, Const) else
-                (mp.mpc(c.re.numerator) / c.re.denominator
-                 + 1j * mp.mpc(c.im.numerator) / c.im.denominator)
+                mp.mpc(c.re.numerator) / c.re.denominator
+                + 1j * mp.mpc(c.im.numerator) / c.im.denominator
                 for c in self.constants]
         return values
 
@@ -393,8 +389,6 @@ def _run(program, tau, eps, e2_mode, values):
             val = _leaf_value("E2", tt, eps, values)
             if e2_mode == "anomaly":
                 val = val - 3 / (mp.pi * mp.im(tt))
-        elif op == _CONST:
-            val = constants[step[1]]
         elif op == _ADD:
             val = mp.fsum([vals[i] for i in step[1]])
         elif op == _MUL:

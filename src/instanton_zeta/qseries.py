@@ -368,9 +368,6 @@ class QSeries:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, c):
         """Multiply every coefficient by a ring scalar."""
         c = self.ring.coerce(c)
@@ -381,9 +378,6 @@ class QSeries:
                        _checked=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or (
-                self.ring is LAURENT and isinstance(other, LPoly)):
-            return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._common(other)
@@ -394,8 +388,6 @@ class QSeries:
         terms = _product(self.ring, a.terms, b.terms,
                          floor(bound_frac * a.denom))
         return QSeries(self.ring, a.denom, bound_frac, terms, _checked=True)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .assembly import DEN, RULED, proposition_series, vacuum_product
 from .errors import IntegrityError, PoleAtOneError, TruncationError
-from .formexpr import CLOSED_FORMS, as_qseries
-from .forms import double_sum, eta_pow_inverse, gen_form, sieve
+from .formexpr import CLOSED_FORMS
+from .forms import as_qseries, double_sum, eta_pow_inverse, gen_form, sieve
 from .lattice import b_substituted
 from .qseries import QQ, QSeries
 from .report import VerifyReport, check, compare

@@ -14,8 +14,7 @@ import mpmath as mp
 import pytest
 
 from instanton_zeta.assembly import (check_asum_closed_forms,
-                                     proposition_series, smoothness_report,
-                                     verify_wall_oracle)
+                                     smoothness_report, verify_wall_oracle)
 from instanton_zeta.forms import FormProvider, verify_section1
 from instanton_zeta.lattice import (D8_SHIFT_E1_HALF, D8_SHIFT_P, D8_SHIFT_Q,
                                     coset_parities, verify_d8_decompositions,

@@ -7,8 +7,8 @@ from instanton_zeta.assembly import (DEN, a_sum, check_asum_closed_forms,
                                      poincare_problems, proposition_series,
                                      smoothness_report,
                                      theta_coset_sub, vacuum_product,
-                                     verify_wall_oracle, wall_sum_oracle,
-                                     zeta_factors, zeta_product_x)
+                                     wall_sum_oracle, zeta_factors,
+                                     zeta_product_x)
 from instanton_zeta.errors import IntegrityError
 from instanton_zeta.laurent import LPoly
 from instanton_zeta.qseries import LAURENT, QQ, QSeries, euler_product
@@ -147,6 +147,20 @@ def test_palindromic_row_that_falls_before_the_middle_is_not_unimodal():
         "not unimodal"]
     assert poincare_problems(LPoly(0, (1, 3, 4, 3, 1)), 4) == []
     assert poincare_problems(LPoly(0, (1, 3, 3, 1)), 3) == []
+
+
+@pytest.mark.parametrize("poly,dim,problem", [
+    (None, 3, "not a polynomial"),
+    (ONE, -1, "nonzero below the empty threshold"),
+    (LPoly(-1, (1, 1)), 0, "negative t-powers"),
+    (LPoly(0, (1, 2, 1)), 3, "degree 2 != 3"),
+    (LPoly(0, (2, 3, 2), 2), 2, "coefficients not nonneg integers"),
+    (LPoly(0, (1, 2, 3)), 2, "not palindromic"),
+    (LPoly(0, (1, 0, 1)), 2, "not unimodal"),
+    (LPoly(0, (2, 2)), 1, "constant term != 1"),
+])
+def test_each_malformed_row_names_its_one_problem(poly, dim, problem):
+    assert poincare_problems(poly, dim) == [problem]
 
 
 def test_smoothness_report_flags_a_non_unimodal_row(monkeypatch):

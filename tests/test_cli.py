@@ -211,6 +211,19 @@ def test_table_max_delta_beyond_order(capsys):
                  "--order", "4"]) == 1
 
 
+@pytest.mark.parametrize("order", [[], ["--order", "5"]],
+                         ids=["order-default", "order-given"])
+def test_table_negative_max_delta_names_the_flag(order, monkeypatch, capsys):
+    # checked before --order defaults to --max-delta, and before a build
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--class", "even", "--max-delta", "-1", *order])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-delta must be nonnegative" in err
+    assert "--order" not in err.splitlines()[-1]
+
+
 def test_table_order_defaults_to_max_delta(monkeypatch, capsys):
     # --order only bounds --max-delta for a table, so it defaults to it; the
     # table itself is stubbed out, so nothing is built

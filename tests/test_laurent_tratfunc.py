@@ -12,7 +12,7 @@ from instanton_zeta.laurent import (LPoly, _conv_kronecker, _conv_school,
                                     poly_divexact_z)
 from instanton_zeta.qseries import LAURENT, QSeries
 from instanton_zeta.tratfunc import exact_quotient, value_at_one
-from tratfunc_oracle import TRatFunc, poly_gcd_z
+from tratfunc_oracle import TRatFunc, compress, eval_at, poly_gcd_z
 
 
 def lp(*pairs):
@@ -32,7 +32,7 @@ def test_lpoly_laurent_offsets():
     m = LPoly.t_pow(-3, Fraction(5, 2))
     assert m.low() == -3 and m.degree() == -3
     assert m * LPoly.t_pow(3) == LPoly.const(Fraction(5, 2))
-    assert m.eval_at(Fraction(2)) == Fraction(5, 2) / 8
+    assert eval_at(m, Fraction(2)) == Fraction(5, 2) / 8
 
 
 def test_lpoly_canonical_content():
@@ -44,9 +44,9 @@ def test_lpoly_canonical_content():
 
 def test_lpoly_stretch_compress_roundtrip():
     p = lp((-1, Fraction(1, 2)), (2, 3))
-    assert p.stretch(2).compress(2) == p
+    assert compress(p.stretch(2), 2) == p
     with pytest.raises(ValueError):
-        lp((1, 1)).compress(2)
+        compress(lp((1, 1)), 2)
 
 
 def test_kronecker_matches_schoolbook():
@@ -258,6 +258,30 @@ def test_quotient_and_value_at_one_examples():
     with pytest.raises(PoleAtOneError) as err:
         value_at_one((_T - 1) * (_T + 3), DEN)
     assert err.value.order == 1
+
+
+def test_value_at_one_divides_nothing(monkeypatch):
+    # the value is a ratio of Taylor coefficients at t = 1, so no factor
+    # t - 1 is divided out of either polynomial
+    from instanton_zeta import laurent, tratfunc
+    calls = []
+
+    def divide(a, b):
+        calls.append((a, b))
+        return poly_divexact_z(a, b)
+
+    monkeypatch.setattr(tratfunc, "poly_divexact_z", divide)
+    monkeypatch.setattr(laurent, "poly_divexact_z", divide)
+    # t^-3 (t-1)^2 over DEN is t^-4/(2(t+1)); (t-1)^3 over DEN vanishes
+    values = [value_at_one(LPoly.t_pow(-3) * (_T - 1) ** 2, DEN),
+              value_at_one((_T - 1) ** 3, DEN),
+              value_at_one((_T ** 2 - 1) ** 2, _RULED.stretch(2) * (_T + 2))]
+    for num, order in ((_T, 2), ((_T - 1) * (_T + 3), 1)):
+        with pytest.raises(PoleAtOneError) as err:
+            value_at_one(num, DEN)
+        assert err.value.order == order
+    assert values == [Fraction(1, 4), 0, Fraction(1, 6)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8])

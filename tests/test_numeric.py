@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 import instanton_zeta
 import instanton_zeta.numeric as numeric
 from instanton_zeta.errors import PrecisionError
-from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, Const,
-                                     E2Slot, Leaf, Mul, Pow, Scal, as_qseries,
-                                     leaf)
-from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
+from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, E2Slot,
+                                     Leaf, Mul, Pow, Scal, leaf)
+from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES, as_qseries,
                                   gen_form, sigma_odd_n_table,
                                   sigma_odd_table, sigma_table)
 from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _tail_cutoff,
@@ -293,8 +292,6 @@ def walk_node(node, tau, eps, e2_mode, values):
         if e2_mode == "anomaly":
             val -= 3 / (mp.pi * mp.im(tt))
         return val
-    if isinstance(node, Const):
-        return mp.mpc(node.value.numerator) / node.value.denominator
     if isinstance(node, Add):
         return mp.fsum(walk_node(c, tau, eps, e2_mode, values)
                        for c in node.children)
@@ -343,8 +340,7 @@ _TREES = st.recursive(
     st.one_of(
         st.builds(Leaf, st.sampled_from(NAMED_LEAVES),
                   st.sampled_from(_SCALES), st.sampled_from((0, 1))),
-        st.builds(E2Slot, st.sampled_from(_SCALES)),
-        st.builds(Const, _FRACTIONS.filter(bool))),
+        st.builds(E2Slot, st.sampled_from(_SCALES))),
     lambda kids: st.one_of(
         st.lists(kids, min_size=1, max_size=3).map(
             lambda c: Add(tuple(c))),

@@ -4,8 +4,8 @@ import pytest
 
 from instanton_zeta.assembly import DEN
 from instanton_zeta.errors import IntegrityError, TruncationError
-from instanton_zeta.formexpr import CLOSED_FORMS, as_qseries
-from instanton_zeta.forms import gen_form
+from instanton_zeta.formexpr import CLOSED_FORMS
+from instanton_zeta.forms import as_qseries, gen_form
 from instanton_zeta.qseries import LAURENT, QSeries
 from instanton_zeta.results import (TABLE_CLASSES, assemble_theorem,
                                     check_limit_lemmas, euler_table,

@@ -1,4 +1,5 @@
-"""Structural rules of the package source, read with ``ast``."""
+"""Structural rules of the package source and the tests, read with
+``ast``."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import instanton_zeta
 
 PACKAGE = Path(instanton_zeta.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _tree(path):
@@ -32,7 +34,7 @@ def _imports(tree):
 
 def test_no_unused_import():
     unused = []
-    for path in SOURCES:
+    for path in SOURCES + TESTS:
         tree = _tree(path)
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
@@ -91,3 +93,28 @@ def test_numeric_takes_exponentials_only_in_the_nome_helper():
              and isinstance(node.value, ast.Name) and node.value.id == "mp"
              and id(node) not in inside]
     assert stray == []
+
+
+_TREE_NODES = {"Add", "E2Slot", "Leaf", "Mul", "Pow", "Scal"}
+
+
+def test_formexpr_holds_trees_and_only_forms_expands_them_exactly():
+    # formexpr imports nothing from the package
+    tree = _tree(PACKAGE / "formexpr.py")
+    assert [m for node in _imports(tree) for m in _imported_modules(node)
+            if m.startswith(".")] == []
+    # two modules dispatch on the nodes: forms, the one exact walk, and
+    # numeric, which builds no q-series
+    walkers = set()
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and _TREE_NODES & {n.id for n in ast.walk(node.args[1])
+                                       if isinstance(n, ast.Name)}):
+                walkers.add(path.name)
+    assert sorted(walkers) == ["forms.py", "numeric.py"]
+    numeric_reads = {m for node in _imports(_tree(PACKAGE / "numeric.py"))
+                     for m in _imported_modules(node)}
+    assert ".qseries" not in numeric_reads

@@ -4,7 +4,9 @@ reduced fractions of Laurent polynomials in t over exact rationals.
 The library carries every t-coefficient as a Laurent-polynomial numerator
 over a known denominator and reads it through ``tratfunc.exact_quotient``
 and ``tratfunc.value_at_one``.  This class is the general machinery those
-two functions replaced; the tests check them against it.
+two functions replaced; the tests check them against it.  The module also
+holds the evaluation of a Laurent polynomial at a rational point and the
+inverse of ``LPoly.stretch``, which only the tests read.
 
 Canonical form: the denominator is an honest polynomial (its lowest
 exponent is 0 and its constant term is nonzero -- powers of t are units and
@@ -68,6 +70,32 @@ def poly_gcd_z(a, b):
         r = _z_pseudo_rem(a, b)
         a, b = b, _z_primitive(r)
     return a
+
+
+# -- evaluation and exponent surgery of one Laurent polynomial -----------------
+
+def eval_at(poly, x):
+    """Exact value of an ``LPoly`` at a nonzero Fraction (Horner)."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(poly.num):
+        acc = acc * x + c
+    return acc * x ** poly.off / poly.den
+
+
+def compress(poly, k):
+    """Inverse of ``LPoly.stretch``; every exponent must be divisible by k."""
+    if k == 1 or not poly.num:
+        return poly
+    if poly.off % k:
+        raise ValueError("exponents not divisible")
+    num = []
+    for i, c in enumerate(poly.num):
+        if i % k == 0:
+            num.append(c)
+        elif c:
+            raise ValueError("exponents not divisible")
+    return LPoly(poly.off // k, num, poly.den)
 
 
 # -- reduced rational functions ------------------------------------------------
@@ -219,21 +247,6 @@ class TRatFunc:
                 order += 1
             raise PoleAtOneError(order)
         return self.num.eval_one() / dv
-
-    def eval_at(self, x):
-        x = Fraction(x)
-        dv = self.den.eval_at(x)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at t = {x}")
-        return self.num.eval_at(x) / dv
-
-    def stretch(self, k):
-        return TRatFunc(self.num.stretch(k), self.den.stretch(k),
-                        _reduced=True)
-
-    def compress(self, k):
-        return TRatFunc(self.num.compress(k), self.den.compress(k),
-                        _reduced=True)
 
     def __repr__(self):
         if self.is_polynomial():
