@@ -4,7 +4,8 @@ evaluation, and the numeric S-duality check.
 Exit codes: 0 success / all checks pass, 1 a check failed or a request
 was out of range, 2 usage errors (bad flags, unparsable tau, tau off the
 upper half-plane, --digits outside 10..1000, --scale <= 0, a negative
-order or --max-delta, an order above its bound in ``MAX_ORDER``).
+order or --max-delta, an order above its bound in ``MAX_ORDER``, eval
+with neither --tau nor --series).
 All rational quantities are serialized as exact fraction strings; floats
 appear only in the numeric evaluation output, and a value outside the
 double range is null there, with its digits in ``value_str`` (--digits
@@ -188,6 +189,8 @@ def _validate(args):
         if value > MAX_ORDER[key]:
             error(f"{flag} must be at most {MAX_ORDER[key]} for "
                   f"{args.command}")
+    if args.command == "eval" and not (args.tau or args.series):
+        error("nothing to do: pass --tau and/or --series")
 
 
 # -- verify --------------------------------------------------------------------
@@ -202,7 +205,7 @@ def _run_suite(name, order, oracle_order):
         "smoothness": lambda: [assembly.smoothness_report(tag, order)
                                for tag in ("vEven", "vOdd")],
         "wall-oracle": lambda: [assembly.verify_wall_oracle(oracle_order)],
-        "theorem": lambda: [results.assemble_theorem(order)[0]],
+        "theorem": lambda: [results.assemble_theorem(order)],
     }[name]()
 
 
@@ -289,9 +292,6 @@ def cmd_eval(args):
     expr = _form_expr(args.form)
     k = args.scale  # f(k tau): the tree of f at the argument k tau
     out = {"form": args.form, "scale": str(args.scale)}
-    if not args.tau and not args.series:
-        print("nothing to do: pass --tau and/or --series", file=sys.stderr)
-        return 2
     if args.series:
         series = as_qseries(expr, args.order / k).dilate(k)
         out["series"] = [{"exponent": str(e), "coefficient": str(c)}

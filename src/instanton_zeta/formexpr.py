@@ -15,6 +15,7 @@ anomaly-corrected weight-2 form).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ class FormExpr:
         return Mul((self, _coerce(other)))
 
     def __pow__(self, n):
-        return Pow(self, int(n))
+        return Pow(self, operator.index(n))
 
     def scaled(self, re, im=0):
         return Scal(Fraction(re), Fraction(im), self)

@@ -25,7 +25,8 @@ from .report import VerifyReport, check, compare
 from .surface import CLASSES, V0
 from .tratfunc import exact_quotient, value_at_one
 
-# key -> (tag, c): Zt_key = Zt_tag + c / eta(2 tau)^12, Zt_0 = (v0 + f_v0)/2
+# key -> (tag, c): Zt_key = Zt_tag + c / eta(2 tau)^12, Zt_0 = (v0 + f_v0)/2;
+# ztilde reads every key through its relation
 RELATIONS = {"f_v0": ("v0", Fraction(1, 4)), "f_vEven": ("vEven", 0),
              "f_vOdd": ("vOdd", 0), "0": ("v0", Fraction(1, 8)),
              "even": ("vEven", 0), "odd": ("vOdd", 0),
@@ -36,49 +37,49 @@ LAMBDA_FORMS = {"0": "Z0", "even": "Z_even", "odd": "Z_odd"}
 
 
 @functools.lru_cache(maxsize=None)
-def ztilde(tag, trunc):
-    """Pipeline partition function: per-coefficient t -> 1 limit of the
-    wall-crossing assembly, shifted by one negative power of q."""
+def ztilde(key, trunc):
+    """Zt_key to q^trunc.  A class tag reads the pipeline: the
+    per-coefficient t -> 1 limit of the wall-crossing assembly, shifted by
+    one negative power of q.  A ``RELATIONS`` key reads the class it names,
+    plus its c / eta(2 tau)^12."""
+    if key in RELATIONS:
+        tag, c = RELATIONS[key]
+        series = ztilde(tag, trunc)
+        return series + eta_pow_inverse(2, 12, trunc).scale(c) if c else series
     trunc = Fraction(trunc)
-    prop = proposition_series(tag, trunc + 1)
+    prop = proposition_series(key, trunc + 1)
 
     def limit(c):
         try:
             return value_at_one(c, DEN)
         except PoleAtOneError as exc:
             raise IntegrityError(
-                f"{tag}: pole of order {exc.order} at t = 1") from exc
+                f"{key}: pole of order {exc.order} at t = 1") from exc
 
     series = prop.map_coeffs(limit, QQ).shift_exp(-1)
     for e, c in series.pairs():
         delta = e + 1
-        if CLASSES[tag].is_smooth(delta) and c.denominator != 1:
+        if CLASSES[key].is_smooth(delta) and c.denominator != 1:
             raise IntegrityError(
-                f"{tag}: non-integer Euler characteristic {c} at "
+                f"{key}: non-integer Euler characteristic {c} at "
                 f"Delta = {delta}")
     return series
 
 
 @functools.lru_cache(maxsize=None)
-def theorem_closed_form(lam, trunc):
-    """Closed form of an averaged partition function, expanded with the
-    holomorphic weight-2 series in the slot."""
-    return as_qseries(CLOSED_FORMS[LAMBDA_FORMS[lam]], trunc)
-
-
-def main_closed_form(tag, trunc):
-    """Closed form of an unshifted partition function: the closed form of
-    the averaged function whose relation reads the class, less the
+def theorem_closed_form(key, trunc):
+    """Closed form of Zt_key, expanded with the holomorphic weight-2 series
+    in the slot.  An averaged key expands its ``CLOSED_FORMS`` tree; a
+    class tag reads the averaged key whose relation reads it, less that
     relation's c / eta(2 tau)^12."""
-    lam = next((lam for lam in LAMBDA_FORMS if RELATIONS[lam][0] == tag),
+    if key in LAMBDA_FORMS:
+        return as_qseries(CLOSED_FORMS[LAMBDA_FORMS[key]], trunc)
+    lam = next((lam for lam in LAMBDA_FORMS if RELATIONS[lam][0] == key),
                None)
     if lam is None:
-        raise ValueError(f"unknown class tag {tag!r}")
-    out = theorem_closed_form(lam, trunc)
-    c = RELATIONS[lam][1]
-    if c:
-        out = out - eta_pow_inverse(2, 12, trunc).scale(c)
-    return out
+        raise ValueError(f"no closed form for {key!r}")
+    series, c = theorem_closed_form(lam, trunc), RELATIONS[lam][1]
+    return series - eta_pow_inverse(2, 12, trunc).scale(c) if c else series
 
 
 # -- limit lemmas --------------------------------------------------------------
@@ -144,32 +145,14 @@ def check_limit_lemmas(trunc):
 
 # -- theorem assembly ----------------------------------------------------------
 
-def relation(key, trunc):
-    """One stated relation, built from the one pipeline class it reads."""
-    tag, c = RELATIONS[key]
-    series = ztilde(tag, trunc)
-    if c:
-        series = series + eta_pow_inverse(2, 12, trunc).scale(c)
-    return series
-
-
 def assemble_theorem(trunc):
-    """Build all partition functions (pipeline + relations), compare with
-    the closed forms, and run the structural checks.  Returns the report
-    and the series keyed by class tag or relation key; the function of
-    key k is Zt_k, each built by the first line that reads it."""
+    """Compare every partition function (pipeline and relations, each read
+    through ``ztilde``) with its closed form, and run the structural
+    checks."""
     trunc = Fraction(trunc)
-    keys, funcs = ("v0", "vEven", "vOdd", *RELATIONS), {}
-
-    def func(key):
-        if key not in funcs:
-            funcs[key] = (ztilde(key, trunc) if key in CLASSES
-                          else relation(key, trunc))
-        return funcs[key]
-
     results = [compare(f"pipeline Zt_{tag} = closed form",
-                       lambda: (func(tag), main_closed_form(tag, trunc)),
-                       trunc)
+                       lambda: (ztilde(tag, trunc),
+                                theorem_closed_form(tag, trunc)), trunc)
                for tag in ("vEven", "vOdd", "v0")]
 
     # the eta identity behind the final rewriting of the c1 = 0 form
@@ -184,7 +167,7 @@ def assemble_theorem(trunc):
     for lam in ("0", "even", "odd"):
         hits = theorem_closed_form.cache_info().hits
         result = compare(f"Zt_{lam} = theorem closed form",
-                         lambda: (func(lam),
+                         lambda: (ztilde(lam, trunc),
                                   theorem_closed_form(lam, trunc)), trunc)
         if theorem_closed_form.cache_info().hits > hits:
             result.note = "; ".join(filter(None, (
@@ -198,16 +181,17 @@ def assemble_theorem(trunc):
 
     results += [compare(name, build, trunc) for name, build in (
         ("Zt_v0_int = Zt_v0 + 1/(4 eta(2t)^12)",
-         lambda: (func("v0_int"), func("v0") + c4())),
+         lambda: (ztilde("v0_int", trunc), ztilde("v0", trunc) + c4())),
         ("conjecture shape: Zt_v0_int - 1/(4 eta(2t)^12) = Zt_v0",
-         lambda: (func("v0_int") - c4(), func("v0"))))]
+         lambda: (ztilde("v0_int", trunc) - c4(), ztilde("v0", trunc))))]
 
     # integrality where smoothness or intersection cohomology demands it
     def integrality():
         # Zt_v0 and Zt_0 last, and only at their smooth discriminants
-        order = [key for key in keys if key not in ("v0", "0")] + ["v0", "0"]
-        bad = [(key, e, c) for key in order for e, c in func(key).pairs()
-               if c.denominator != 1
+        order = [key for key in ("vEven", "vOdd", *RELATIONS)
+                 if key != "0"] + ["v0", "0"]
+        bad = [(key, e, c) for key in order
+               for e, c in ztilde(key, trunc).pairs() if c.denominator != 1
                and (key not in ("v0", "0") or V0.is_smooth(e + 1))]
         return {"passed": not bad,
                 "note": "; ".join(f"Zt_{key}[q^{e}]={c}"
@@ -216,9 +200,9 @@ def assemble_theorem(trunc):
     # grid structure: leading exponents of the even and odd families; the
     # odd family is empty below its first term at q^(1/2)
     def leading():
-        lead_even = func("even").leading()[0]
-        lead_odd = (None if func("odd").is_zero()
-                    else func("odd").leading()[0])
+        lead_even = ztilde("even", trunc).leading()[0]
+        lead_odd = (None if ztilde("odd", trunc).is_zero()
+                    else ztilde("odd", trunc).leading()[0])
         want_odd = Fraction(1, 2) if trunc >= Fraction(1, 2) else None
         return {"passed": lead_even == 0 and lead_odd == want_odd,
                 "note": f"even: {lead_even}, odd: {lead_odd}"}
@@ -226,7 +210,7 @@ def assemble_theorem(trunc):
     # diagnostic: the singular-space discrepancy series (difference between
     # the pipeline average and the closed form with the slot holomorphic)
     def discrepancy():
-        disc = func("0") - theorem_closed_form("0", trunc)
+        disc = ztilde("0", trunc) - theorem_closed_form("0", trunc)
         return {"passed": True,
                 "note": ("zero" if disc.is_zero() else
                          f"nonzero from q^{disc.leading()[0]}")}
@@ -239,8 +223,7 @@ def assemble_theorem(trunc):
         ("singular-discrepancy series (diagnostic, not asserted)",
          discrepancy))]
 
-    return (VerifyReport(suite="theorem", results=results),
-            {key: func(key) for key in keys})
+    return VerifyReport(suite="theorem", results=results)
 
 
 # -- presentation --------------------------------------------------------------
@@ -279,13 +262,11 @@ def euler_table(class_tag, max_delta):
         raise TruncationError(
             f"max_delta {max_delta} below the first grid point {offset}")
 
-    if source in RELATIONS:
-        series, prop = relation(source, max_delta), None
-    else:
-        series = ztilde(base, max_delta)
-        # ztilde built the assembly one order further; its coefficients up
-        # to max_delta are the same, so this is a cache hit
-        prop = proposition_series(base, max_delta + 1)
+    # the rows read Zt to q^(max_delta - 1), built from the assembly to
+    # q^max_delta; Betti numbers belong to the moduli spaces of a class,
+    # not to an averaged function, and their assembly is a cache hit
+    series = ztilde(source, max_delta - 1)
+    prop = proposition_series(base, max_delta) if source == base else None
 
     rows = []
     delta = offset

@@ -21,8 +21,7 @@ from instanton_zeta.lattice import (D8_SHIFT_E1_HALF, D8_SHIFT_P, D8_SHIFT_Q,
                                     zn_shell_counts_dp)
 from instanton_zeta.numeric import sduality_check
 from instanton_zeta.results import (assemble_theorem, check_limit_lemmas,
-                                    main_closed_form, theorem_closed_form,
-                                    ztilde)
+                                    theorem_closed_form, ztilde)
 from test_lattice import zn_shell_counts
 
 
@@ -102,14 +101,15 @@ def test_criterion_6_pipeline_vs_closed_forms_to_15():
     problems = []
     for tag in ("v0", "vEven", "vOdd"):
         z = ztilde(tag, order)
-        diff = z.first_difference(main_closed_form(tag, order), upto=order)
+        diff = z.first_difference(theorem_closed_form(tag, order),
+                                  upto=order)
         if diff is not None:
             problems.append(f"{tag} differs at q^{diff}")
-    report, funcs = assemble_theorem(order)
+    report = assemble_theorem(order)
     if not report.ok:
         problems.extend(r.name for r in report.failures())
     for lam in ("0", "even", "odd"):
-        diff = funcs[lam].first_difference(
+        diff = ztilde(lam, order).first_difference(
             theorem_closed_form(lam, order), upto=order)
         if diff is not None:
             problems.append(f"lambda={lam} differs at q^{diff}")
@@ -121,19 +121,19 @@ def test_criterion_6_pipeline_vs_closed_forms_to_15():
     # part of the singular family.  See the decisions ledger.
     for key in ("vEven", "vOdd", "f_v0", "f_vEven", "f_vOdd",
                 "even", "odd", "v0_int"):
-        bad = [(e, c) for e, c in funcs[key].pairs()
+        bad = [(e, c) for e, c in ztilde(key, order).pairs()
                if c.denominator != 1]
         if bad:
             problems.append(f"{key} non-integer at {bad[0]}")
     for key in ("v0", "0"):
-        bad = [(e, c) for e, c in funcs[key].pairs()
+        bad = [(e, c) for e, c in ztilde(key, order).pairs()
                if (e + 1) % 2 == 1 and c.denominator != 1]
         if bad:
             problems.append(f"{key} non-integer smooth part at {bad[0]}")
     # the paper-derived stack counts at the singular spots, frozen
-    if funcs["v0"].coeff(-1) != Fraction(-1, 4):
+    if ztilde("v0", order).coeff(-1) != Fraction(-1, 4):
         problems.append("singular stack count at Delta = 0 changed")
-    if funcs["0"].coeff(-1) != Fraction(-1, 8):
+    if ztilde("0", order).coeff(-1) != Fraction(-1, 8):
         problems.append("averaged singular stack count changed")
     _announce(6, not problems,
               "pipeline limits equal the closed forms to q^15, the theorem "

@@ -358,7 +358,13 @@ def test_eval_scale_below_minimum_im_tau(form, capsys):
 
 
 def test_eval_requires_target(capsys):
-    assert main(["eval", "--form", "theta3"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--form", "theta3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: instanton-zeta eval ")
+    assert err.endswith("instanton-zeta eval: error: nothing to do: pass "
+                        "--tau and/or --series\n")
 
 
 def test_eval_unknown_form(capsys):

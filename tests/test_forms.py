@@ -5,7 +5,7 @@ import pytest
 
 from instanton_zeta.cli import FORM_LEAVES
 from instanton_zeta.errors import InstantonZetaError
-from instanton_zeta.formexpr import DERIVED_FORMS
+from instanton_zeta.formexpr import DERIVED_FORMS, Pow, leaf
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
                                   FormProvider, double_sum, eta_pow_inverse,
                                   gen_form, sieve, verify_section1)
@@ -143,6 +143,15 @@ def test_peven_via_explicit_composition():
     comp = ((e4 + e4.half_period_shift()).dilate(Fraction(1, 2))
             .scale(Fraction(1, 2)) - e4.dilate(2))
     assert comp.first_difference(gen_form("Peven", 2), upto=2) is None
+
+
+def test_form_power_takes_integer_exponents_only():
+    # a non-integer exponent raises rather than truncating to an integer
+    for n in (1.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            leaf("E4") ** n
+    assert leaf("eta") ** -24 == Pow(leaf("eta"), -24)
+    assert (leaf("eta") ** -24).n == -24
 
 
 def test_unknown_form_rejected():

@@ -7,10 +7,10 @@ from instanton_zeta.errors import IntegrityError, TruncationError
 from instanton_zeta.formexpr import CLOSED_FORMS
 from instanton_zeta.forms import as_qseries, gen_form
 from instanton_zeta.qseries import LAURENT, QSeries
-from instanton_zeta.results import (TABLE_CLASSES, assemble_theorem,
-                                    check_limit_lemmas, euler_table,
-                                    main_closed_form, theorem_closed_form,
-                                    ztilde)
+from instanton_zeta.forms import eta_pow_inverse
+from instanton_zeta.results import (RELATIONS, TABLE_CLASSES, TABLE_SOURCES,
+                                    assemble_theorem, check_limit_lemmas,
+                                    euler_table, theorem_closed_form, ztilde)
 from instanton_zeta.tratfunc import exact_quotient
 
 ORDER = 10
@@ -43,7 +43,7 @@ def test_ztilde_v0_singular_rationals():
 def test_pipeline_matches_closed_forms():
     for tag in ("v0", "vEven", "vOdd"):
         z = ztilde(tag, ORDER)
-        closed = main_closed_form(tag, ORDER)
+        closed = theorem_closed_form(tag, ORDER)
         assert z.first_difference(closed, upto=ORDER) is None, tag
 
 
@@ -52,38 +52,50 @@ def test_check_limit_lemmas():
 
 
 def test_assemble_theorem_small():
-    report, funcs = assemble_theorem(8)
+    report = assemble_theorem(8)
     assert report.ok
-    z0 = funcs["0"]
+    z0 = ztilde("0", 8)
     assert z0.coeff(-1) == Fraction(-1, 8)
-    assert funcs["f_v0"].coeff(-1) == 0
-    assert all(c.denominator == 1 for _, c in funcs["f_v0"].pairs())
-    assert funcs["even"].first_difference(funcs["vEven"]) is None
-    assert funcs["v0_int"].first_difference(funcs["f_v0"]) is None
+    assert ztilde("f_v0", 8).coeff(-1) == 0
+    assert all(c.denominator == 1 for _, c in ztilde("f_v0", 8).pairs())
+    assert ztilde("even", 8).first_difference(ztilde("vEven", 8)) is None
+    assert ztilde("v0_int", 8).first_difference(ztilde("f_v0", 8)) is None
+
+
+def test_ztilde_reads_every_relation_key():
+    inv = eta_pow_inverse(2, 12, 6)
+    for key, (tag, c) in RELATIONS.items():
+        want = ztilde(tag, 6) + inv.scale(c)
+        assert ztilde(key, 6).first_difference(want, upto=6) is None, key
 
 
 def test_integrality_note_names_the_function(monkeypatch):
-    # a relation with a non-integer c breaks integrality at its first term
+    # a relation with a non-integer c breaks integrality at its first term;
+    # ztilde caches every key, so no patched series may outlive the patch
     from instanton_zeta import results
+    ztilde.cache_clear()
     monkeypatch.setitem(results.RELATIONS, "f_vEven",
                         ("vEven", Fraction(1, 3)))
-    report, _ = assemble_theorem(2)
+    try:
+        report = assemble_theorem(2)
+    finally:
+        ztilde.cache_clear()
     line = next(r for r in report.results
                 if r.name.startswith("integrality"))
     assert not line.passed
     assert line.note == "Zt_f_vEven[q^-1]=1/3"
 
 
-def test_main_closed_form_rejects_an_unknown_class():
-    with pytest.raises(ValueError, match="unknown class tag 'f_v0'"):
-        main_closed_form("f_v0", 2)
+def test_theorem_closed_form_rejects_a_key_without_one():
+    with pytest.raises(ValueError, match="no closed form for 'f_v0'"):
+        theorem_closed_form("f_v0", 2)
 
 
 def test_theorem_lines_name_the_closed_form_cache_hit():
     # the pipeline lines build theorem_closed_form; the three theorem lines
     # read it from the cache, take about 0 s, and say why
     theorem_closed_form.cache_clear()
-    report, _ = assemble_theorem(7)
+    report = assemble_theorem(7)
     notes = {r.name: r.note for r in report.results}
     for tag in ("vEven", "vOdd", "v0"):
         assert "cache" not in notes[f"pipeline Zt_{tag} = closed form"]
@@ -183,11 +195,16 @@ def test_pole_at_one_is_an_integrity_error(monkeypatch):
 
 @pytest.mark.parametrize("table_class", TABLE_CLASSES)
 def test_euler_table_builds_the_assembly_once(table_class):
-    # a lambda table reads the one pipeline class its relation reads
+    # a lambda table reads the one pipeline class its relation reads; the
+    # rows read Zt to q^(max_delta - 1) and the Betti numbers the assembly
+    # to q^max_delta, so the one build stops at max_delta
     from instanton_zeta.assembly import proposition_series
+    source = TABLE_SOURCES[table_class]
+    base = RELATIONS[source][0] if source in RELATIONS else source
     proposition_series.cache_clear()
     ztilde.cache_clear()
     euler_table(table_class, 3)
+    proposition_series(base, 3)
     assert proposition_series.cache_info().misses == 1
 
 
@@ -219,22 +236,21 @@ def test_off_grid_dimension_is_an_integrity_error(monkeypatch, capsys):
 
 
 def test_theorem_lines_time_the_relations(monkeypatch):
-    # every relation series is built inside a line, so the lines' seconds
-    # cover every sleep injected into its build
+    # every class and relation series is read inside a line, so the lines'
+    # seconds cover every sleep injected into its read
     import time
 
     from instanton_zeta import results
     assemble_theorem(2)   # warm the caches: the lines themselves are fast
-    build = results.relation
-    sleeps = []
+    read = results.ztilde
+    keys = []
 
-    def slow_relation(key, trunc):
-        time.sleep(0.05)
-        sleeps.append(0.05)
-        return build(key, trunc)
+    def slow_ztilde(key, trunc):
+        time.sleep(0.01)
+        keys.append(key)
+        return read(key, trunc)
 
-    monkeypatch.setattr(results, "relation", slow_relation)
-    report, funcs = assemble_theorem(2)
-    assert len(sleeps) == len(results.RELATIONS)
-    assert sum(r.seconds for r in report.results) >= sum(sleeps)
-    assert list(funcs) == ["v0", "vEven", "vOdd", *results.RELATIONS]
+    monkeypatch.setattr(results, "ztilde", slow_ztilde)
+    report = assemble_theorem(2)
+    assert set(keys) == {"v0", "vEven", "vOdd", *results.RELATIONS}
+    assert sum(r.seconds for r in report.results) >= 0.01 * len(keys)
