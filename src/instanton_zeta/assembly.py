@@ -7,7 +7,7 @@ cohomology classes.
 Everything here is a QSeries over the Laurent polynomials in t; the
 substitution u = t^2 q is baked into each constructor, and the rank-8
 coset thetas are ``lattice.d8_theta_ambient`` read to half the order.  The
-assemblies are built as Laurent-polynomial numerators over the one
+assemblies are built as integer Laurent-polynomial numerators over the one
 denominator DEN, with no division; ``tratfunc`` applies DEN where a value
 is read.
 """
@@ -77,7 +77,7 @@ def vacuum_product(kind, trunc):
 
 def _odd_gap_ratio(k):
     """(t^k - t^-k)/(t - 1) = t^-k (1 + t + ... + t^(2k-1))."""
-    return LPoly(-k, (1,) * (2 * k), 1)
+    return LPoly(-k, (1,) * (2 * k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,9 +164,9 @@ def _assemble(tag, trunc, bracket):
 def proposition_series(tag, trunc):
     """Sum over discriminants of the Poincare polynomial of the moduli of
     rank-2 sheaves with the given first Chern class, as a q-series whose
-    coefficients are Laurent-polynomial numerators over DEN.  Smooth-case
-    coefficients are checked to be divisible by DEN, so that their
-    quotients are Laurent polynomials."""
+    coefficients are integer Laurent-polynomial numerators over DEN.
+    Smooth-case coefficients are checked to be divisible by DEN over Z, so
+    that their quotients are integer Laurent polynomials."""
     c1 = CLASSES[tag]
     trunc = Fraction(trunc)
     theta = {eps: theta_coset_sub(_coset_shift(c1, *eps), trunc)
@@ -185,14 +185,14 @@ def _validate_smooth(tag, series):
         if (CLASSES[tag].is_smooth(delta)
                 and exact_quotient(coeff, DEN) is None):
             raise IntegrityError(
-                f"{tag}: coefficient at Delta = {delta} is not a Laurent "
-                f"polynomial despite smoothness")
+                f"{tag}: coefficient at Delta = {delta} is not an integer "
+                f"Laurent polynomial despite smoothness")
 
 
 def poincare_problems(poly, dim):
-    """What keeps ``poly`` (``None`` when the coefficient is not a Laurent
-    polynomial) from being the Poincare polynomial, in t^2-degree units, of
-    a smooth projective variety of dimension ``dim``: nonnegative integer
+    """What keeps ``poly`` (``None`` when the coefficient is not an integer
+    Laurent polynomial) from being the Poincare polynomial, in t^2-degree
+    units, of a smooth projective variety of dimension ``dim``: nonnegative
     coefficients, palindromic of degree ``dim`` (Poincare duality) and
     unimodal (Hard Lefschetz), vanishing when ``dim`` is negative, constant
     term 1 when nonempty."""
@@ -208,7 +208,7 @@ def poincare_problems(poly, dim):
         if poly.degree() != dim:
             problems.append(f"degree {poly.degree()} != {dim}")
         cs = [poly.coeff(k) for k in range(poly.degree() + 1)]
-        if any(c.denominator != 1 or c < 0 for c in cs):
+        if any(c < 0 for c in cs):
             problems.append("coefficients not nonneg integers")
         if cs != cs[::-1]:
             problems.append("not palindromic")
@@ -272,8 +272,8 @@ def wall_sum_oracle(tag, trunc):
     # (4 q-exponent, t-power) -> integer coefficient of the numerator over
     # DEN; the wall prefactor 1/(t (t-1)) is 2 (t^2-1)/DEN
     num = {}
-    wall = [(e, int(c)) for e, c in (2 * (_T ** 2 - 1)).pairs()]
-    middle = [(e, int(c)) for e, c in _MIDDLE.pairs()]
+    wall = (2 * (_T ** 2 - 1)).pairs()
+    middle = _MIDDLE.pairs()
 
     def add(norm4, k, poly, sign):
         for e, c in poly:
@@ -360,7 +360,8 @@ def check_asum_closed_forms(trunc):
         return gen_form("E2", trunc, scaling)
 
     def at_one(i):
-        return a_sum(i, trunc).map_coeffs(lambda c: c.eval_one(), QQ)
+        return a_sum(i, trunc).map_coeffs(lambda c: QQ.coerce(c.eval_one()),
+                                          QQ)
 
     def sigma1(n):
         return sum(d for d in range(1, n + 1) if n % d == 0)

@@ -1,17 +1,18 @@
-"""Laurent polynomials in one variable t over exact rationals.
+"""Laurent polynomials in one variable t over Z.
 
-A polynomial is stored as ``t**off * (num[0] + num[1] t + ...) / den`` with
-integer coefficients ``num`` and a single positive integer denominator
-``den``.  Keeping one shared denominator lets every ring operation run in
-plain integer arithmetic; long convolutions are dispatched to a
-Kronecker-substitution kernel (pack into one big integer, multiply once,
-unpack) which CPython's big-int multiplication makes fast.
+A polynomial is stored as ``t**off * (num[0] + num[1] t + ...)`` with
+integer coefficients ``num``, trimmed so that the first and last are
+nonzero; the zero polynomial has ``off = 0`` and no coefficients.  Every
+t-coefficient of the assembly is one of these (rationals enter only as
+values at t = 1), so every ring operation runs in plain integer
+arithmetic; long convolutions are dispatched to a Kronecker-substitution
+kernel (pack into one big integer, multiply once, unpack) which CPython's
+big-int multiplication makes fast.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 
 def _trim(num):
@@ -24,13 +25,13 @@ def _trim(num):
     return lo, num[lo:hi]
 
 
-def _content(num):
-    g = 0
-    for c in num:
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+def _integer(value):
+    """``value`` as an int: an int, or a Fraction with denominator 1 (the
+    coset thetas count in Fractions).  Anything else raises TypeError."""
+    if isinstance(value, int) or (isinstance(value, Fraction)
+                                  and value.denominator == 1):
+        return int(value)
+    raise TypeError(f"{value!r} is not an integer")
 
 
 def _conv_school(a, b):
@@ -97,29 +98,14 @@ def _conv(a, b):
 
 
 class LPoly:
-    """Immutable Laurent polynomial over Q."""
+    """Immutable Laurent polynomial over Z."""
 
-    __slots__ = ("off", "num", "den")
+    __slots__ = ("off", "num")
 
-    def __init__(self, off=0, num=(), den=1):
-        num = tuple(num)
-        if den < 0:
-            den = -den
-            num = tuple(-c for c in num)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        lo, num = _trim(num)
-        if not num:
-            off, den = 0, 1
-        else:
-            off += lo
-            g = gcd(_content(num), den)
-            if g > 1:
-                num = tuple(c // g for c in num)
-                den //= g
-        object.__setattr__(self, "off", off)
+    def __init__(self, off=0, num=()):
+        lo, num = _trim(tuple(num))
+        object.__setattr__(self, "off", off + lo if num else 0)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("LPoly is immutable")
@@ -128,27 +114,24 @@ class LPoly:
 
     @staticmethod
     def const(value):
-        value = Fraction(value)
-        return LPoly(0, (value.numerator,), value.denominator)
+        return LPoly(0, (_integer(value),))
 
     @staticmethod
     def t_pow(k, coeff=1):
-        coeff = Fraction(coeff)
-        return LPoly(k, (coeff.numerator,), coeff.denominator)
+        return LPoly(k, (_integer(coeff),))
 
     @staticmethod
     def from_pairs(pairs):
-        """Build from an iterable of (exponent, Fraction) pairs."""
-        pairs = [(e, Fraction(c)) for e, c in pairs if c]
+        """Build from an iterable of (exponent, integer) pairs."""
+        pairs = [(e, _integer(c)) for e, c in pairs if c]
         if not pairs:
             return LPoly()
-        den = lcm(*(c.denominator for _, c in pairs))
         lo = min(e for e, _ in pairs)
         hi = max(e for e, _ in pairs)
         num = [0] * (hi - lo + 1)
         for e, c in pairs:
-            num[e - lo] += c.numerator * (den // c.denominator)
-        return LPoly(lo, num, den)
+            num[e - lo] += c
+        return LPoly(lo, num)
 
     # -- predicates / views ------------------------------------------------
 
@@ -171,23 +154,22 @@ class LPoly:
 
     def coeff(self, e):
         i = e - self.off
-        if 0 <= i < len(self.num):
-            return Fraction(self.num[i], self.den)
-        return Fraction(0)
+        return self.num[i] if 0 <= i < len(self.num) else 0
 
     def pairs(self):
-        return [(self.off + i, Fraction(c, self.den))
-                for i, c in enumerate(self.num) if c]
+        return [(self.off + i, c) for i, c in enumerate(self.num) if c]
 
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
     def _coerce(other):
+        """``other`` as an ``LPoly``, or None when it is not an integer."""
         if isinstance(other, LPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        try:
             return LPoly.const(other)
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other):
         other = LPoly._coerce(other)
@@ -199,20 +181,16 @@ class LPoly:
             return self
         lo = min(self.off, other.off)
         hi = max(self.off + len(self.num), other.off + len(other.num))
-        den = lcm(self.den, other.den)
-        sa = den // self.den
-        sb = den // other.den
         num = [0] * (hi - lo)
-        for i, c in enumerate(self.num):
-            num[self.off - lo + i] = c * sa
-        for i, c in enumerate(other.num):
-            num[other.off - lo + i] += c * sb
-        return LPoly(lo, num, den)
+        num[self.off - lo:self.off - lo + len(self.num)] = self.num
+        for i, c in enumerate(other.num, other.off - lo):
+            num[i] += c
+        return LPoly(lo, num)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LPoly(self.off, tuple(-c for c in self.num), self.den)
+        return LPoly(self.off, [-c for c in self.num])
 
     def __sub__(self, other):
         other = LPoly._coerce(other)
@@ -221,7 +199,10 @@ class LPoly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return LPoly._coerce(other) + (-self)
+        other = LPoly._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         other = LPoly._coerce(other)
@@ -229,9 +210,7 @@ class LPoly:
             return NotImplemented
         if not self.num or not other.num:
             return LPoly()
-        return LPoly(self.off + other.off,
-                     _conv(self.num, other.num),
-                     self.den * other.den)
+        return LPoly(self.off + other.off, _conv(self.num, other.num))
 
     __rmul__ = __mul__
 
@@ -251,22 +230,21 @@ class LPoly:
         other = LPoly._coerce(other)
         if other is None:
             return NotImplemented
-        return (self.off == other.off and self.num == other.num
-                and self.den == other.den)
+        return self.off == other.off and self.num == other.num
 
     def __hash__(self):
-        return hash((self.off, self.num, self.den))
+        return hash((self.off, self.num))
 
     # -- evaluation and exponent surgery -----------------------------------
 
     def eval_one(self):
-        return Fraction(sum(self.num), self.den)
+        return sum(self.num)
 
     def shift(self, k):
         """Multiply by t**k."""
         if not self.num:
             return self
-        return LPoly(self.off + k, self.num, self.den)
+        return LPoly(self.off + k, self.num)
 
     def stretch(self, k):
         """Substitute t -> t**k (k positive integer)."""
@@ -275,7 +253,7 @@ class LPoly:
         num = [0] * ((len(self.num) - 1) * k + 1)
         for i, c in enumerate(self.num):
             num[i * k] = c
-        return LPoly(self.off * k, num, self.den)
+        return LPoly(self.off * k, num)
 
     def __repr__(self):
         if not self.num:

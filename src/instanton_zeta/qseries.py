@@ -15,9 +15,11 @@ coefficients.
 
 Every product, and through it every power and inverse, runs in one integer
 kernel, ``_product``.  Each factor is cleared once: its coefficients become
-integer t-polynomial numerators over one integer denominator (the lcm of
-the coefficients' own).  A rational is the one-slot case.  One-slot
-factors convolve densely on their exponent grid compressed by its gcd.
+integer t-polynomial numerators over one integer denominator.  Over Q
+they are the rationals' numerators over the lcm of their denominators,
+each a one-slot polynomial; over Z[t,1/t] they are the polynomials
+themselves, aligned to one lowest t-power, over 1.  One-slot factors
+convolve densely on their exponent grid compressed by its gcd.
 Wider ones pack each numerator once into a single integer, coefficient i
 in a signed slot of ``w`` bits at bit ``w * i`` (``laurent._pack``), then
 multiply and accumulate per output exponent, and unpack each sum once.
@@ -34,7 +36,8 @@ and ``w`` is ``laurent._slot_bytes(L)`` bytes, the fewest that make
 ``|slot| < 2**(w - 1)``.  Slots in that range are the
 unique signed base-``2**w`` digits of the sum, which the unpack reads back.
 Inverses are Newton steps ``x <- x - x (u x - 1)`` on the unit part
-``u``, each one a pair of kernel products that doubles the exact range.
+``u``, each one a pair of kernel products that doubles the exact range;
+the leading coefficient must be a unit, a nonzero rational or ``±t^k``.
 
 Every infinite product ``P = prod (1 - x q^a)^(-m)`` over factor triples
 ``(x, a, m)`` (``x`` in the ring, ``a >= 1``, ``m`` of either sign) is built
@@ -42,7 +45,8 @@ by ``euler_product`` from its logarithmic derivative ``q P'/P = sum s_k q^k``,
 ``s_k = sum_{a | k} m a x^(k/a)``: Euler's recurrence ``n p_n = sum_{k=1..n}
 s_k p_(n-k)`` from ``p_0 = 1``, run in plain integers. The factors are cleared
 once to integer t-polynomial numerators over one denominator ``D`` (a rational
-is the one-slot case), and two substitutions make them integral polynomials:
+is the one-slot case; over Z[t,1/t], ``D = 1``), and two substitutions make
+them integral polynomials:
 ``q -> q t^r``, with the least integer ``r`` (of either sign) that leaves no
 negative t-power in any ``x t^(r a)``, and ``q -> D q``, which turns each
 factor into ``1 - Y D^(a-1) q^a`` with ``Y = x t^(r a) D`` and the recurrence
@@ -102,38 +106,35 @@ class RationalRing:
 
 
 class LaurentRing:
-    """Laurent polynomials in t over Q.  The units are the monomials."""
-    name = "Q[t,1/t]"
+    """Laurent polynomials in t over Z.  The units are the ``±t^k``."""
+    name = "Z[t,1/t]"
     zero = LPoly()
     one = LPoly.const(1)
 
     @staticmethod
     def coerce(x):
-        if isinstance(x, LPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LPoly.const(x)
-        raise TypeError(f"cannot coerce {x!r} into Q[t,1/t]")
+        """``x`` itself, or an int or integral Fraction as a constant; any
+        other value raises TypeError."""
+        return x if isinstance(x, LPoly) else LPoly.const(x)
 
     @staticmethod
     def invert(c):
-        if len(c.num) != 1:
+        if c.num not in ((1,), (-1,)):
             raise NotInvertibleError(
-                f"{c!r} is not a monomial, so not a unit of Q[t,1/t]")
-        return LPoly(-c.off, (c.den,), c.num[0])
+                f"{c!r} is not ±t^k, so not a unit of Z[t,1/t]")
+        return LPoly(-c.off, c.num)
 
     @staticmethod
     def numerators(cs):
-        """Integer t-polynomial numerators over one integer denominator, the
-        lcm of the coefficients' own: ``(nums, t offset, den)``."""
-        den = lcm(*(c.den for c in cs))
+        """The coefficient lists aligned to one lowest t-power, over the
+        denominator 1: ``(nums, t offset, 1)``."""
         off = min(c.off for c in cs)
-        return [[0] * (c.off - off) + [x * (den // c.den) for x in c.num]
-                for c in cs], off, den
+        return [[0] * (c.off - off) + list(c.num) for c in cs], off, 1
 
     @staticmethod
     def from_numerator(num, off, den):
-        return LPoly(off, num, den)
+        """The numerator itself: every denominator over Z[t,1/t] is 1."""
+        return LPoly(off, num)
 
 
 QQ = RationalRing()

@@ -15,7 +15,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .assembly import DEN, RULED, proposition_series, vacuum_product
+from .assembly import (DEN, RULED, poincare_problems, proposition_series,
+                       vacuum_product)
 from .errors import IntegrityError, PoleAtOneError, TruncationError
 from .formexpr import CLOSED_FORMS
 from .forms import as_qseries, double_sum, eta_pow_inverse, gen_form, sieve
@@ -175,7 +176,9 @@ def assemble_theorem(trunc):
                              "on the line that first built it")))
         results.append(result)
 
-    # intersection-cohomology variant and the conjecture shape
+    # intersection-cohomology variant and the conjecture shape; ztilde
+    # defines v0_int by this very sum, so both lines check the constant
+    # of its RELATIONS entry, not the pipeline
     def c4():
         return eta_pow_inverse(2, 12, trunc).scale(Fraction(1, 4))
 
@@ -283,7 +286,12 @@ def euler_table(class_tag, max_delta):
             coeff = prop.coeff(delta)
             if not coeff.is_zero:
                 poly = exact_quotient(coeff, DEN)
-                betti = [int(poly.coeff(k)) for k in range(dim + 1)]
+                problems = poincare_problems(poly, dim)
+                if problems:
+                    raise IntegrityError(
+                        f"{class_tag}: Poincare polynomial at Delta = "
+                        f"{delta}: {'; '.join(problems)}")
+                betti = [poly.coeff(k) for k in range(dim + 1)]
         rows.append(TableRow(delta=delta, dim=dim, euler=euler,
                              betti=betti, singular=singular))
         delta += 1

@@ -1,11 +1,13 @@
-"""Reading a Laurent-polynomial numerator over a known denominator.
+"""Reading an integer Laurent-polynomial numerator over a known
+denominator.
 
-The assembly carries every coefficient in t as an integer Laurent
-polynomial over one fixed denominator (``assembly.DEN``), so no rational
+The assembly carries every coefficient in t as a Laurent polynomial over Z,
+the numerator over one fixed denominator (``assembly.DEN``), so no rational
 function is ever reduced.  The denominator is applied only where a value
 is read, by one of two functions of a numerator and a denominator
 ``LPoly``: the exact quotient (the Poincare polynomial of a smooth moduli
-space) and the value at t = 1 (its Euler characteristic).
+space, whose Betti numbers are integers, so a fractional quotient is
+none) and the value at t = 1 (its Euler characteristic, a rational).
 
 The value at t = 1 reads each polynomial through its Taylor coefficients
 there, ``p(1 + e) = c_0(p) + c_1(p) e + ...`` with ``c_j(p)`` the sum of
@@ -26,26 +28,23 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PoleAtOneError
-from .laurent import LPoly, _content, poly_divexact_z
+from .laurent import LPoly, poly_divexact_z
 
 
 def exact_quotient(num, den):
-    """``num / den`` as an ``LPoly``, or None when it is not a Laurent
-    polynomial.
+    """``num / den`` as an ``LPoly``, or None when it is not an integer
+    Laurent polynomial.
 
     Powers of t are units and the trimmed coefficient lists have nonzero
-    constant terms, so only the lists need to divide.  Dividing by the
-    primitive part of the denominator's list keeps that division over Z:
-    by Gauss's lemma a primitive integer polynomial that divides an integer
-    polynomial over Q leaves an integer quotient."""
+    constant terms, so only the lists need to divide.  Long division over Z
+    from the top term finds every integer quotient: a rational quotient
+    meets a coefficient that the denominator's top one does not divide."""
     if num.is_zero:
         return LPoly()
-    g = _content(den.num)
     try:
-        quot = poly_divexact_z(num.num, [c // g for c in den.num])
+        return LPoly(num.off - den.off, poly_divexact_z(num.num, den.num))
     except ValueError:
         return None
-    return LPoly(num.off - den.off, [c * den.den for c in quot], num.den * g)
 
 
 def _binom(k, j):
@@ -54,8 +53,7 @@ def _binom(k, j):
 
 
 def _taylor(poly, j):
-    """``poly.den`` times ``c_j(poly)``, the j-th Taylor coefficient at
-    t = 1: an integer."""
+    """``c_j(poly)``, the j-th Taylor coefficient at t = 1: an integer."""
     return sum(_binom(k, j) * a
                for k, a in enumerate(poly.num, poly.off) if a)
 
@@ -76,4 +74,4 @@ def value_at_one(num, den):
     for j in range(k):
         if _taylor(num, j):
             raise PoleAtOneError(k - j)
-    return Fraction(_taylor(num, k) * den.den, _taylor(den, k) * num.den)
+    return Fraction(_taylor(num, k), _taylor(den, k))

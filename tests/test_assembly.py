@@ -154,13 +154,31 @@ def test_palindromic_row_that_falls_before_the_middle_is_not_unimodal():
     (ONE, -1, "nonzero below the empty threshold"),
     (LPoly(-1, (1, 1)), 0, "negative t-powers"),
     (LPoly(0, (1, 2, 1)), 3, "degree 2 != 3"),
-    (LPoly(0, (2, 3, 2), 2), 2, "coefficients not nonneg integers"),
+    (LPoly(0, (1, -1, 1)), 2, "coefficients not nonneg integers"),
     (LPoly(0, (1, 2, 3)), 2, "not palindromic"),
     (LPoly(0, (1, 0, 1)), 2, "not unimodal"),
     (LPoly(0, (2, 2)), 1, "constant term != 1"),
 ])
 def test_each_malformed_row_names_its_one_problem(poly, dim, problem):
-    assert poincare_problems(poly, dim) == [problem]
+    # a row of integers that starts at 1, rises to its middle and mirrors
+    # has no negative coefficient, so a negative one also breaks unimodality
+    also = ["not unimodal"] if problem.startswith("coefficients") else []
+    assert poincare_problems(poly, dim) == [problem] + also
+
+
+def test_a_smooth_coefficient_with_a_fractional_quotient_is_rejected(
+        monkeypatch):
+    # t RULED is DEN / 2: its quotient 1/2 would be a fractional Betti number
+    from instanton_zeta import assembly
+
+    def assemble(tag, trunc, bracket):
+        return QSeries.from_pairs(LAURENT, [(2, _T * _RULED)], trunc, 1)
+
+    monkeypatch.setattr(assembly, "_assemble", assemble)
+    with pytest.raises(IntegrityError) as err:
+        proposition_series.__wrapped__("vEven", 2)
+    assert str(err.value) == ("vEven: coefficient at Delta = 2 is not an "
+                              "integer Laurent polynomial despite smoothness")
 
 
 def test_smoothness_report_flags_a_non_unimodal_row(monkeypatch):
@@ -269,8 +287,8 @@ def test_non_divisible_smooth_coefficient_is_an_integrity_error(monkeypatch):
     monkeypatch.setattr(assembly, "_assemble", perturbed)
     with pytest.raises(IntegrityError) as err:
         proposition_series.__wrapped__("vEven", 2)
-    assert str(err.value) == ("vEven: coefficient at Delta = 1 is not a "
-                              "Laurent polynomial despite smoothness")
+    assert str(err.value) == ("vEven: coefficient at Delta = 1 is not an "
+                              "integer Laurent polynomial despite smoothness")
 
 
 def test_coset_theta_term_off_its_grid_is_an_integrity_error(monkeypatch):

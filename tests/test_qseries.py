@@ -43,9 +43,9 @@ def dict_product(x, y):
 @st.composite
 def _sparse_series(draw, ring, size):
     """A sparse series on a 1/denom grid: possibly negative lead, fractional
-    truncation, up to ``size`` terms.  Over Q[t,1/t] the coefficients are
-    Laurent polynomials with negative offsets and mixed rational
-    contents."""
+    truncation, up to ``size`` terms.  Over Z[t,1/t] the coefficients are
+    Laurent polynomials with negative offsets and integer coefficients of
+    up to 30 digits, as large as the numerators over Q."""
     denom = draw(st.sampled_from([1, 2, 3, 4, 6]))
     lead_k = draw(st.integers(-4 * denom, 3 * denom))
     trunc = Fraction(lead_k, denom) + draw(st.fractions(
@@ -62,11 +62,15 @@ def _sparse_series(draw, ring, size):
         return draw(st.fractions(min_value=-9, max_value=9,
                                  max_denominator=12))
 
+    def integer():
+        top = 10 ** 30 if big else 9
+        return draw(st.integers(-top, top))
+
     def coeff():
         if ring is QQ:
             return scalar()
         off = draw(st.integers(-4, 3))
-        return LPoly.from_pairs((off + i, scalar()) for i in range(
+        return LPoly.from_pairs((off + i, integer()) for i in range(
             draw(st.integers(1, 6))))
 
     pairs = [(Fraction(k, denom), coeff()) for k in sorted(ks)]
@@ -96,20 +100,19 @@ def test_kernel_product_matches_dict_product(factors):
 
 @st.composite
 def _euler_factors(draw):
-    """A ring, factor triples (x, a, m) with signed rational x (over
-    Q[t,1/t] one or two terms with t-shifts), a in 1..4, m of both signs,
-    and a truncation from 0 through fractions below 1 to 8."""
+    """A ring, factor triples (x, a, m) with signed x (rational over Q,
+    over Z[t,1/t] one or two integer terms with t-shifts), a in 1..4, m of
+    both signs, and a truncation from 0 through fractions below 1 to 8."""
     ring = draw(st.sampled_from([QQ, LAURENT]))
 
     def x():
-        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
         if ring is QQ:
-            return c
+            return draw(st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=4))
         off = draw(st.integers(-2, 3))
-        tail = draw(st.fractions(min_value=-2, max_value=2,
-                                 max_denominator=3))
-        return LPoly.from_pairs([(off, c), (off + draw(st.integers(1, 2)),
-                                            tail)])
+        return LPoly.from_pairs([(off, draw(st.integers(-3, 3))),
+                                 (off + draw(st.integers(1, 2)),
+                                  draw(st.integers(-2, 2)))])
 
     factors = [(x(), draw(st.integers(1, 4)), draw(st.integers(-3, 3)))
                for _ in range(draw(st.integers(0, 4)))]
@@ -119,8 +122,9 @@ def _euler_factors(draw):
 
 def plain_euler_product(ring, factors, trunc):
     """Euler's recurrence ``n p_n = sum_k s_k p_(n-k)`` in the ring's own
-    arithmetic, one ring multiply-add per term: the oracle for the packed
-    integer recurrence of ``euler_product``."""
+    arithmetic, one ring multiply-add per term and one exact division by
+    ``n`` per coefficient: the oracle for the packed integer recurrence of
+    ``euler_product``."""
     top = floor(trunc)
     s = [ring.zero] * (top + 1)
     for x, a, m in factors:
@@ -130,11 +134,19 @@ def plain_euler_product(ring, factors, trunc):
             s[a * j] += m * a * ring.coerce(x) ** j
     p = [ring.one]
     for n in range(1, top + 1):
-        p.append(sum((s[k] * p[n - k] for k in range(1, n + 1)), ring.zero)
-                 * Fraction(1, n))
+        p.append(_divide(ring, sum((s[k] * p[n - k]
+                                    for k in range(1, n + 1)), ring.zero), n))
     # a negative trunc knows no coefficient, not even p_0
     terms = {n: c for n, c in enumerate(p[:top + 1]) if c}
     return QSeries(ring, 1, trunc, terms, _checked=True)
+
+
+def _divide(ring, c, n):
+    """``c / n`` in the ring; over Z[t,1/t] every coefficient divides."""
+    if ring is QQ:
+        return c / n
+    assert all(x % n == 0 for x in c.num)
+    return LPoly(c.off, [x // n for x in c.num])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -152,23 +164,23 @@ def test_euler_product_matches_the_factor_by_factor_product(case):
 
 @st.composite
 def _wide_euler_factors(draw):
-    """Factor triples with numerators up to 10^12 and denominators up to
-    10^3, so that the packed slots take from a few bytes to about a
+    """Factor triples with numerators up to 10^12 (over Q, denominators up
+    to 10^3), so that the packed slots take from a few bytes to about a
     hundred, t-offsets of both signs, m of both signs, and a truncation up
-    to 30.  Over Q[t,1/t] every x has two to four terms, so that every
-    product packs."""
+    to 30.  Over Z[t,1/t] every x has two to four integer terms, so that
+    every product packs."""
     ring = draw(st.sampled_from([QQ, LAURENT, LAURENT]))
 
-    def scalar():
+    def integer():
         top = 10 ** draw(st.integers(0, 12))
-        return Fraction(draw(st.integers(-top, top)),
-                        draw(st.sampled_from([1, 1, 2, 7, 1000])))
+        return draw(st.integers(-top, top))
 
     def x():
         if ring is QQ:
-            return scalar()
+            return Fraction(integer(),
+                            draw(st.sampled_from([1, 1, 2, 7, 1000])))
         off = draw(st.integers(-3, 4))
-        return LPoly.from_pairs((off + i, scalar())
+        return LPoly.from_pairs((off + i, integer())
                                 for i in range(draw(st.integers(2, 4))))
 
     factors = [(x(), draw(st.integers(1, 6)), draw(st.integers(-3, 3)))
@@ -238,7 +250,7 @@ def test_polynomial_product_builds_no_coefficient_per_pair(monkeypatch):
 
     monkeypatch.setattr(LPoly, "__mul__", counting)
     a = QSeries.from_pairs(LAURENT, [(k, LPoly.from_pairs(
-        [(-k, 1), (0, k), (k + 1, Fraction(1, k + 1))])) for k in range(12)],
+        [(-k, 1), (0, k), (k + 1, -(k + 1))])) for k in range(12)],
         11)
     b = QSeries.from_pairs(LAURENT, [(Fraction(k, 2), LPoly.t_pow(k, 3))
                                      for k in range(-2, 19)], 9, 2)
@@ -313,15 +325,25 @@ def test_inverse_errors():
 
 
 def test_inverse_needs_a_monomial_lead_over_laurent():
-    # only the monomials are units of Q[t,1/t]
+    # only the monomials +-t^k are units of Z[t,1/t]
     t = LPoly.t_pow(1)
     for lead in (t + 1, 1 - t ** 2, LPoly.t_pow(-1) + 2):
         a = QSeries.from_pairs(LAURENT, [(0, lead), (1, t)], 4)
         with pytest.raises(NotInvertibleError):
             a.inverse()
-    a = QSeries.from_pairs(LAURENT, [(0, LPoly.t_pow(-2, 3)), (1, t + 1)], 4)
     one = QSeries.constant(LAURENT, 1, 4)
-    assert dict_product(a, a.inverse()).first_difference(one) is None
+    for lead in (LPoly.t_pow(-2, -1), LPoly.t_pow(3)):
+        a = QSeries.from_pairs(LAURENT, [(0, lead), (1, t + 1)], 4)
+        assert dict_product(a, a.inverse()).first_difference(one) is None
+
+
+@pytest.mark.parametrize("lead", [LPoly.t_pow(0, 2), LPoly.t_pow(-1, 2),
+                                  LPoly.t_pow(2, -3)])
+def test_a_monomial_lead_that_is_no_unit_is_not_invertible(lead):
+    # 2 t^k is a monomial but no unit of Z[t,1/t]: its inverse is not integral
+    a = QSeries.from_pairs(LAURENT, [(0, lead), (1, LPoly.t_pow(1))], 4)
+    with pytest.raises(NotInvertibleError, match="not a unit of Z"):
+        a.inverse()
 
 
 def test_inverse_roundtrip_randomized():
@@ -341,7 +363,7 @@ def test_inverse_roundtrip_randomized():
         prod = dict_product(a, a.inverse())
         one = QSeries.constant(QQ, 1, prod.trunc)
         assert prod.first_difference(one) is None
-    # over Q[t,1/t] the leading coefficient is a monomial, a unit, and the
+    # over Z[t,1/t] the leading coefficient is +-t^k, a unit, and the
     # others are binomials with negative offsets
     rng = random.Random(17)
     for _ in range(100):
@@ -353,8 +375,8 @@ def test_inverse_roundtrip_randomized():
             low = rng.randint(-2, 2)
             return LPoly.from_pairs([(low, c), (low + rng.randint(1, 3), 1)])
 
-        pairs = [(Fraction(lead), LPoly.t_pow(
-            rng.randint(-2, 2), rng.choice([1, -1, 2, Fraction(1, 2)])))]
+        pairs = [(Fraction(lead), LPoly.t_pow(rng.randint(-2, 2),
+                                               rng.choice([1, -1])))]
         for _ in range(rng.randint(0, 6)):
             e = Fraction(rng.randint(lead * denom + 1, int(trunc * denom)),
                          denom)
@@ -368,8 +390,8 @@ def test_inverse_roundtrip_randomized():
 @st.composite
 def _invertible_series(draw):
     """A series on the 1/denom grid with a possibly negative leading
-    exponent and a possibly fractional truncation, over Q or Q[t,1/t]; over
-    Q[t,1/t] the leading coefficient is a monomial, a unit."""
+    exponent and a possibly fractional truncation, over Q or Z[t,1/t]; over
+    Z[t,1/t] the leading coefficient is +-t^k, a unit."""
     ring = draw(st.sampled_from([QQ, LAURENT]))
     denom = draw(st.sampled_from([1, 2]))
     lead_k = draw(st.integers(-3 * denom, 2 * denom))
@@ -386,7 +408,9 @@ def _invertible_series(draw):
             [(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
              for _ in range(terms)])
 
-    pairs = [(Fraction(lead_k, denom), coeff(1))] + [
+    lead = coeff(1) if ring is QQ else LPoly.t_pow(
+        draw(st.integers(-2, 2)), draw(st.sampled_from([1, -1])))
+    pairs = [(Fraction(lead_k, denom), lead)] + [
         (Fraction(k, denom), coeff(draw(st.integers(1, 2)))) for k in ks]
     return QSeries.from_pairs(ring, pairs, trunc, denom), Fraction(lead_k,
                                                                    denom)

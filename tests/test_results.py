@@ -5,6 +5,7 @@ import pytest
 from instanton_zeta.assembly import DEN
 from instanton_zeta.errors import IntegrityError, TruncationError
 from instanton_zeta.formexpr import CLOSED_FORMS
+from instanton_zeta.laurent import LPoly
 from instanton_zeta.forms import as_qseries, gen_form
 from instanton_zeta.qseries import LAURENT, QSeries
 from instanton_zeta.forms import eta_pow_inverse
@@ -206,6 +207,30 @@ def test_euler_table_builds_the_assembly_once(table_class):
     euler_table(table_class, 3)
     proposition_series(base, 3)
     assert proposition_series.cache_info().misses == 1
+
+
+def test_table_rejects_a_row_that_fails_the_poincare_checks(monkeypatch):
+    # the vEven row at Delta = 2 (dimension 5) made non-palindromic: the
+    # table raises before it prints any Betti number
+    from instanton_zeta import results
+    build = results.proposition_series
+    row = LPoly(0, (1, 11, 60, 61, 11, 1))
+
+    def patched(tag, trunc):
+        series = build(tag, trunc)
+        terms = dict(series.terms)
+        terms[2 * series.denom] = DEN * row
+        return QSeries(series.ring, series.denom, series.trunc, terms)
+
+    monkeypatch.setattr(results, "proposition_series", patched)
+    ztilde.cache_clear()
+    try:
+        with pytest.raises(IntegrityError) as err:
+            euler_table("even", 3)
+    finally:
+        ztilde.cache_clear()
+    assert str(err.value) == ("even: Poincare polynomial at Delta = 2: "
+                              "not palindromic")
 
 
 def test_smoothness_then_ztilde_builds_the_assembly_once():

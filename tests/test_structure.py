@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import instanton_zeta
+from instanton_zeta.laurent import LPoly
 
 PACKAGE = Path(instanton_zeta.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -118,3 +119,14 @@ def test_formexpr_holds_trees_and_only_forms_expands_them_exactly():
     numeric_reads = {m for node in _imports(_tree(PACKAGE / "numeric.py"))
                      for m in _imported_modules(node)}
     assert ".qseries" not in numeric_reads
+
+
+def test_t_coefficients_carry_no_denominator():
+    # every t-coefficient is an integer Laurent polynomial: LPoly holds an
+    # offset and integer coefficients, and no module reads a denominator
+    # attribute off one
+    assert LPoly.__slots__ == ("off", "num")
+    reads = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "den"]
+    assert reads == []

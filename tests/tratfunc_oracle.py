@@ -1,31 +1,43 @@
 """Reference implementation for the t-coefficient layer: canonically
-reduced fractions of Laurent polynomials in t over exact rationals.
+reduced fractions of Laurent polynomials in t over Z.
 
-The library carries every t-coefficient as a Laurent-polynomial numerator
-over a known denominator and reads it through ``tratfunc.exact_quotient``
-and ``tratfunc.value_at_one``.  This class is the general machinery those
-two functions replaced; the tests check them against it.  The module also
-holds the evaluation of a Laurent polynomial at a rational point and the
-inverse of ``LPoly.stretch``, which only the tests read.
+The library carries every t-coefficient as an integer Laurent-polynomial
+numerator over a known denominator and reads it through
+``tratfunc.exact_quotient`` and ``tratfunc.value_at_one``.  This class is
+the general machinery those two functions replaced; the tests check them
+against it.  The module also holds the evaluation of a Laurent polynomial
+at a rational point and the inverse of ``LPoly.stretch``, which only the
+tests read.
 
 Canonical form: the denominator is an honest polynomial (its lowest
 exponent is 0 and its constant term is nonzero -- powers of t are units and
-live in the numerator offset), it is monic at the highest t-power, and it
-shares no factor with the numerator.  Equal values therefore have identical
-representations, so ``==`` and ``hash`` are structural.
+live in the numerator offset), it shares no polynomial factor with the
+numerator, the two share no integer content, and the denominator's top
+coefficient is positive.  Equal values therefore have identical
+representations, so ``==`` and ``hash`` are structural, and the value is an
+integer Laurent polynomial exactly when the denominator is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from instanton_zeta.errors import PoleAtOneError
-from instanton_zeta.laurent import LPoly, _content, _z_trim, poly_divexact_z
+from instanton_zeta.laurent import LPoly, _z_trim, poly_divexact_z
 
 _POLY_ONE = LPoly.const(1)
 
 
 # -- the integer polynomial gcd ------------------------------------------------
+
+def _content(a):
+    """The gcd of the integer coefficients, 0 for the zero list."""
+    g = 0
+    for c in a:
+        g = gcd(g, c)
+    return g
+
 
 def _z_primitive(a):
     a = _z_trim(a)
@@ -80,7 +92,7 @@ def eval_at(poly, x):
     acc = Fraction(0)
     for c in reversed(poly.num):
         acc = acc * x + c
-    return acc * x ** poly.off / poly.den
+    return acc * x ** poly.off
 
 
 def compress(poly, k):
@@ -95,7 +107,7 @@ def compress(poly, k):
             num.append(c)
         elif c:
             raise ValueError("exponents not divisible")
-    return LPoly(poly.off // k, num, poly.den)
+    return LPoly(poly.off // k, num)
 
 
 # -- reduced rational functions ------------------------------------------------
@@ -246,7 +258,7 @@ class TRatFunc:
                 rem = poly_divexact_z(rem, list(_MINUS_ONE_ONE))
                 order += 1
             raise PoleAtOneError(order)
-        return self.num.eval_one() / dv
+        return Fraction(self.num.eval_one(), dv)
 
     def __repr__(self):
         if self.is_polynomial():
@@ -255,8 +267,9 @@ class TRatFunc:
 
 
 def _reduce(num, den):
-    """Canonical reduction: clear t-units from den, cancel the polynomial
-    gcd, make den monic at its top power."""
+    """Canonical reduction: clear t-units from den, cancel the primitive
+    polynomial gcd and the common integer content, make den's top
+    coefficient positive."""
     if num.is_zero:
         return LPoly(), _POLY_ONE
     # move any power of t from den into num
@@ -266,12 +279,11 @@ def _reduce(num, den):
     if len(den.num) > 1:
         g = poly_gcd_z(list(num.num), list(den.num))
         if len(g) > 1:
-            num = LPoly(num.off, poly_divexact_z(list(num.num), g), num.den)
-            den = LPoly(den.off, poly_divexact_z(list(den.num), g), den.den)
-    # monic normalization: divide both by the top coefficient of den
-    lead = Fraction(den.num[-1], den.den)
-    if lead != 1:
-        inv = 1 / lead
-        num = num * LPoly.const(inv)
-        den = den * LPoly.const(inv)
-    return num, den
+            # g is primitive, so by Gauss's lemma both quotients are integral
+            num = LPoly(num.off, poly_divexact_z(list(num.num), g))
+            den = LPoly(den.off, poly_divexact_z(list(den.num), g))
+    c = gcd(_content(num.num), _content(den.num))
+    if den.num[-1] < 0:
+        c = -c
+    return (LPoly(num.off, [x // c for x in num.num]),
+            LPoly(den.off, [x // c for x in den.num]))
