@@ -82,9 +82,10 @@ derived leaf runs its own), keyed on the leaf name and the raw mpmath
 tuples of the argument and the tolerance, and dropped when the call
 returns.  The nomes live in the same dict, keyed on the raw argument and
 m.  A divisor leaf's integer coefficients w s(n) are built once per
-(leaf, cutoff) and kept.  Every leaf value still comes from the leaf's
-own sum at its own argument, never through a modular transformation,
-which is what the S-duality check tests."""
+(leaf, cutoff) and kept, and the nomes' 2 pi i, eps and the S-duality
+threshold once per working precision.  Every leaf value still comes from
+the leaf's own sum at its own argument, never through a modular
+transformation, which is what the S-duality check tests."""
 
 from __future__ import annotations
 
@@ -199,9 +200,28 @@ def _fixed_pow(zr, zi, e, p):
     return rr, ri
 
 
+@functools.lru_cache(maxsize=64)
+def _two_pi_i(prec):
+    """2 pi i at the working precision ``prec``."""
+    with mp.workprec(prec):
+        return 2j * mp.pi
+
+
 def _nome(tau, m):
     """exp(2 pi i tau / m), the only exponential the leaf sums take."""
-    return mp.exp(2j * mp.pi * tau / m)
+    return mp.exp(_two_pi_i(mp.mp.prec) * tau / m)
+
+
+@functools.lru_cache(maxsize=64)
+def _tolerances(digits):
+    """``eval_form``'s eps = 10^-(digits+5) and ``sduality_check``'s
+    threshold, at their working precision of digits + 15 digits."""
+    with mp.workdps(digits + 15):
+        # 10 digits of slack from 20 digits on, half the digits below: at
+        # 10 digits a slack of 10 would pass anything, the holomorphic
+        # slot's residual of about 0.3 included
+        return (mp.mpf(10) ** (-(digits + 5)),
+                mp.mpf(10) ** (-(digits - min(10, digits // 2))))
 
 
 def _shared_nome(tau, m, values):
@@ -421,8 +441,7 @@ def eval_form(expr, tau, digits=40, e2_mode="anomaly"):
             raise PrecisionError(
                 f"Im tau = {mp.nstr(mp.im(tau), 5)} below the configured "
                 f"minimum {MIN_IM}")
-        eps = mp.mpf(10) ** (-(digits + 5))
-        return _run(program, tau, eps, e2_mode, {})
+        return _run(program, tau, _tolerances(digits)[0], e2_mode, {})
 
 
 @dataclass
@@ -491,10 +510,7 @@ def sduality_check(tau, digits=40, resolution="anomaly"):
                             e2_mode=resolution)
         rhs = -(tau / 1j) ** (-6) / 64 * so3_val
         rel = abs(lhs - rhs) / abs(rhs)
-        # 10 digits of slack from 20 digits on, half the digits below: at
-        # 10 digits a slack of 10 would pass anything, the holomorphic
-        # slot's residual of about 0.3 included
-        threshold = mp.mpf(10) ** (-(digits - min(10, digits // 2)))
+        threshold = _tolerances(digits)[1]
         passed = bool(rel < threshold) if resolution == "anomaly" else None
     return SDualityReport(
         tau=complex(tau), digits=digits, resolution=resolution,

@@ -1,14 +1,20 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from instanton_zeta import cli, forms
 from instanton_zeta.cli import FORM_LEAVES
 from instanton_zeta.errors import InstantonZetaError
-from instanton_zeta.formexpr import DERIVED_FORMS, Pow, leaf
+from instanton_zeta.formexpr import CLOSED_FORMS, DERIVED_FORMS, Mul, Pow, leaf
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
-                                  FormProvider, double_sum, eta_pow_inverse,
-                                  gen_form, sieve, verify_section1)
+                                  FormProvider, as_qseries, double_sum,
+                                  eta_pow_inverse, gen_form, sieve,
+                                  verify_section1)
 from instanton_zeta.lattice import zn_shell_counts_dp
 from instanton_zeta.numeric import eval_leaf
 from instanton_zeta.qseries import DEFAULT_DENOM, QQ, QSeries
@@ -235,3 +241,94 @@ def test_denominator_preserved_by_ring_ops():
     b = gen_form("theta3", 3)
     assert (a * b).denom == 48 and (a + b).denom == 48
     assert (a * a).denom == 48
+
+
+# -- the closed forms that other closed forms contain -------------------------
+
+AVERAGED = ("Z0", "Z_even", "Z_odd")
+SERIES_FORMS = ("Z_SU2", "Z_SO3", *AVERAGED)
+
+
+def test_shared_closed_forms_are_found_by_identity():
+    assert sorted(forms._SHARED.values()) == sorted(AVERAGED)
+    assert all(forms._SHARED[id(CLOSED_FORMS[n])] == n for n in AVERAGED)
+
+
+def test_each_averaged_tree_is_walked_once_per_provider_and_order(
+        monkeypatch):
+    # a walk of an averaged tree passes through the one child of its root
+    inner = {id(CLOSED_FORMS[n].child): n for n in AVERAGED}
+    walks = {n: 0 for n in AVERAGED}
+    exact = forms._exact
+
+    def counting(node, trunc, provider):
+        if id(node) in inner:
+            walks[inner[id(node)]] += 1
+        return exact(node, trunc, provider)
+
+    monkeypatch.setattr(forms, "_exact", counting)
+    monkeypatch.setattr(forms, "DEFAULT_PROVIDER", FormProvider())
+    for _ in range(2):
+        for name in SERIES_FORMS:
+            as_qseries(CLOSED_FORMS[name], 12)
+    assert walks == {n: 1 for n in AVERAGED}
+    forms._exact(CLOSED_FORMS["Z_SO3"], 12, FormProvider())
+    assert walks == {n: 2 for n in AVERAGED}
+
+
+def _uncached(expr, trunc):
+    """``as_qseries`` through a fresh provider that reads no closed form
+    from its cache: the plain walk of every tree."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms, "_SHARED", {})
+        patch.setattr(forms, "DEFAULT_PROVIDER", FormProvider())
+        return as_qseries(expr, trunc)
+
+
+def _same(a, b):
+    return (a.pairs(), a.trunc, a.denom) == (b.pairs(), b.trunc, b.denom)
+
+
+# the product of two averaged forms, each with a q^-1 head, loses one more
+# order than the margin covers, so ``as_qseries`` retries it wider
+_READS = {**{n: CLOSED_FORMS[n] for n in SERIES_FORMS},
+          "Z0^2": Pow(CLOSED_FORMS["Z0"], 2),
+          "Z_even Z_odd": Mul((CLOSED_FORMS["Z_even"], CLOSED_FORMS["Z_odd"]))}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_READS)),
+                          st.fractions(-1, 6, max_denominator=4)),
+                min_size=1, max_size=5),
+       st.integers(-1, 4), st.fractions(-3, 3).filter(bool))
+def test_cached_closed_forms_equal_fresh_expansions(reads, exponent, delta):
+    provider = FormProvider()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms, "DEFAULT_PROVIDER", provider)
+        for name, order in reads:
+            got = as_qseries(_READS[name], order)
+            assert _same(got, _uncached(_READS[name], order)), (name, order)
+        su2 = forms._exact(CLOSED_FORMS["Z_SU2"], 6, provider)
+        # eval --series --form Zw0 fails as before and caches no closed form
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["eval", "--form", "Zw0", "--series",
+                             "--order", "3"])
+        assert (code, stderr.getvalue()) == (
+            1, "error: imaginary scalar weight has no rational q-series\n")
+    # every cached closed form is the plain walk at its order
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms, "_SHARED", {})
+        cached = [(k, v) for k, v in provider._cache.items()
+                  if k[0] in CLOSED_FORMS]
+        assert {k[0] for k, _ in cached} <= set(AVERAGED)
+        for (name, _, trunc), series in cached:
+            fresh = forms._walk(CLOSED_FORMS[name], trunc, FormProvider())
+            assert _same(series, fresh), (name, trunc)
+    # a perturbed clone builds its own entries; the provider it starts
+    # from keeps its own
+    clone = provider.perturbed("Z0", exponent, delta)
+    assert clone._cache == {}
+    diff = forms._exact(CLOSED_FORMS["Z_SU2"], 6, clone) - su2
+    assert diff.pairs() == [(exponent, delta / 2)]
+    assert _same(forms._exact(CLOSED_FORMS["Z_SU2"], 6, provider), su2)

@@ -266,6 +266,26 @@ def test_eval_leaf_matches_the_per_leaf_recipe(x, y, half_shift, digits):
             assert got._mpc_ == per_leaf_recipe(name, tau, eps)._mpc_, name
 
 
+def test_precision_constants_follow_every_switch_of_precision():
+    # the nome's 2 pi i, eval_form's eps and the S-duality threshold are
+    # built once per working precision; moving the precision down, up and
+    # back must still give the direct expressions bit for bit
+    tau = mp.mpc(0.17, 1.09)
+    for digits in (40, 20, 300, 40):
+        with mp.workdps(digits + 15):
+            eps = mp.mpf(10) ** (-(digits + 5))
+            threshold = mp.mpf(10) ** (-(digits - min(10, digits // 2)))
+            assert ([c._mpf_ for c in numeric._tolerances(digits)]
+                    == [eps._mpf_, threshold._mpf_]), digits
+            for m in (1, 8, 24):
+                assert (numeric._nome(tau, m)._mpc_
+                        == mp.exp(2j * mp.pi * tau / m)._mpc_), (digits, m)
+            for name in KERNEL_LEAVES:
+                got = eval_form(leaf(name), tau, digits, "E2")
+                assert got._mpc_ == per_leaf_recipe(name, tau, eps)._mpc_, (
+                    digits, name)
+
+
 # -- oracle: the recursive tree walk that the compiled program replaced --------
 
 def _walk_leaf(name, tau, eps, values):
