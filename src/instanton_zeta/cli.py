@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -343,8 +344,15 @@ def cmd_sduality(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can reuse it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     _validate(args)
     handlers = {"verify": cmd_verify, "table": cmd_table, "eval": cmd_eval,
                 "sduality": cmd_sduality}

@@ -2,11 +2,9 @@
 half-plane, and the S-duality transformation check.
 
 Each primitive leaf is summed at its own argument from its one definition
-in ``forms``, the table that the exact expansion reads too.  Its nome,
+in ``forms``, the table that the exact expansion reads too.  Its nome is
 q = exp(2 pi i tau) for a divisor leaf and x = q^(1/m) for a Gaussian
-one, comes from one helper and is computed once per (argument, m) in an
-evaluation: theta2, theta3 and theta4 at one argument read one x, and E2
-and E4 one q.  A divisor leaf c0 + w sum s(n) q^n (E2, E4, e1, F) is cut
+one.  A divisor leaf c0 + w sum s(n) q^n (E2, E4, e1, F) is cut
 where the geometric tail bound |q|^(N+1)/(1-|q|) times a
 coefficient-growth margin clears the target; the margin doubles with N,
 and a cap turns an unreachable target into an error instead of a silent
@@ -61,30 +59,41 @@ bound above is then far below the eps/100 = 10^-(digits+7) of the
 termination tests.
 
 The bounds above take the nome as exact, but ``mp.exp`` rounds it at the
-working precision: x carries a relative error of a few units of 2^-prec,
-plus about |2 pi tau / m| 2^-prec from rounding the exponent.  A leaf f
+working precision: a direct exponential at a leaf argument carries a
+relative error of a few units of 2^-prec, plus about |2 pi tau / m|
+2^-prec from rounding the exponent.  The power x^k rounds its exponent
+like that direct exponential, since k |2 pi u tau| = |2 pi r tau / m|, and
+adds about k units of 2^-prec: k times the rounding of x, and one
+rounding per product of the chain, each later magnified by the powers
+above it.  Here k <= L max(r / m), with L the lcm of the denominators
+of the r / m: k <= 2L where every r / m <= 2, and k <= 96 for the closed
+forms.  A leaf f
 moves by its log-derivative x f'(x) / f(x) times that error.  Where |x|
 is small the log-derivative is the lowest exponent of x in the leaf, 0
 or 1, and where |x| nears 1, |tau| is small: at tau = MIN_IM i it is
 E2(tau), about -362, for eta.  The 10-digit gap between 2^-prec and eps
-covers a product up to 10^10, which holds for every |tau| below 10^8.
+covers a product of log-derivative and (k + |2 pi r tau / m|) up to
+10^10, which holds for every |tau| below 10^8 and every k below 10^7.
 
 ``eval_form`` compiles an expression once, on its first evaluation, into
-a program kept per expression object: its structurally distinct subtrees
-in postorder (equal subtrees, compared as frozen dataclasses, share one
-step), one step per distinct argument k tau (+ 1/2), and its
-Gaussian-rational constants, converted to mpc once per working
-precision.  A call runs the steps in order, each reading the values of
-earlier steps, with the same arithmetic as a walk of the tree, so the
-values agree bit for bit.  One call computes each (leaf, argument) pair
-once: the values live in a dict passed to every program the call runs (a
-derived leaf runs its own), keyed on the leaf name and the raw mpmath
-tuples of the argument and the tolerance, and dropped when the call
-returns.  The nomes live in the same dict, keyed on the raw argument and
-m.  A divisor leaf's integer coefficients w s(n) are built once per
-(leaf, cutoff) and kept, and the nomes' 2 pi i, eps and the S-duality
-threshold once per working precision.  Every leaf value still comes from
-the leaf's own sum at its own argument, never through a modular
+a program kept per expression object.  The derived forms are inlined, so
+every leaf argument is r tau + s over the root tau, r and s rational, and
+equal (leaf, r, s) share one value, such as E4(2 tau) in P0 and Peven.
+Every nome is then x^k exp(2 pi i s / m) for one root nome
+x = exp(2 pi i u tau), u the largest rational dividing every r / m and
+k = r / (m u).  A call takes one exponential, builds each x^k once by a
+chain of squarings and products, negates where s / m lies in Z + 1/2
+(any other phase is a constant built once per precision), sums the
+Gaussian leaves of each nome in one pass and each divisor leaf once, and
+runs the structurally distinct subtrees at each argument as steps in
+postorder.  The slot's anomaly term and the divisor cutoff read
+Im(r tau + s) = r Im tau.  A program of one unshifted leaf has k = 1:
+its nome is the one exponential, at the leaf's argument.  The scalars, the
+nomes' 2 pi i, eps and the S-duality threshold are built once per working
+precision, and a divisor leaf's coefficients w s(n) once per
+(leaf, cutoff).  ``eval_leaf`` evaluates one named form at a given
+argument with its own nome.  Every leaf value still comes from the leaf's
+own sum at its own argument, never through a modular
 transformation, which is what the S-duality check tests."""
 
 from __future__ import annotations
@@ -93,6 +102,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp
@@ -131,14 +141,14 @@ _LOG2 = math.log(2)
 _SCREEN_BAND = 2.0 ** -20
 
 
-def _divisor_cutoff(tau, q, eps, w, lead, degree):
+def _divisor_cutoff(im, q, eps, w, lead, degree):
     """The cutoff ``_tail_cutoff(|q|, eps |q|^lead / |w|, degree)`` for the
-    nome q = exp(2 pi i tau).  Each candidate N is screened in floats by
-    the log of the bound over the target, with log|q| = -2 pi Im tau and
-    log eps read from the mpf's mantissa and exponent, so nothing
-    underflows; a margin within the band hands the choice to the exact
-    rule, so N is always that rule's."""
-    log_q = -2 * math.pi * float(tau.imag)
+    nome q = exp(2 pi i tau), with ``im`` = Im tau.  Each candidate N is
+    screened in floats by the log of the bound over the target, with
+    log|q| = -2 pi Im tau and log eps read from the mpf's mantissa and
+    exponent, so nothing underflows; a margin within the band hands the
+    choice to the exact rule, so N is always that rule's."""
+    log_q = -2 * math.pi * float(im)
     _, man, exp, _ = eps._mpf_
     log_target = (math.log(man) + exp * _LOG2 + (log_q if lead else 0)
                   - math.log(abs(w)))
@@ -235,27 +245,52 @@ def _shared_nome(tau, m, values):
 
 def _gauss(x, c0, progressions, eps):
     """A Gaussian leaf of ``forms.GAUSSIAN_LEAVES`` at x = q^(1/m)."""
-    lead = 0 if c0 else min(n0 for n0, *_ in progressions) ** 2
+    return _gauss_sums(x, ((c0, progressions),), eps)[0]
+
+
+def _gauss_sums(x, leaves, eps):
+    """The Gaussian leaves (c0, progressions) at one nome x, as a list: x
+    is rounded to the fixed-point grid once, and each distinct progression
+    (n0, d), with the power it is divided by and c^2 (so its early exit),
+    is stepped once, its terms summed apart for even and odd k."""
     p = mp.mp.prec + GAUSS_GUARD_BITS
     xr, xi = _fixed_pair(x, p)
     stop = _stop_norm(eps._mpf_, p)
-    total_r, total_i = c0 << p, 0
-    for n0, d, c, alternating in progressions:
+    leads, totals, runs = [], [], {}
+    for j, (c0, progressions) in enumerate(leaves):
+        lead = 0 if c0 else min(n0 for n0, *_ in progressions) ** 2
+        leads.append(lead)
+        totals.append([c0 << p, 0])
+        for n0, d, c, alternating in progressions:
+            runs.setdefault((n0, d, lead, c * c), []).append(
+                (j, c, alternating))
+    for (n0, d, lead, c2), members in runs.items():
         tr, ti = _fixed_pow(xr, xi, n0 * n0 - lead, p)
         sr, si = _fixed_pow(xr, xi, 2 * n0 * d + d * d, p)
         yr, yi = _fixed_pow(xr, xi, 2 * d * d, p)
+        even_r = even_i = odd_r = odd_i = 0
+        odd = False
         for _ in range(MAX_TERMS + 1):
-            total_r, total_i = total_r + c * tr, total_i + c * ti
-            if c * c * (tr * tr + ti * ti) < stop:
+            if odd:
+                odd_r, odd_i = odd_r + tr, odd_i + ti
+            else:
+                even_r, even_i = even_r + tr, even_i + ti
+            if c2 * (tr * tr + ti * ti) < stop:
                 break
             tr, ti = (tr * sr - ti * si) >> p, (tr * si + ti * sr) >> p
             sr, si = (sr * yr - si * yi) >> p, (sr * yi + si * yr) >> p
-            if alternating:
-                c = -c
+            odd = not odd
         else:
             raise PrecisionError("Gaussian sum did not converge")
-    value = _from_fixed(total_r, total_i, p)
-    return value * x ** lead if lead else value
+        for j, c, alternating in members:
+            sign = -1 if alternating else 1
+            totals[j][0] += c * (even_r + sign * odd_r)
+            totals[j][1] += c * (even_i + sign * odd_i)
+    values = []
+    for (re, im), lead in zip(totals, leads):
+        value = _from_fixed(re, im, p)
+        values.append(value * x ** lead if lead else value)
+    return values
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,95 +318,163 @@ def _eisenstein(name, q, n_max):
     return value * q if lead else value
 
 
+def _divisor(name, q, im, eps):
+    """A divisor leaf at the nome q of an argument with imaginary part
+    ``im``, cut by ``_divisor_cutoff``."""
+    c0, w, _, degree = DIVISOR_LEAVES[name]
+    n_max = _divisor_cutoff(im, q, eps, w, 0 if c0 else 1, degree)
+    return _eisenstein(name, q, n_max)
+
+
 def eval_leaf(name, tau, eps, values):
     """Value of one named form at the mpc tau: a primitive leaf from its
-    table in ``forms``, a derived form through its tree, reading and
-    filling ``values`` like ``eval_form``."""
+    table in ``forms``, with its own nome (shared through ``values`` with
+    the other leaves at tau), and a derived form through its program."""
     if name in DERIVED_FORMS:
-        return _run(_program(DERIVED_FORMS[name]), tau, eps, "E2", values)
+        return _run(_program(DERIVED_FORMS[name]), tau, eps, "E2")
     if name in DIVISOR_LEAVES:
-        c0, w, _, degree = DIVISOR_LEAVES[name]
-        q = _shared_nome(tau, 1, values)
-        n_max = _divisor_cutoff(tau, q, eps, w, 0 if c0 else 1, degree)
-        return _eisenstein(name, q, n_max)
+        return _divisor(name, _shared_nome(tau, 1, values), tau.imag, eps)
     if name in GAUSSIAN_LEAVES:
         m, c0, progressions = GAUSSIAN_LEAVES[name]
         return _gauss(_shared_nome(tau, m, values), c0, progressions, eps)
     raise ValueError(f"no numeric evaluator for leaf {name!r}")
 
 
-def _leaf_value(name, tau, eps, values):
-    key = (name, tau._mpc_, eps._mpf_)
-    val = values.get(key)
-    if val is None:
-        val = values[key] = eval_leaf(name, tau, eps, values)
-    return val
+# m of each primitive leaf's nome exp(2 pi i tau / m)
+_MODULI = {**dict.fromkeys(DIVISOR_LEAVES, 1),
+           **{name: m for name, (m, *_) in GAUSSIAN_LEAVES.items()}}
 
 
-# The steps of a compiled program, each a tuple led by its opcode:
-# (_ARG, num, den, half_shift) makes the argument num tau / den (+ 1/2);
-# (_LEAF, name, arg) and (_SLOT, arg) are a named form and the weight-2
-# slot there; (_ADD, children), (_MUL, children), (_POW, base, n) and
-# (_SCAL, k, child), with the k-th constant, combine earlier steps, named
-# by their index.
-_ARG, _LEAF, _SLOT, _ADD, _MUL, _POW, _SCAL = range(7)
+def _power_chain(exponents):
+    """Products (k, a, b), x^k = x^a x^b, that build every x^k from x in
+    order, each once: the square of x^(k/2) for even k, x^(k-1) x for odd."""
+    chain, built = [], {1}
+    for k in sorted(exponents):
+        todo = []
+        while k not in built:
+            todo.append(k)
+            built.add(k)
+            k = k // 2 if k % 2 == 0 else k - 1
+        chain += [(k, k // 2, k // 2) if k % 2 == 0 else (k, k - 1, 1)
+                  for k in reversed(todo)]
+    return chain
+
+
+# The steps of a compiled program, each (opcode, operands, extra), combine
+# earlier values, named by their index: the leaf values come first, in
+# ``leaves`` order, then one value per step.  (_SLOT, (leaf,), r) is the
+# weight-2 slot over the E2 leaf at r tau; (_ADD, children, None),
+# (_MUL, children, None), (_POW, (base,), n) and (_SCAL, (child,), k), with
+# the k-th constant, are the tree nodes.
+_SLOT, _ADD, _MUL, _POW, _SCAL = range(5)
+_HALF = Fraction(1, 2)
 
 
 class _Program:
-    """A form tree compiled for numeric evaluation: its structurally
-    distinct subtrees and arguments as steps in postorder, and its
-    Gaussian-rational constants, converted to mpc once per working
-    precision."""
+    """A form tree compiled for numeric evaluation at a root tau: its
+    distinct leaves (name, r, s) at r tau + s, the derived forms inlined,
+    their nomes x^k exp(2 pi i s / m), and its steps."""
 
     def __init__(self, expr):
+        self.leaves = []        # distinct (name, r, s)
         self.steps = []
         self.constants = []     # the Scal nodes, in step order
-        self._index = {}        # subtree or argument key -> step index
+        self._index = {}        # (subtree, r, s, derived) or leaf -> token
         self._by_prec = {}
-        self._compile(expr)
+        top = self._compile(expr, Fraction(1), Fraction(0), False)
+        n = len(self.leaves)
 
-    def _step(self, key, step):
-        index = self._index.get(key)
-        if index is None:
-            index = self._index[key] = len(self.steps)
-            self.steps.append(step)
-        return index
+        def at(token):          # leaves are tokens -1, -2, ...
+            return -token - 1 if token < 0 else n + token
 
-    def _arg(self, scale, half_shift=0):
-        return self._step(("arg", scale, half_shift),
-                          (_ARG, scale.numerator, scale.denominator,
-                           half_shift))
+        self.steps = [(op, tuple(map(at, args)), extra)
+                      for op, args, extra in self.steps]
+        self.result = at(top)
+        self._plan()
 
-    def _constant(self, node):
-        self.constants.append(node)
-        return len(self.constants) - 1
+    def _leaf(self, name, r, s):
+        if name not in _MODULI:
+            raise ValueError(f"no numeric evaluator for leaf {name!r}")
+        if r <= 0:
+            raise ValueError(f"argument scaling of {name!r} must be positive")
+        key = (name, r, s)
+        token = self._index.get(key)
+        if token is None:
+            self.leaves.append(key)
+            token = self._index[key] = -len(self.leaves)
+        return token
 
-    def _compile(self, node):
-        index = self._index.get(node)
-        if index is not None:
-            return index
-        if isinstance(node, Leaf):
-            step = (_LEAF, node.name, self._arg(node.scale, node.half_shift))
-        elif isinstance(node, E2Slot):
-            step = (_SLOT, self._arg(node.scale))
+    def _emit(self, step):
+        self.steps.append(step)
+        return len(self.steps) - 1
+
+    def _compile(self, node, r, s, derived):
+        """Token of a subtree at the argument r tau + s; inside a derived
+        form (``derived``) the weight-2 slot is the holomorphic E2."""
+        key = (node, r, s, derived)
+        token = self._index.get(key)
+        if token is not None:
+            return token
+        if isinstance(node, (Leaf, E2Slot)):
+            scale = Fraction(node.scale)
+            r2, s2 = scale * r, scale * s + node.half_shift * _HALF
+            if node.name in DERIVED_FORMS and isinstance(node, Leaf):
+                token = self._compile(DERIVED_FORMS[node.name], r2, s2, True)
+            else:
+                token = self._leaf(node.name, r2, s2)
+                if isinstance(node, E2Slot) and not derived:
+                    token = self._emit((_SLOT, (token,), r2))
         elif isinstance(node, (Add, Mul)):
-            step = (_ADD if isinstance(node, Add) else _MUL,
-                    tuple(self._compile(c) for c in node.children))
+            token = self._emit((_ADD if isinstance(node, Add) else _MUL,
+                                tuple(self._compile(c, r, s, derived)
+                                      for c in node.children), None))
         elif isinstance(node, Pow):
-            step = (_POW, self._compile(node.base), node.n)
+            token = self._emit((_POW, (self._compile(node.base, r, s,
+                                                     derived),), node.n))
         elif isinstance(node, Scal):
-            step = (_SCAL, self._constant(node), self._compile(node.child))
+            child = self._compile(node.child, r, s, derived)
+            self.constants.append(node)
+            token = self._emit((_SCAL, (child,), len(self.constants) - 1))
         else:
             raise TypeError(f"unknown expression node {node!r}")
-        return self._step(node, step)
+        self._index[key] = token
+        return token
+
+    def _plan(self):
+        """The root nome's unit u, the distinct nomes (k, s / m mod 1),
+        the Gaussian leaves grouped by nome, the divisor leaves and the
+        power chain."""
+        ratios = [r / _MODULI[name] for name, r, _ in self.leaves]
+        den = math.lcm(*(e.denominator for e in ratios))
+        self.unit = Fraction(math.gcd(*(int(e * den) for e in ratios)), den)
+        self.nomes, gauss, self.divisors = [], {}, []
+        for i, ((name, r, s), e) in enumerate(zip(self.leaves, ratios)):
+            key = (int(e / self.unit), s / _MODULI[name] % 1)
+            if key not in self.nomes:
+                self.nomes.append(key)
+            nome = self.nomes.index(key)
+            if name in GAUSSIAN_LEAVES:
+                gauss.setdefault(nome, []).append(i)
+            else:
+                self.divisors.append((i, name, nome, float(r)))
+        self.gauss = [(nome, slots,
+                       tuple(GAUSSIAN_LEAVES[self.leaves[i][0]][1:]
+                             for i in slots))
+                      for nome, slots in gauss.items()]
+        # the phases exp(2 pi i f) other than +-1, built per precision
+        self.phases = sorted({f for _, f in self.nomes} - {0, _HALF})
+        self.chain = _power_chain({k for k, _ in self.nomes})
 
     def constants_at(self, prec):
+        """The scalars as mpc and the phases by fraction, at the working
+        precision."""
         values = self._by_prec.get(prec)
         if values is None:
-            values = self._by_prec[prec] = [
-                mp.mpc(c.re.numerator) / c.re.denominator
-                + 1j * mp.mpc(c.im.numerator) / c.im.denominator
-                for c in self.constants]
+            values = self._by_prec[prec] = (
+                [mp.mpc(c.re.numerator) / c.re.denominator
+                 + 1j * mp.mpc(c.im.numerator) / c.im.denominator
+                 for c in self.constants],
+                {f: _nome(f.numerator, f.denominator) for f in self.phases})
         return values
 
 
@@ -390,37 +493,43 @@ def _program(expr):
     return entry[1]
 
 
-def _run(program, tau, eps, e2_mode, values):
-    """Value of a compiled expression at tau; ``values`` holds the leaf
-    values already computed in this evaluation, keyed on (name, argument,
-    eps)."""
-    constants = program.constants_at(mp.mp.prec)
-    vals = []
-    for step in program.steps:
-        op = step[0]
-        if op == _ARG:
-            val = tau * mp.mpf(step[1]) / step[2]
-            if step[3]:
-                val = val + mp.mpf(1) / 2
-        elif op == _LEAF:
-            val = _leaf_value(step[1], vals[step[2]], eps, values)
-        elif op == _SLOT:
-            tt = vals[step[1]]
-            val = _leaf_value("E2", tt, eps, values)
-            if e2_mode == "anomaly":
-                val = val - 3 / (mp.pi * mp.im(tt))
-        elif op == _ADD:
-            val = mp.fsum([vals[i] for i in step[1]])
+def _run(program, tau, eps, e2_mode):
+    """Value of a compiled expression at its root tau: one exponential, the
+    power chain, one Gaussian pass per nome, one sum per divisor leaf, and
+    the steps in order."""
+    constants, phases = program.constants_at(mp.mp.prec)
+    unit = program.unit
+    powers = {1: _nome(tau * unit.numerator if unit.numerator != 1 else tau,
+                       unit.denominator)}
+    for k, a, b in program.chain:
+        powers[k] = powers[a] * powers[b]
+    nomes = [powers[k] if not f else -powers[k] if f == _HALF
+             else powers[k] * phases[f] for k, f in program.nomes]
+    vals = [None] * len(program.leaves)
+    for nome, slots, leaves in program.gauss:
+        for i, val in zip(slots, _gauss_sums(nomes[nome], leaves, eps)):
+            vals[i] = val
+    im = float(tau.imag)
+    for i, name, nome, r in program.divisors:
+        vals[i] = _divisor(name, nomes[nome], im * r, eps)
+    for op, args, extra in program.steps:
+        if op == _ADD:
+            val = mp.fsum([vals[i] for i in args])
         elif op == _MUL:
-            val = mp.mpc(1)
-            for i in step[1]:
-                val *= vals[i]
+            val = vals[args[0]]
+            for i in args[1:]:
+                val = val * vals[i]
         elif op == _POW:
-            val = vals[step[1]] ** step[2]
+            val = vals[args[0]] ** extra
+        elif op == _SCAL:
+            val = constants[extra] * vals[args[0]]
         else:
-            val = constants[step[1]] * vals[step[2]]
+            val = vals[args[0]]
+            if e2_mode == "anomaly":
+                val = val - 3 / (mp.pi * (mp.im(tau) * mp.mpf(extra.numerator)
+                                          / extra.denominator))
         vals.append(val)
-    return vals[-1]
+    return vals[program.result]
 
 
 def _check_e2_mode(mode):
@@ -441,7 +550,7 @@ def eval_form(expr, tau, digits=40, e2_mode="anomaly"):
             raise PrecisionError(
                 f"Im tau = {mp.nstr(mp.im(tau), 5)} below the configured "
                 f"minimum {MIN_IM}")
-        return _run(program, tau, _tolerances(digits)[0], e2_mode, {})
+        return _run(program, tau, _tolerances(digits)[0], e2_mode)
 
 
 @dataclass

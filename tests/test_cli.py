@@ -119,6 +119,32 @@ def test_verify_negative_order_usage_error():
     assert code == 2
 
 
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    # two calls share one parser and print what fresh parsers print, and a
+    # usage error after a good call still names its subcommand's usage
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ["eval", "--form", "E4", "--series", "--order", "3"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(built) == 1
+    assert outputs[0] == outputs[1] == run_cli(*argv)[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--class", "odd", "--max-delta", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: instanton-zeta table ")
+    assert ("instanton-zeta table: error: --max-delta must be nonnegative"
+            in err)
+    assert len(built) == 1
+    cli._parser.cache_clear()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--order", "-1"],
     ["table", "--class", "odd", "--max-delta", "161"],

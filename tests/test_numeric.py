@@ -223,7 +223,7 @@ def test_screened_cutoff_is_the_exact_rule(x, y, digits, degree, lead, w):
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
         q = numeric._nome(tau, 1)
-        assert (numeric._divisor_cutoff(tau, q, eps, w, lead, degree)
+        assert (numeric._divisor_cutoff(tau.imag, q, eps, w, lead, degree)
                 == _exact_cutoff(q, eps, w, lead, degree))
 
 
@@ -248,7 +248,7 @@ def test_screened_cutoff_at_a_grid_boundary(monkeypatch, degree, lead):
             want = _exact_cutoff(q, eps, 1, lead, degree)
             if not lead:
                 assert want == 2 * n
-            assert numeric._divisor_cutoff(tau, q, eps, 1, lead,
+            assert numeric._divisor_cutoff(tau.imag, q, eps, 1, lead,
                                            degree) == want
     assert len(deferred) == len(grid)
 
@@ -288,53 +288,112 @@ def test_precision_constants_follow_every_switch_of_precision():
 
 # -- oracle: the recursive tree walk that the compiled program replaced --------
 
-def _walk_leaf(name, tau, eps, values):
-    key = (name, tau, eps)
+def _walk_leaf(name, tt, at, eps, values, nome):
+    key = (name, tt, eps)
     if key not in values:
-        values[key] = (walk_node(DERIVED_FORMS[name], tau, eps, "E2", values)
-                       if name in DERIVED_FORMS
-                       else numeric.eval_leaf(name, tau, eps, values))
+        if name in DERIVED_FORMS:
+            values[key] = walk_node(DERIVED_FORMS[name], tt, eps, "E2",
+                                    values, nome, at)
+        else:
+            if nome is not None:
+                values.setdefault((tt._mpc_, _modulus(name)),
+                                  nome(name, *at))
+            values[key] = numeric.eval_leaf(name, tt, eps, values)
     return values[key]
 
 
-def walk_node(node, tau, eps, e2_mode, values):
+def walk_node(node, tau, eps, e2_mode, values, nome=None,
+              at=(Fraction(1), Fraction(0))):
     """Value of an expression tree, revisiting every occurrence of a
     subtree; ``values`` holds the leaf values already computed, keyed on
-    (name, argument, eps)."""
-    if isinstance(node, Leaf):
+    (name, argument, eps), and the nomes, keyed on (argument, m).  ``at``
+    is (r, s), the node's argument r tau0 + s over the root tau0, and
+    ``nome(name, r, s)``, when given, is the nome a leaf there reads."""
+    if isinstance(node, (Leaf, E2Slot)):
         tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
         if node.half_shift:
             tt = tt + mp.mpf(1) / 2
-        return _walk_leaf(node.name, tt, eps, values)
-    if isinstance(node, E2Slot):
-        tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
-        val = _walk_leaf("E2", tt, eps, values)
-        if e2_mode == "anomaly":
+        r, s = at
+        inner = (node.scale * r, node.scale * s + Fraction(node.half_shift, 2))
+        val = _walk_leaf(node.name, tt, inner, eps, values, nome)
+        if isinstance(node, E2Slot) and e2_mode == "anomaly":
             val -= 3 / (mp.pi * mp.im(tt))
         return val
+    children = (node.children if isinstance(node, (Add, Mul)) else
+                (node.base,) if isinstance(node, Pow) else (node.child,))
+    vals = [walk_node(c, tau, eps, e2_mode, values, nome, at)
+            for c in children]
     if isinstance(node, Add):
-        return mp.fsum(walk_node(c, tau, eps, e2_mode, values)
-                       for c in node.children)
+        return mp.fsum(vals)
     if isinstance(node, Mul):
         out = mp.mpc(1)
-        for c in node.children:
-            out *= walk_node(c, tau, eps, e2_mode, values)
+        for v in vals:
+            out *= v
         return out
     if isinstance(node, Pow):
-        return walk_node(node.base, tau, eps, e2_mode, values) ** node.n
-    if isinstance(node, Scal):
-        w = (mp.mpc(node.re.numerator) / node.re.denominator
-             + 1j * mp.mpc(node.im.numerator) / node.im.denominator)
-        return w * walk_node(node.child, tau, eps, e2_mode, values)
-    raise TypeError(f"unknown expression node {node!r}")
+        return vals[0] ** node.n
+    w = (mp.mpc(node.re.numerator) / node.re.denominator
+         + 1j * mp.mpc(node.im.numerator) / node.im.denominator)
+    return w * vals[0]
 
 
-def walk_form(expr, tau, digits, e2_mode):
-    """eval_form through the recursive walk."""
+def _modulus(name):
+    return GAUSSIAN_LEAVES[name][0] if name in GAUSSIAN_LEAVES else 1
+
+
+def _primitive_leaves(node, r, s):
+    """(name, r, s) of every primitive leaf under ``node`` at the argument
+    r tau + s, the derived forms expanded."""
+    if isinstance(node, (Leaf, E2Slot)):
+        r, s = node.scale * r, node.scale * s + Fraction(node.half_shift, 2)
+        if node.name in DERIVED_FORMS and isinstance(node, Leaf):
+            yield from _primitive_leaves(DERIVED_FORMS[node.name], r, s)
+        else:
+            yield node.name, r, s
+        return
+    for value in vars(node).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (Leaf, E2Slot, Add, Mul, Pow, Scal)):
+                yield from _primitive_leaves(child, r, s)
+
+
+def power_rule(expr, tau):
+    """The nome of each leaf by the x^k rule, rebuilt from the tree: x =
+    exp(2 pi i u tau) for the largest rational u dividing every r / m, x^k
+    as the square of x^(k/2) or x^(k-1) x, and the phase exp(2 pi i s / m)
+    as a sign or a product."""
+    ratios = [r / _modulus(name)
+              for name, r, _ in _primitive_leaves(expr, Fraction(1), 0)]
+    den = math.lcm(*(e.denominator for e in ratios))
+    unit = Fraction(math.gcd(*(int(e * den) for e in ratios)), den)
+    powers = {1: numeric._nome(tau * unit.numerator, unit.denominator)}
+
+    def power(k):
+        if k not in powers:
+            powers[k] = (power(k // 2) * power(k // 2) if k % 2 == 0
+                         else power(k - 1) * powers[1])
+        return powers[k]
+
+    def nome(name, r, s):
+        m = _modulus(name)
+        x, phase = power(int(r / m / unit)), s / m % 1
+        if phase == 0:
+            return x
+        if phase == Fraction(1, 2):
+            return -x
+        return x * numeric._nome(phase.numerator, phase.denominator)
+
+    return nome
+
+
+def walk_form(expr, tau, digits, e2_mode, rule=None):
+    """eval_form through the recursive walk: each leaf with its own nome at
+    its argument, or with the nome that ``rule(expr, tau)`` gives it."""
     tau = mp.mpc(tau)
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
-        return walk_node(expr, tau, eps, e2_mode, {})
+        nome = rule(expr, tau) if rule else None
+        return walk_node(expr, tau, eps, e2_mode, {}, nome)
 
 
 def _outcome(evaluate, *args):
@@ -377,11 +436,13 @@ _TREES = st.recursive(
                                 mp.mpc(0, 1)]),
        st.sampled_from([20, 40]))
 def test_compiled_program_matches_the_tree_walk(expr, tau, digits):
-    # bit for bit, in both slot modes, shared subtrees and the exceptions
+    # bit for bit, with the walk reading its nomes by the x^k rule: in both
+    # slot modes, shared subtrees, inlined derived forms and the exceptions
     # of a zero raised to a negative power included
     for mode in ("anomaly", "E2"):
         assert (_outcome(eval_form, expr, tau, digits, mode)
-                == _outcome(walk_form, expr, tau, digits, mode)), mode
+                == _outcome(walk_form, expr, tau, digits, mode,
+                            power_rule)), mode
 
 
 @pytest.mark.parametrize("name", list(CLOSED_FORMS))
@@ -391,8 +452,73 @@ def test_closed_forms_match_the_tree_walk(name):
         for digits in (20, 40, 300):
             for mode in ("anomaly", "E2"):
                 got = eval_form(expr, tau, digits, mode)
-                want = walk_form(expr, tau, digits, mode)
+                want = walk_form(expr, tau, digits, mode, power_rule)
                 assert got._mpc_ == want._mpc_, (tau, digits, mode)
+
+
+def magnitude(node, tau, eps, e2_mode, values):
+    """An error scale of the walked value, |value| where no sum cancels: a
+    sum adds its terms' scales, a product multiplies them, and a power
+    raises the base's ratio of scale to size to |n|, with the derived forms
+    expanded.  Leaves accurate to eps relative leave the value within about
+    eps times this scale."""
+    if isinstance(node, (Leaf, E2Slot)):
+        tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
+        if node.half_shift:
+            tt = tt + mp.mpf(1) / 2
+        if node.name in DERIVED_FORMS and isinstance(node, Leaf):
+            return magnitude(DERIVED_FORMS[node.name], tt, eps, "E2", values)
+        size = abs(_walk_leaf(node.name, tt, None, eps, values, None))
+        if isinstance(node, E2Slot) and e2_mode == "anomaly":
+            size += 3 / (mp.pi * mp.im(tt))
+        return size
+    children = (node.children if isinstance(node, (Add, Mul)) else
+                (node.base,) if isinstance(node, Pow) else (node.child,))
+    scales = [magnitude(c, tau, eps, e2_mode, values) for c in children]
+    if isinstance(node, Add):
+        return mp.fsum(scales)
+    if isinstance(node, Mul):
+        return mp.fprod(scales)
+    if isinstance(node, Pow):
+        if node.n >= 0:
+            return scales[0] ** node.n
+        size = abs(walk_node(node.base, tau, eps, e2_mode, values))
+        return scales[0] ** -node.n / size ** (-2 * node.n)
+    return abs(mp.mpc(mp.mpf(node.re.numerator) / node.re.denominator,
+                      mp.mpf(node.im.numerator) / node.im.denominator)
+               ) * scales[0]
+
+
+def _agrees(expr, tau, digits, e2_mode):
+    """eval_form within eps = 10^-(digits+5) of the walk with one nome per
+    argument, relative to the walk's error scale above 1 and absolute
+    below, or both raising the same exception type."""
+    got = _outcome(eval_form, expr, tau, digits, e2_mode)
+    want = _outcome(walk_form, expr, tau, digits, e2_mode)
+    if isinstance(got, type) or isinstance(want, type):
+        return got == want
+    with mp.workdps(digits + 15):
+        eps = mp.mpf(10) ** (-(digits + 5))
+        scale = magnitude(expr, mp.mpc(tau), eps, e2_mode, {})
+        diff = abs(mp.make_mpc(got) - mp.make_mpc(want))
+        return diff <= eps * max(1, scale)
+
+
+_ACCURACY_TAUS = st.one_of(
+    st.builds(complex, st.floats(-0.5, 0.5), _IM_TAU),
+    st.just(complex(123.4, 0.71)), st.just(complex(-101.25, 300.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(list(CLOSED_FORMS.values())), _TREES),
+       _ACCURACY_TAUS, st.integers(10, 1000))
+def test_compiled_program_matches_the_per_leaf_nome_walk(expr, tau, digits):
+    # the nomes x^k times a phase against one exponential per argument:
+    # within eps, in both slot modes, far from the real axis, far along it
+    # and up to 1000 digits.  Where a sum cancels, as the two halves of Zw1
+    # or the E4 values in Peven do at large Im tau, the scale is the terms'
+    for mode in ("anomaly", "E2"):
+        assert _agrees(expr, tau, digits, mode), (mode, tau, digits)
 
 
 def test_divisor_tables_are_built_once_per_cutoff(monkeypatch):
@@ -546,6 +672,14 @@ def test_min_im_rejected():
         eval_form(leaf("theta3"), mp.mpc(0, 0.01), digits=20)
 
 
+@pytest.mark.parametrize("scale", [0, -1, Fraction(-1, 2)])
+def test_nonpositive_leaf_scale_rejected(scale):
+    # a leaf on or below the real axis has no convergent sum, and a power
+    # x^k with k <= 0 has no chain: the compiler refuses it by name
+    with pytest.raises(ValueError, match="must be positive"):
+        eval_form(Add((leaf("theta3"), leaf("E4", scale))), TAU, 20)
+
+
 def test_zw_sum_is_eta_inverse_power():
     w0, w1 = CLOSED_FORMS["Zw0"], CLOSED_FORMS["Zw1"]
     with mp.workdps(55):
@@ -614,6 +748,14 @@ def test_sduality_seeded_sweep(seed):
         assert report.passed, (tau, report.rel_error_str)
 
 
+@pytest.mark.parametrize("digits", [20, 300])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_sduality_seeded_sweep_at_other_precisions(seed, digits):
+    for tau in _stratified_taus(seed, 3, 4):
+        report = sduality_check(tau, digits=digits)
+        assert report.passed, (tau, digits, report.rel_error_str)
+
+
 def test_sduality_holomorphic_mode_is_diagnostic():
     report = sduality_check(mp.mpc(0, 1), digits=30, resolution="E2")
     assert report.passed is None
@@ -622,26 +764,44 @@ def test_sduality_holomorphic_mode_is_diagnostic():
 
 
 def test_sduality_check_evaluates_each_leaf_once_per_point(monkeypatch):
-    # 21 distinct (leaf, argument) pairs across Z_SU2(-1/tau) and
-    # Z_SO3(tau); evaluating every leaf occurrence separately makes 36.
-    # They read 12 nomes, one per distinct (argument, m): theta2, theta3
-    # and theta4 share x = q^(1/8), and the divisor leaves at one argument
-    # share q
-    calls, nomes = [], []
-    original, nome = numeric.eval_leaf, numeric._nome
-
-    def counting(name, tau, *args):
-        calls.append((name, tau))
-        return original(name, tau, *args)
+    # 17 distinct primitive (leaf, argument) pairs across Z_SU2(-1/tau) and
+    # Z_SO3(tau), the derived forms inlined; evaluating every leaf
+    # occurrence separately makes 36.  Each of the two evaluations takes one
+    # exponential; its nomes are powers of it.  The 10 Gaussian leaves run
+    # in 6 passes, one per nome, whose 12 progression loops include one
+    # that theta3 and theta4 share; the 7 divisor leaves run one sum each
+    nomes, passes, horner, loops = [], [], [], []
+    nome, sums = numeric._nome, numeric._gauss_sums
+    eisenstein, fixed_pow = numeric._eisenstein, numeric._fixed_pow
 
     def counting_nome(tau, m):
         nomes.append((tau, m))
         return nome(tau, m)
 
-    monkeypatch.setattr(numeric, "eval_leaf", counting)
+    def counting_sums(x, leaves, eps):
+        passes.append(leaves)
+        return sums(x, leaves, eps)
+
+    def counting_horner(name, q, n_max):
+        horner.append((name, q))
+        return eisenstein(name, q, n_max)
+
+    def counting_pow(zr, zi, e, p):
+        loops.append(e)
+        return fixed_pow(zr, zi, e, p)
+
+    monkeypatch.setattr(numeric, "eval_leaf", None)
     monkeypatch.setattr(numeric, "_nome", counting_nome)
+    monkeypatch.setattr(numeric, "_gauss_sums", counting_sums)
+    monkeypatch.setattr(numeric, "_eisenstein", counting_horner)
+    monkeypatch.setattr(numeric, "_fixed_pow", counting_pow)
     report = numeric.sduality_check(mp.mpc(0.13, 1.21), digits=30)
     assert report.passed
-    assert len(calls) == 21
-    assert len(set(calls)) == 21
-    assert len(nomes) == len(set(nomes)) == 12
+    assert len(nomes) == 2
+    thetas = tuple(GAUSSIAN_LEAVES[name][1:]
+                   for name in ("theta3", "theta4", "theta2"))
+    assert sorted(len(p) for p in passes) == [1, 1, 1, 1, 3, 3]
+    assert passes.count(thetas) == 2
+    assert len(horner) == 7
+    # each progression loop builds its first term, step and step of step
+    assert len(loops) == 3 * 12
