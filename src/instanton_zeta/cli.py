@@ -41,10 +41,10 @@ MIN_DIGITS, MAX_DIGITS = 10, 1000
 
 # upper bound of each order flag, per command, from measured cost on 2
 # vCPUs: the slowest job at its bound takes under 45 s.  verify --order 120:
-# the theorem suite 9 s, smoothness 6 s, limit-lemmas 2 s.  The wall-sum
-# oracle at 16: 43 s.  table --max-delta (and --order) 160: 13 s, most of
+# the theorem suite 3 s, smoothness 2.3 s, limit-lemmas 0.5 s.  The wall-sum
+# oracle at 16: 14 s.  table --max-delta (and --order) 160: 4.3 s, most of
 # it in qseries._product.  eval --series bounds the order it expands,
-# --order/--scale; Z_SO3 to q^4000: 18 s.
+# --order/--scale; Z_SO3 to q^4000: 6.5 s.
 MAX_ORDER = {"verify": 120, "oracle": 16, "table": 160, "eval": 4000}
 
 

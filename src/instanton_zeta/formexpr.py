@@ -92,7 +92,7 @@ def leaf(name, scale=1, half_shift=0):
 _HALF = Fraction(1, 2)
 
 # The derived forms, each defined once over the primitive leaves.  The
-# exact layer (forms.FormProvider) and the numeric one (numeric.eval_leaf)
+# exact layer (forms.FormProvider) and the numeric one (numeric.eval_form)
 # both expand a derived name through its tree here.
 DERIVED_FORMS = {
     "BigTheta": leaf("theta3", 2),

@@ -57,7 +57,7 @@ def sigma_odd_n_table(n_max):
 
 
 # The primitive leaves, each defined once; the exact expansion
-# (FormProvider) and the numeric kernels (numeric.eval_leaf) both read
+# (FormProvider) and the numeric kernels (numeric.eval_form) both read
 # these tables.
 #
 # Divisor leaves c0 + w sum_{n>=1} s(n) q^n: (c0, w, table of s(n) for

@@ -8,12 +8,12 @@ one.  A divisor leaf c0 + w sum s(n) q^n (E2, E4, e1, F) is cut
 where the geometric tail bound |q|^(N+1)/(1-|q|) times a
 coefficient-growth margin clears the target; the margin doubles with N,
 and a cap turns an unreachable target into an error instead of a silent
-loss.  N runs over the grid 4 * 2^k and is chosen in floats first, on
-the log of the bound over the target, with log|q| = -2 pi Im tau read
-from the argument and log eps from the mantissa and exponent of eps, so
-nothing underflows however large Im tau or the precision.  A float
-margin within 2^-20 of zero hands the choice to the mpf rule
-``_tail_cutoff``, the rule of record, so N is always that rule's.  A
+loss.  N runs over the grid 4 * 2^k and is chosen in floats, on the log
+of the bound over the target, with log|q| = -2 pi Im tau read from the
+argument and log eps from the mantissa and exponent of eps, so nothing
+underflows however large Im tau or the precision.  N is accepted only
+where that log lies below -2^-20, far beyond its float error, so the
+bound holds at every accepted N; a log nearer 0 moves on to 2N.  A
 Gaussian leaf (theta2, theta3, theta4, eta) sums c (+-1)^k x^(n^2) over
 the progressions n = n0 + k d in integer powers of x = q^(1/m) (so no
 branch ambiguity), until a term falls below eps/100.  Where c0 = 0
@@ -91,8 +91,8 @@ Im(r tau + s) = r Im tau.  A program of one unshifted leaf has k = 1:
 its nome is the one exponential, at the leaf's argument.  The scalars, the
 nomes' 2 pi i, eps and the S-duality threshold are built once per working
 precision, and a divisor leaf's coefficients w s(n) once per
-(leaf, cutoff).  ``eval_leaf`` evaluates one named form at a given
-argument with its own nome.  Every leaf value still comes from the leaf's
+(leaf, cutoff).  ``eval_form`` is the one evaluator: a named form is the
+expression ``leaf(name)``.  Every leaf value still comes from the leaf's
 own sum at its own argument, never through a modular
 transformation, which is what the S-duality check tests."""
 
@@ -117,38 +117,23 @@ MAX_TERMS = 200_000    # hard cap on the terms of a sum
 GAUSS_GUARD_BITS = 64  # fixed-point guard bits of the Gaussian sums
 
 
-def _tail_cutoff(absq, eps, degree):
-    """Smallest N with |q|^(N+1)/(1-|q|) * (N+2)^degree * margin < eps,
-    the margin doubling with N (crude cover for subexponential growth)."""
-    n = 4
-    while n < MAX_TERMS:
-        bound = (absq ** (n + 1) / (1 - absq)
-                 * mp.mpf(n + 2) ** degree * 2 ** (n.bit_length()))
-        if bound < eps:
-            return n
-        n *= 2
-    raise PrecisionError(
-        "requested precision unreachable within the truncation cap "
-        f"(|q| = {mp.nstr(absq, 5)})")
-
-
 _LOG2 = math.log(2)
-# half-width, in natural log, of the band around 0 in which the float
-# screen of ``_divisor_cutoff`` defers to the exact rule.  Near 0 the
-# screen's terms are about |log eps|, so its float error is near 2^-52
-# |log eps| (below 1e-12 at 1000 digits); the exact rule's mpf error is
-# below 2^-(prec-10)
+# how far, in natural log, the float log of the tail bound over its target
+# must lie below 0 for ``_divisor_cutoff`` to accept N.  Near 0 the terms
+# of that log are about |log eps|, so its float error is near 2^-52
+# |log eps|: below 1e-12 at 1000 digits, far inside this margin
 _SCREEN_BAND = 2.0 ** -20
 
 
-def _divisor_cutoff(im, q, eps, w, lead, degree):
-    """The cutoff ``_tail_cutoff(|q|, eps |q|^lead / |w|, degree)`` for the
-    nome q = exp(2 pi i tau), with ``im`` = Im tau.  Each candidate N is
-    screened in floats by the log of the bound over the target, with
-    log|q| = -2 pi Im tau and log eps read from the mpf's mantissa and
-    exponent, so nothing underflows; a margin within the band hands the
-    choice to the exact rule, so N is always that rule's."""
-    log_q = -2 * math.pi * float(im)
+def _divisor_cutoff(im, eps, w, lead, degree):
+    """The cutoff of a divisor leaf at the nome q = exp(2 pi i tau), with
+    ``im`` = Im tau: the smallest N on the grid 4 * 2^k whose tail bound
+    |q|^(N+1)/(1-|q|) * (N+2)^degree * 2^bitlen(N) (the doubling factor a
+    crude cover for subexponential growth) lies below the target
+    eps |q|^lead / |w| by more than _SCREEN_BAND in log.  That log is taken
+    in floats, with log|q| = -2 pi Im tau and log eps read from the mpf's
+    mantissa and exponent, so nothing underflows."""
+    log_q = -2 * math.pi * im
     _, man, exp, _ = eps._mpf_
     log_target = (math.log(man) + exp * _LOG2 + (log_q if lead else 0)
                   - math.log(abs(w)))
@@ -159,11 +144,10 @@ def _divisor_cutoff(im, q, eps, w, lead, degree):
                   + n.bit_length() * _LOG2)
         if margin < -_SCREEN_BAND:
             return n
-        if margin <= _SCREEN_BAND:
-            break
         n *= 2
-    absq = abs(q)
-    return _tail_cutoff(absq, eps * (absq if lead else 1) / abs(w), degree)
+    raise PrecisionError(
+        "requested precision unreachable within the truncation cap "
+        f"(Im tau = {im:.5g})")
 
 
 def _fixed(x, p):
@@ -232,20 +216,6 @@ def _tolerances(digits):
         # slot's residual of about 0.3 included
         return (mp.mpf(10) ** (-(digits + 5)),
                 mp.mpf(10) ** (-(digits - min(10, digits // 2))))
-
-
-def _shared_nome(tau, m, values):
-    """``_nome(tau, m)``, computed once per evaluation in ``values``."""
-    key = (tau._mpc_, m)
-    x = values.get(key)
-    if x is None:
-        x = values[key] = _nome(tau, m)
-    return x
-
-
-def _gauss(x, c0, progressions, eps):
-    """A Gaussian leaf of ``forms.GAUSSIAN_LEAVES`` at x = q^(1/m)."""
-    return _gauss_sums(x, ((c0, progressions),), eps)[0]
 
 
 def _gauss_sums(x, leaves, eps):
@@ -322,22 +292,8 @@ def _divisor(name, q, im, eps):
     """A divisor leaf at the nome q of an argument with imaginary part
     ``im``, cut by ``_divisor_cutoff``."""
     c0, w, _, degree = DIVISOR_LEAVES[name]
-    n_max = _divisor_cutoff(im, q, eps, w, 0 if c0 else 1, degree)
+    n_max = _divisor_cutoff(im, eps, w, 0 if c0 else 1, degree)
     return _eisenstein(name, q, n_max)
-
-
-def eval_leaf(name, tau, eps, values):
-    """Value of one named form at the mpc tau: a primitive leaf from its
-    table in ``forms``, with its own nome (shared through ``values`` with
-    the other leaves at tau), and a derived form through its program."""
-    if name in DERIVED_FORMS:
-        return _run(_program(DERIVED_FORMS[name]), tau, eps, "E2")
-    if name in DIVISOR_LEAVES:
-        return _divisor(name, _shared_nome(tau, 1, values), tau.imag, eps)
-    if name in GAUSSIAN_LEAVES:
-        m, c0, progressions = GAUSSIAN_LEAVES[name]
-        return _gauss(_shared_nome(tau, m, values), c0, progressions, eps)
-    raise ValueError(f"no numeric evaluator for leaf {name!r}")
 
 
 # m of each primitive leaf's nome exp(2 pi i tau / m)
@@ -379,9 +335,9 @@ class _Program:
         self.leaves = []        # distinct (name, r, s)
         self.steps = []
         self.constants = []     # the Scal nodes, in step order
-        self._index = {}        # (subtree, r, s, derived) or leaf -> token
+        self._index = {}        # (subtree, r, s) or leaf -> token
         self._by_prec = {}
-        top = self._compile(expr, Fraction(1), Fraction(0), False)
+        top = self._compile(expr, Fraction(1), Fraction(0))
         n = len(self.leaves)
 
         def at(token):          # leaves are tokens -1, -2, ...
@@ -408,10 +364,9 @@ class _Program:
         self.steps.append(step)
         return len(self.steps) - 1
 
-    def _compile(self, node, r, s, derived):
-        """Token of a subtree at the argument r tau + s; inside a derived
-        form (``derived``) the weight-2 slot is the holomorphic E2."""
-        key = (node, r, s, derived)
+    def _compile(self, node, r, s):
+        """Token of a subtree at the argument r tau + s."""
+        key = (node, r, s)
         token = self._index.get(key)
         if token is not None:
             return token
@@ -419,20 +374,20 @@ class _Program:
             scale = Fraction(node.scale)
             r2, s2 = scale * r, scale * s + node.half_shift * _HALF
             if node.name in DERIVED_FORMS and isinstance(node, Leaf):
-                token = self._compile(DERIVED_FORMS[node.name], r2, s2, True)
+                token = self._compile(DERIVED_FORMS[node.name], r2, s2)
             else:
                 token = self._leaf(node.name, r2, s2)
-                if isinstance(node, E2Slot) and not derived:
+                if isinstance(node, E2Slot):
                     token = self._emit((_SLOT, (token,), r2))
         elif isinstance(node, (Add, Mul)):
             token = self._emit((_ADD if isinstance(node, Add) else _MUL,
-                                tuple(self._compile(c, r, s, derived)
+                                tuple(self._compile(c, r, s)
                                       for c in node.children), None))
         elif isinstance(node, Pow):
-            token = self._emit((_POW, (self._compile(node.base, r, s,
-                                                     derived),), node.n))
+            token = self._emit((_POW, (self._compile(node.base, r, s),),
+                                node.n))
         elif isinstance(node, Scal):
-            child = self._compile(node.child, r, s, derived)
+            child = self._compile(node.child, r, s)
             self.constants.append(node)
             token = self._emit((_SCAL, (child,), len(self.constants) - 1))
         else:

@@ -16,7 +16,7 @@ from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
                                   eta_pow_inverse, gen_form, sieve,
                                   verify_section1)
 from instanton_zeta.lattice import zn_shell_counts_dp
-from instanton_zeta.numeric import eval_leaf
+from instanton_zeta.numeric import eval_form
 from instanton_zeta.qseries import DEFAULT_DENOM, QQ, QSeries
 
 
@@ -75,14 +75,12 @@ def test_every_leaf_has_one_definition():
     tables = (DERIVED_FORMS, DIVISOR_LEAVES, GAUSSIAN_LEAVES)
     names = [name for name in FORM_LEAVES if name != "E2hat"]
     assert sorted(names) == sorted(name for t in tables for name in t)
-    with mp.workdps(30):
-        eps = mp.mpf(10) ** -20
-        for name in names:
-            assert sum(name in t for t in tables) == 1, name
-            assert gen_form(name, 2).trunc == 2
-            assert mp.isfinite(eval_leaf(name, mp.mpc(0.1, 1.1), eps, {}))
-        with pytest.raises(ValueError):
-            eval_leaf("E6", mp.mpc(0.1, 1.1), eps, {})
+    for name in names:
+        assert sum(name in t for t in tables) == 1, name
+        assert gen_form(name, 2).trunc == 2
+        assert mp.isfinite(eval_form(leaf(name), 0.1 + 1.1j, 15, "E2"))
+    with pytest.raises(ValueError, match="no numeric evaluator"):
+        eval_form(leaf("E6"), 0.1 + 1.1j, 15, "E2")
 
 
 def test_leaf_tables_within_the_kernel_bounds():

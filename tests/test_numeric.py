@@ -18,8 +18,8 @@ from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, E2Slot,
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES, as_qseries,
                                   gen_form, sigma_odd_n_table,
                                   sigma_odd_table, sigma_table)
-from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, _tail_cutoff,
-                                    eval_form, sduality_check)
+from instanton_zeta.numeric import (MAX_TERMS, MIN_IM, eval_form,
+                                    sduality_check)
 
 TAU = mp.mpc(0.13, 1.21)
 
@@ -48,6 +48,24 @@ def eval_exact_series_at(series, tau, digits=40):
 
 
 # -- oracle: the mpmath loops that the fixed-point kernels replaced -----------
+
+def _tail_bound(absq, n, degree):
+    """The divisor tail bound |q|^(n+1)/(1-|q|) * (n+2)^degree * 2^bitlen(n),
+    the margin doubling with n (crude cover for subexponential growth)."""
+    return (absq ** (n + 1) / (1 - absq) * mp.mpf(n + 2) ** degree
+            * 2 ** n.bit_length())
+
+
+def _tail_cutoff(absq, eps, degree):
+    """The cutoff rule in mpf: the smallest N on the grid 4 * 2^k whose tail
+    bound lies below eps."""
+    n = 4
+    while n < MAX_TERMS:
+        if _tail_bound(absq, n, degree) < eps:
+            return n
+        n *= 2
+    raise PrecisionError("requested precision unreachable")
+
 
 def oracle_eta(q, eps):
     absq = abs(q)
@@ -131,7 +149,7 @@ def _kernel_against_oracle(name, tau, digits):
     kernel value."""
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
-        got = numeric.eval_leaf(name, tau, eps, {})
+        got = eval_form(leaf(name), tau, digits, "E2")
         want = oracle_leaf(name, tau, eps)
         assert abs(got - want) <= eps * max(1, abs(want)), (name, tau, digits)
     return got
@@ -198,7 +216,7 @@ def _exact_cutoff(q, eps, w, lead, degree):
 
 def per_leaf_recipe(name, tau, eps):
     """A primitive leaf as each kernel once computed it alone: its own
-    mp.exp for the nome, and the divisor cutoff from abs(q) by the exact
+    mp.exp for the nome, and the divisor cutoff from abs(q) by the mpf
     rule."""
     if name in DIVISOR_LEAVES:
         c0, w, _, degree = DIVISOR_LEAVES[name]
@@ -206,8 +224,8 @@ def per_leaf_recipe(name, tau, eps):
         return numeric._eisenstein(
             name, q, _exact_cutoff(q, eps, w, 0 if c0 else 1, degree))
     m, c0, progressions = GAUSSIAN_LEAVES[name]
-    return numeric._gauss(mp.exp(2j * mp.pi * tau / m), c0, progressions,
-                          eps)
+    return numeric._gauss_sums(mp.exp(2j * mp.pi * tau / m),
+                               ((c0, progressions),), eps)[0]
 
 
 _IM_TAU = st.one_of(st.just(MIN_IM), st.floats(MIN_IM, 2.0),
@@ -223,46 +241,57 @@ def test_screened_cutoff_is_the_exact_rule(x, y, digits, degree, lead, w):
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
         q = numeric._nome(tau, 1)
-        assert (numeric._divisor_cutoff(tau.imag, q, eps, w, lead, degree)
+        assert (numeric._divisor_cutoff(y, eps, w, lead, degree)
                 == _exact_cutoff(q, eps, w, lead, degree))
 
 
 @pytest.mark.parametrize("degree", [2, 4])
 @pytest.mark.parametrize("lead", [0, 1])
-def test_screened_cutoff_at_a_grid_boundary(monkeypatch, degree, lead):
-    # a target built as the bound at N itself: the float margin is about 0,
-    # so the screen must hand the choice to the exact rule
-    deferred = []
-    monkeypatch.setattr(numeric, "_tail_cutoff",
-                        lambda *args: deferred.append(args)
-                        or _tail_cutoff(*args))
+def test_screened_cutoff_at_a_grid_boundary(degree, lead):
+    # a target equal to the bound at N: the float log of the bound over the
+    # target is about 0, too near to accept N, so the rule moves on to 2N
     tau = mp.mpc(0.21, 0.37)
     with mp.workdps(55):
-        q = numeric._nome(tau, 1)
-        absq = abs(q)
-        grid = (4, 8, 16, 32, 64, 128)
-        for n in grid:
-            bound = (absq ** (n + 1) / (1 - absq) * mp.mpf(n + 2) ** degree
-                     * 2 ** n.bit_length())
+        absq = abs(numeric._nome(tau, 1))
+        for n in (4, 8, 16, 32, 64, 128):
+            bound = _tail_bound(absq, n, degree)
             eps = bound / absq if lead else bound
-            want = _exact_cutoff(q, eps, 1, lead, degree)
-            if not lead:
-                assert want == 2 * n
-            assert numeric._divisor_cutoff(tau.imag, q, eps, 1, lead,
-                                           degree) == want
-    assert len(deferred) == len(grid)
+            assert numeric._divisor_cutoff(0.37, eps, 1, lead,
+                                           degree) == 2 * n, n
+
+
+@pytest.mark.parametrize("lead", [0, 1])
+def test_divisor_cutoff_raises_where_no_grid_point_meets_the_target(lead):
+    # the last grid point below MAX_TERMS meets a target of twice its bound;
+    # half its bound leaves no N below the cap, an error and not a silent
+    # loss of digits
+    n = 4
+    while 2 * n < MAX_TERMS:
+        n *= 2
+    with mp.workdps(30):
+        absq = mp.exp(-2 * mp.pi * MIN_IM)
+        bound = _tail_bound(absq, n, 4) / (absq if lead else 1)
+        assert numeric._divisor_cutoff(MIN_IM, 2 * bound, 1, lead, 4) == n
+        with pytest.raises(PrecisionError, match="truncation cap"):
+            numeric._divisor_cutoff(MIN_IM, bound / 2, 1, lead, 4)
+
+
+def test_eval_form_raises_where_the_divisor_cap_is_too_low():
+    with pytest.raises(PrecisionError, match="truncation cap"):
+        eval_form(leaf("E4"), complex(0, MIN_IM), 30000)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(st.floats(-0.5, 0.5), _IM_TAU, st.booleans(), st.integers(10, 1000))
-def test_eval_leaf_matches_the_per_leaf_recipe(x, y, half_shift, digits):
-    # bit for bit, with the nomes shared between the leaves at one argument
+def test_eval_form_of_a_leaf_matches_the_per_leaf_recipe(x, y, half_shift,
+                                                        digits):
+    # bit for bit: a program of one unshifted leaf takes its nome at its own
+    # argument, and its cutoff agrees with the mpf rule
     tau = mp.mpc(x, y) + (mp.mpf(1) / 2 if half_shift else 0)
     with mp.workdps(digits + 15):
         eps = mp.mpf(10) ** (-(digits + 5))
-        values = {}
         for name in KERNEL_LEAVES:
-            got = numeric.eval_leaf(name, tau, eps, values)
+            got = eval_form(leaf(name), tau, digits, "E2")
             assert got._mpc_ == per_leaf_recipe(name, tau, eps)._mpc_, name
 
 
@@ -288,6 +317,17 @@ def test_precision_constants_follow_every_switch_of_precision():
 
 # -- oracle: the recursive tree walk that the compiled program replaced --------
 
+def leaf_at(name, tt, eps, x=None):
+    """A primitive leaf at the argument tt through the kernels, at its own
+    nome exp(2 pi i tt / m) or at the nome x given."""
+    if x is None:
+        x = numeric._nome(tt, _modulus(name))
+    if name in DIVISOR_LEAVES:
+        return numeric._divisor(name, x, float(tt.imag), eps)
+    _, c0, progressions = GAUSSIAN_LEAVES[name]
+    return numeric._gauss_sums(x, ((c0, progressions),), eps)[0]
+
+
 def _walk_leaf(name, tt, at, eps, values, nome):
     key = (name, tt, eps)
     if key not in values:
@@ -295,10 +335,8 @@ def _walk_leaf(name, tt, at, eps, values, nome):
             values[key] = walk_node(DERIVED_FORMS[name], tt, eps, "E2",
                                     values, nome, at)
         else:
-            if nome is not None:
-                values.setdefault((tt._mpc_, _modulus(name)),
-                                  nome(name, *at))
-            values[key] = numeric.eval_leaf(name, tt, eps, values)
+            values[key] = leaf_at(name, tt, eps,
+                                  nome(name, *at) if nome else None)
     return values[key]
 
 
@@ -306,9 +344,9 @@ def walk_node(node, tau, eps, e2_mode, values, nome=None,
               at=(Fraction(1), Fraction(0))):
     """Value of an expression tree, revisiting every occurrence of a
     subtree; ``values`` holds the leaf values already computed, keyed on
-    (name, argument, eps), and the nomes, keyed on (argument, m).  ``at``
-    is (r, s), the node's argument r tau0 + s over the root tau0, and
-    ``nome(name, r, s)``, when given, is the nome a leaf there reads."""
+    (name, argument, eps).  ``at`` is (r, s), the node's argument
+    r tau0 + s over the root tau0, and ``nome(name, r, s)``, when given, is
+    the nome a leaf there reads."""
     if isinstance(node, (Leaf, E2Slot)):
         tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
         if node.half_shift:
@@ -790,7 +828,6 @@ def test_sduality_check_evaluates_each_leaf_once_per_point(monkeypatch):
         loops.append(e)
         return fixed_pow(zr, zi, e, p)
 
-    monkeypatch.setattr(numeric, "eval_leaf", None)
     monkeypatch.setattr(numeric, "_nome", counting_nome)
     monkeypatch.setattr(numeric, "_gauss_sums", counting_sums)
     monkeypatch.setattr(numeric, "_eisenstein", counting_horner)

@@ -96,6 +96,15 @@ def test_numeric_takes_exponentials_only_in_the_nome_helper():
     assert stray == []
 
 
+def test_numeric_has_one_evaluator():
+    # a form gets a number only through eval_form (a named form as a leaf
+    # expression); the S-duality check is the one other entry point
+    public = [node.name for node in _tree(PACKAGE / "numeric.py").body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")]
+    assert sorted(public) == ["eval_form", "sduality_check"]
+
+
 _TREE_NODES = {"Add", "E2Slot", "Leaf", "Mul", "Pow", "Scal"}
 
 
