@@ -4,8 +4,9 @@ evaluation, and the numeric S-duality check.
 Exit codes: 0 success / all checks pass, 1 a check failed or a request
 was out of range, 2 usage errors (bad flags, unparsable tau, tau off the
 upper half-plane, --digits outside 10..1000, --scale <= 0, a negative
-order or --max-delta, an order above its bound in ``MAX_ORDER``, eval
-with neither --tau nor --series).
+order or --max-delta, an order above its bound in ``MAX_ORDER`` or below
+a suite's least order in ``MIN_ORDER``, eval with neither --tau nor
+--series).
 All rational quantities are serialized as exact fraction strings; floats
 appear only in the numeric evaluation output, and a value outside the
 double range is null there, with its digits in ``value_str`` (--digits
@@ -46,6 +47,10 @@ MIN_DIGITS, MAX_DIGITS = 10, 1000
 # it in qseries._product.  eval --series bounds the order it expands,
 # --order/--scale; Z_SO3 to q^4000: 6.5 s.
 MAX_ORDER = {"verify": 120, "oracle": 16, "table": 160, "eval": 4000}
+
+# the least --order of a verify suite with a first line to check below it:
+# section1 and d8 start at q^1, and the vOdd smoothness suite at Delta = 1/2
+MIN_ORDER = {"section1": 1, "d8": 1, "all": 1, "smoothness": Fraction(1, 2)}
 
 
 def _fraction(text):
@@ -169,8 +174,10 @@ def _validate(args):
         if (args.suite in ("wall-oracle", "all")
                 and args.oracle_order > args.order):
             error("--oracle-order must not exceed --order")
-        if args.suite in ("section1", "d8", "all") and args.order < 1:
-            error(f"--order must be at least 1 for --suite {args.suite}")
+        least = MIN_ORDER.get(args.suite)
+        if least is not None and args.order < least:
+            error(f"--order must be at least {least} for --suite "
+                  f"{args.suite}")
     if getattr(args, "digits", None) is not None and not (
             MIN_DIGITS <= args.digits <= MAX_DIGITS):
         error(f"--digits must be between {MIN_DIGITS} and {MAX_DIGITS}")
@@ -276,11 +283,9 @@ def cmd_table(args):
 # -- eval ----------------------------------------------------------------------
 
 def _form_expr(name):
-    if name in FORM_LEAVES:
-        return E2Slot() if name == "E2hat" else leaf(name)
-    if name in CLOSED_FORMS:
-        return CLOSED_FORMS[name]
-    raise InstantonZetaError(f"unknown form {name!r}; choose from {FORMS}")
+    if name not in FORMS:
+        raise InstantonZetaError(f"unknown form {name!r}; choose from {FORMS}")
+    return E2Slot() if name == "E2hat" else leaf(name)
 
 
 def _json_float(x):

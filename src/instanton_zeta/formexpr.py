@@ -4,7 +4,10 @@ A FormExpr is a small tree whose leaves are named forms with a rational
 argument scaling (and an optional half-period shift tau -> k tau + 1/2)
 and an unresolved quasi-modular slot; nodes are sums, products, integer
 powers and scalar multiples (Gaussian-rational scalars, so the two
-sqrt(-1)-weighted eta combinations are representable).
+sqrt(-1)-weighted eta combinations are representable).  A leaf names a
+primitive form (``forms.DIVISOR_LEAVES``, ``forms.GAUSSIAN_LEAVES``) or a
+tree of the one table ``TREES``: the derived forms and the closed
+partition functions.
 
 The module holds trees only.  The same tree evaluates two ways: as an
 exact q-series by ``forms.as_qseries`` (when every leaf has one; the slot
@@ -91,9 +94,7 @@ def leaf(name, scale=1, half_shift=0):
 
 _HALF = Fraction(1, 2)
 
-# The derived forms, each defined once over the primitive leaves.  The
-# exact layer (forms.FormProvider) and the numeric one (numeric.eval_form)
-# both expand a derived name through its tree here.
+# The derived forms, each defined once over the primitive leaves.
 DERIVED_FORMS = {
     "BigTheta": leaf("theta3", 2),
     "P0": leaf("E4", 2),
@@ -111,29 +112,33 @@ def _averaged(bracket):
 
 _TH2, _TH3, _TH4 = leaf("theta2"), leaf("theta3"), leaf("theta4")
 _EIGHTH = Fraction(1, 8)
-_Z0 = _averaged(E2Slot() * leaf("P0")
-                + (_TH3 ** 4 * _TH4 ** 4 - (_TH2 ** 8).scaled(_EIGHTH))
-                * (_TH3 ** 4 + _TH4 ** 4))
-_ZEVEN = _averaged(E2Slot() * leaf("Peven").scaled(Fraction(1, 135))
-                   - (_TH2 ** 8 * (_TH3 ** 4 + _TH4 ** 4)).scaled(_EIGHTH))
-_ZODD = _averaged(E2Slot() * leaf("Podd").scaled(Fraction(1, 120))
-                  - (_TH2 ** 4 * leaf("E4")).scaled(_EIGHTH))
 _ETA_HALF = Pow(leaf("eta", _HALF), -12)
 _ETA_HALF_SHIFTED = Pow(leaf("eta", _HALF, 1), -12)
 
 # The closed partition functions, each defined once with the weight-2 slot
-# unresolved: the SU(2) and SO(3) combinations of the S-duality law, the
-# three averaged functions, and the two section-class functions (numeric
-# only: the half-period-shifted eta has no rational q-series).  Both
-# evaluators, the results module and the CLI read them here.
+# unresolved: the SU(2) and SO(3) combinations of the S-duality law, which
+# read the three averaged functions by name, those three, and the two
+# section-class functions (numeric only: the half-period-shifted eta has no
+# rational q-series).  Both evaluators, the results module and the CLI read
+# them here.
 CLOSED_FORMS = {
-    "Z_SU2": (_Z0.scaled(_HALF)
+    "Z_SU2": (leaf("Z0").scaled(_HALF)
               + Pow(leaf("eta", 2), -12).scaled(Fraction(-1, 16))),
-    "Z_SO3": (_Z0.scaled(2) + _ZEVEN.scaled(270) + _ZODD.scaled(240)
-              + _ETA_HALF.scaled(256)),
-    "Z0": _Z0,
-    "Z_even": _ZEVEN,
-    "Z_odd": _ZODD,
+    "Z_SO3": (leaf("Z0").scaled(2) + leaf("Z_even").scaled(270)
+              + leaf("Z_odd").scaled(240) + _ETA_HALF.scaled(256)),
+    "Z0": _averaged(E2Slot() * leaf("P0")
+                    + (_TH3 ** 4 * _TH4 ** 4 - (_TH2 ** 8).scaled(_EIGHTH))
+                    * (_TH3 ** 4 + _TH4 ** 4)),
+    "Z_even": _averaged(E2Slot() * leaf("Peven").scaled(Fraction(1, 135))
+                        - (_TH2 ** 8 * (_TH3 ** 4 + _TH4 ** 4))
+                        .scaled(_EIGHTH)),
+    "Z_odd": _averaged(E2Slot() * leaf("Podd").scaled(Fraction(1, 120))
+                       - (_TH2 ** 4 * leaf("E4")).scaled(_EIGHTH)),
     "Zw0": _ETA_HALF.scaled(_HALF) + _ETA_HALF_SHIFTED.scaled(0, _HALF),
     "Zw1": _ETA_HALF.scaled(_HALF) + _ETA_HALF_SHIFTED.scaled(0, -_HALF),
 }
+
+# The one table of named trees: a leaf named here stands for its tree, which
+# forms.FormProvider expands and caches per provider and truncation and
+# numeric.eval_form inlines.  A tree inside another is reached by its name.
+TREES = {**DERIVED_FORMS, **CLOSED_FORMS}

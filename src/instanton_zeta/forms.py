@@ -5,18 +5,17 @@ Every form is produced as an exact QSeries over Q on the 1/48 exponent
 grid.  The eight primitive leaves are defined once each, in two tables
 that the numeric evaluator reads as well: the divisor sums E2, E4, e1 and
 F in ``DIVISOR_LEAVES``, and the Gaussian sums theta2, theta3, theta4 and
-eta in ``GAUSSIAN_LEAVES``.  The derived forms (Theta = theta3(2*tau) and
-the three weight-4 combinations P0 / Peven / Podd) are expanded from their
-trees in ``formexpr.DERIVED_FORMS``.
+eta in ``GAUSSIAN_LEAVES``.  Every other name is a tree of the one table
+``formexpr.TREES``: the derived forms (Theta = theta3(2*tau) and the three
+weight-4 combinations P0 / Peven / Podd) and the closed partition
+functions, which read the averaged Z0, Z_even and Z_odd by name.  The
+provider expands a named tree like a leaf, so each provider caches every
+named tree once per truncation.
 
 ``as_qseries`` expands any form tree exactly, each leaf read from
 ``DEFAULT_PROVIDER``: the one exact walk of a tree, next to the leaves it
-reads.  The
-weight-2 slot is the holomorphic ``E2`` at the slot's scale here; the
-anomaly-corrected slot exists only numerically.  A closed form that other
-closed forms contain (Z0, Z_even and Z_odd, found by object identity in
-``formexpr.CLOSED_FORMS``) is read through the provider's cache like a
-derived form, so each provider expands it once per truncation.
+reads.  The weight-2 slot is the holomorphic ``E2`` at the slot's scale
+here; the anomaly-corrected slot exists only numerically.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import InstantonZetaError
-from .formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, E2Slot, FormExpr,
-                       Leaf, Mul, Pow, Scal)
+from .formexpr import TREES, Add, E2Slot, Leaf, Mul, Pow, Scal
 from .qseries import DEFAULT_DENOM, QQ, QSeries, euler_product
 from .report import VerifyReport, compare
 
@@ -120,8 +118,8 @@ class FormProvider:
         return s
 
     def _base(self, name, trunc):
-        if name in _TREES:
-            return _walk(_TREES[name], trunc, self)
+        if name in TREES:
+            return _exact(TREES[name], trunc, self)
         if name in DIVISOR_LEAVES:
             c0, w, table, _ = DIVISOR_LEAVES[name]
             sig = table(int(trunc))
@@ -144,35 +142,9 @@ class FormProvider:
 DEFAULT_PROVIDER = FormProvider()
 
 
-def _subtrees(node):
-    """The proper subtrees of a form tree, with repeats."""
-    for value in vars(node).values():
-        for child in value if isinstance(value, tuple) else (value,):
-            if isinstance(child, FormExpr):
-                yield child
-                yield from _subtrees(child)
-
-
-# the closed forms inside other closed forms, by the id of their tree (the
-# table keeps each tree alive, so no other object takes its id)
-_INNER = {id(sub) for tree in CLOSED_FORMS.values() for sub in _subtrees(tree)}
-_SHARED = {id(tree): name for name, tree in CLOSED_FORMS.items()
-           if id(tree) in _INNER}
-# the trees the provider expands by name
-_TREES = {**DERIVED_FORMS, **{n: CLOSED_FORMS[n] for n in _SHARED.values()}}
-
-
 def _exact(node, trunc, provider):
-    """Exact q-expansion of the tree, each leaf and each shared closed form
-    read from ``provider``."""
-    name = _SHARED.get(id(node))
-    if name is not None:
-        return provider.series(name, trunc)
-    return _walk(node, trunc, provider)
-
-
-def _walk(node, trunc, provider):
-    """The expansion of the tree's root from those of its children."""
+    """Exact q-expansion of the tree, each leaf, primitive or named, read
+    from ``provider``."""
     if isinstance(node, (Leaf, E2Slot)):
         base = provider.series(node.name, trunc / node.scale)
         if node.half_shift:

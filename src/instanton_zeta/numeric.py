@@ -73,15 +73,19 @@ is small the log-derivative is the lowest exponent of x in the leaf, 0
 or 1, and where |x| nears 1, |tau| is small: at tau = MIN_IM i it is
 E2(tau), about -362, for eta.  The 10-digit gap between 2^-prec and eps
 covers a product of log-derivative and (k + |2 pi r tau / m|) up to
-10^10, which holds for every |tau| below 10^8 and every k below 10^7.
+10^10.  Re(u tau) is first moved into [-1/2, 1/2] by an exact integer
+period of x, so |2 pi r tau / m| <= k (pi + 2 pi u Im tau) however large
+Re tau, and the gap holds for every Im tau below 10^8 and every k below
+10^7.
 
 ``eval_form`` compiles an expression once, on its first evaluation, into
-a program kept per expression object.  The derived forms are inlined, so
-every leaf argument is r tau + s over the root tau, r and s rational, and
-equal (leaf, r, s) share one value, such as E4(2 tau) in P0 and Peven.
-Every nome is then x^k exp(2 pi i s / m) for one root nome
-x = exp(2 pi i u tau), u the largest rational dividing every r / m and
-k = r / (m u).  A call takes one exponential, builds each x^k once by a
+a program kept per expression object.  The named trees of
+``formexpr.TREES`` are inlined, so every leaf argument is r tau + s over
+the root tau, r and s rational, and equal (leaf, r, s) share one value,
+such as E4(2 tau) in P0 and Peven.  Every nome is then
+x^k exp(2 pi i s / m) for one root nome x = exp(2 pi i u tau), u the
+largest rational dividing every r / m and k = r / (m u).  A call takes
+one exponential, at u tau reduced as above, builds each x^k once by a
 chain of squarings and products, negates where s / m lies in Z + 1/2
 (any other phase is a constant built once per precision), sums the
 Gaussian leaves of each nome in one pass and each divisor leaf once, and
@@ -108,8 +112,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionError
-from .formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, E2Slot, Leaf, Mul,
-                       Pow, Scal)
+from .formexpr import CLOSED_FORMS, TREES, Add, E2Slot, Leaf, Mul, Pow, Scal
 from .forms import DIVISOR_LEAVES, GAUSSIAN_LEAVES
 
 MIN_IM = 0.05          # reject evaluation closer to the real axis
@@ -373,8 +376,8 @@ class _Program:
         if isinstance(node, (Leaf, E2Slot)):
             scale = Fraction(node.scale)
             r2, s2 = scale * r, scale * s + node.half_shift * _HALF
-            if node.name in DERIVED_FORMS and isinstance(node, Leaf):
-                token = self._compile(DERIVED_FORMS[node.name], r2, s2)
+            if node.name in TREES:
+                token = self._compile(TREES[node.name], r2, s2)
             else:
                 token = self._leaf(node.name, r2, s2)
                 if isinstance(node, E2Slot):
@@ -453,9 +456,14 @@ def _run(program, tau, eps, e2_mode):
     power chain, one Gaussian pass per nome, one sum per divisor leaf, and
     the steps in order."""
     constants, phases = program.constants_at(mp.mp.prec)
-    unit = program.unit
-    powers = {1: _nome(tau * unit.numerator if unit.numerator != 1 else tau,
-                       unit.denominator)}
+    unit, q = program.unit, program.unit.denominator
+    w = tau * unit.numerator if unit.numerator != 1 else tau
+    if abs(float(w.real)) > q / 2:
+        # x = exp(2 pi i w / q) has period q in w: move Re w into
+        # [-q/2, q/2], exactly
+        shift = mp.fmul(mp.nint(w.real / q), q, exact=True)
+        w = mp.mpc(mp.fsub(w.real, shift, exact=True), w.imag)
+    powers = {1: _nome(w, q)}
     for k, a, b in program.chain:
         powers[k] = powers[a] * powers[b]
     nomes = [powers[k] if not f else -powers[k] if f == _HALF

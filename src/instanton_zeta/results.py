@@ -18,7 +18,7 @@ from fractions import Fraction
 from .assembly import (DEN, RULED, poincare_problems, proposition_series,
                        vacuum_product)
 from .errors import IntegrityError, PoleAtOneError, TruncationError
-from .formexpr import CLOSED_FORMS
+from .formexpr import leaf
 from .forms import as_qseries, double_sum, eta_pow_inverse, gen_form, sieve
 from .lattice import b_substituted
 from .qseries import QQ, QSeries
@@ -70,11 +70,11 @@ def ztilde(key, trunc):
 @functools.lru_cache(maxsize=None)
 def theorem_closed_form(key, trunc):
     """Closed form of Zt_key, expanded with the holomorphic weight-2 series
-    in the slot.  An averaged key expands its ``CLOSED_FORMS`` tree; a
+    in the slot.  An averaged key expands its named tree, ``leaf(name)``; a
     class tag reads the averaged key whose relation reads it, less that
     relation's c / eta(2 tau)^12."""
     if key in LAMBDA_FORMS:
-        return as_qseries(CLOSED_FORMS[LAMBDA_FORMS[key]], trunc)
+        return as_qseries(leaf(LAMBDA_FORMS[key]), trunc)
     lam = next((lam for lam in LAMBDA_FORMS if RELATIONS[lam][0] == key),
                None)
     if lam is None:

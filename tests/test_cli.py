@@ -172,6 +172,23 @@ def test_verify_order_below_one_names_the_flag(argv, capsys):
     assert "--order must be at least 1" in capsys.readouterr().err
 
 
+def test_verify_smoothness_below_its_first_odd_line_is_a_usage_error(capsys):
+    # the vOdd suite starts at Delta = 1/2, so --order 1/4 checked nothing
+    # in it and passed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "smoothness", "--order", "1/4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: instanton-zeta verify ")
+    assert ("instanton-zeta verify: error: --order must be at least 1/2 for "
+            "--suite smoothness") in err
+    assert main(["verify", "--suite", "smoothness", "--order", "1/2",
+                 "--format", "json"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert [(s["suite"], len(s["results"])) for s in suites] == [
+        ("smoothness[vEven]", 1), ("smoothness[vOdd]", 1)]
+
+
 def test_verify_oracle_order_exceeding_order_rejected():
     code, out, err = run_cli("verify", "--order", "4", "--oracle-order", "6")
     assert code == 2

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from instanton_zeta import cli, forms
 from instanton_zeta.cli import FORM_LEAVES
 from instanton_zeta.errors import InstantonZetaError
-from instanton_zeta.formexpr import CLOSED_FORMS, DERIVED_FORMS, Mul, Pow, leaf
+from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, TREES, Mul,
+                                     Pow, leaf)
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES,
                                   FormProvider, as_qseries, double_sum,
                                   eta_pow_inverse, gen_form, sieve,
@@ -241,45 +242,54 @@ def test_denominator_preserved_by_ring_ops():
     assert (a * a).denom == 48
 
 
-# -- the closed forms that other closed forms contain -------------------------
+# -- the named trees, cached per provider and truncation -----------------------
 
 AVERAGED = ("Z0", "Z_even", "Z_odd")
 SERIES_FORMS = ("Z_SU2", "Z_SO3", *AVERAGED)
 
 
-def test_shared_closed_forms_are_found_by_identity():
-    assert sorted(forms._SHARED.values()) == sorted(AVERAGED)
-    assert all(forms._SHARED[id(CLOSED_FORMS[n])] == n for n in AVERAGED)
-
-
 def test_each_averaged_tree_is_walked_once_per_provider_and_order(
         monkeypatch):
-    # a walk of an averaged tree passes through the one child of its root
-    inner = {id(CLOSED_FORMS[n].child): n for n in AVERAGED}
-    walks = {n: 0 for n in AVERAGED}
+    # a walk of a named tree starts at the table's tree object
+    roots = {id(TREES[n]): n for n in SERIES_FORMS}
+    walks = {n: 0 for n in SERIES_FORMS}
     exact = forms._exact
 
     def counting(node, trunc, provider):
-        if id(node) in inner:
-            walks[inner[id(node)]] += 1
+        if id(node) in roots:
+            walks[roots[id(node)]] += 1
         return exact(node, trunc, provider)
 
     monkeypatch.setattr(forms, "_exact", counting)
     monkeypatch.setattr(forms, "DEFAULT_PROVIDER", FormProvider())
     for _ in range(2):
         for name in SERIES_FORMS:
-            as_qseries(CLOSED_FORMS[name], 12)
-    assert walks == {n: 1 for n in AVERAGED}
-    forms._exact(CLOSED_FORMS["Z_SO3"], 12, FormProvider())
-    assert walks == {n: 2 for n in AVERAGED}
+            as_qseries(leaf(name), 12)
+    assert walks == {n: 1 for n in SERIES_FORMS}
+    FormProvider().series("Z_SO3", 14)
+    assert walks == {"Z_SU2": 1, "Z_SO3": 2, **{n: 2 for n in AVERAGED}}
+
+
+class _Forgetful(dict):
+    """A cache that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _forgetful():
+    """A provider that reads no named tree from its cache: it walks every
+    tree afresh wherever a name occurs."""
+    provider = FormProvider()
+    provider._cache = _Forgetful()
+    return provider
 
 
 def _uncached(expr, trunc):
-    """``as_qseries`` through a fresh provider that reads no closed form
-    from its cache: the plain walk of every tree."""
+    """``as_qseries`` through a forgetful provider: the plain walk of every
+    tree."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(forms, "_SHARED", {})
-        patch.setattr(forms, "DEFAULT_PROVIDER", FormProvider())
+        patch.setattr(forms, "DEFAULT_PROVIDER", _forgetful())
         return as_qseries(expr, trunc)
 
 
@@ -289,9 +299,11 @@ def _same(a, b):
 
 # the product of two averaged forms, each with a q^-1 head, loses one more
 # order than the margin covers, so ``as_qseries`` retries it wider
-_READS = {**{n: CLOSED_FORMS[n] for n in SERIES_FORMS},
-          "Z0^2": Pow(CLOSED_FORMS["Z0"], 2),
-          "Z_even Z_odd": Mul((CLOSED_FORMS["Z_even"], CLOSED_FORMS["Z_odd"]))}
+_READS = {**{n: leaf(n) for n in SERIES_FORMS},
+          "Z_SU2 tree": CLOSED_FORMS["Z_SU2"],
+          "Z_SO3 tree": CLOSED_FORMS["Z_SO3"],
+          "Z0^2": Pow(leaf("Z0"), 2),
+          "Z_even Z_odd": Mul((leaf("Z_even"), leaf("Z_odd")))}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -306,7 +318,7 @@ def test_cached_closed_forms_equal_fresh_expansions(reads, exponent, delta):
         for name, order in reads:
             got = as_qseries(_READS[name], order)
             assert _same(got, _uncached(_READS[name], order)), (name, order)
-        su2 = forms._exact(CLOSED_FORMS["Z_SU2"], 6, provider)
+        su2 = provider.series("Z_SU2", 6)
         # eval --series --form Zw0 fails as before and caches no closed form
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
@@ -314,19 +326,17 @@ def test_cached_closed_forms_equal_fresh_expansions(reads, exponent, delta):
                              "--order", "3"])
         assert (code, stderr.getvalue()) == (
             1, "error: imaginary scalar weight has no rational q-series\n")
-    # every cached closed form is the plain walk at its order
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(forms, "_SHARED", {})
-        cached = [(k, v) for k, v in provider._cache.items()
-                  if k[0] in CLOSED_FORMS]
-        assert {k[0] for k, _ in cached} <= set(AVERAGED)
-        for (name, _, trunc), series in cached:
-            fresh = forms._walk(CLOSED_FORMS[name], trunc, FormProvider())
-            assert _same(series, fresh), (name, trunc)
+    # every cached closed form is a fresh walk at its order
+    cached = [(k, v) for k, v in provider._cache.items()
+              if k[0] in CLOSED_FORMS]
+    assert {k[0] for k, _ in cached} <= set(SERIES_FORMS)
+    for (name, scaling, trunc), series in cached:
+        fresh = _forgetful().series(name, trunc, scaling)
+        assert _same(series, fresh), (name, trunc)
     # a perturbed clone builds its own entries; the provider it starts
     # from keeps its own
     clone = provider.perturbed("Z0", exponent, delta)
     assert clone._cache == {}
-    diff = forms._exact(CLOSED_FORMS["Z_SU2"], 6, clone) - su2
+    diff = clone.series("Z_SU2", 6) - su2
     assert diff.pairs() == [(exponent, delta / 2)]
-    assert _same(forms._exact(CLOSED_FORMS["Z_SU2"], 6, provider), su2)
+    assert _same(provider.series("Z_SU2", 6), su2)

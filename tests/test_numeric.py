@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import instanton_zeta
 import instanton_zeta.numeric as numeric
 from instanton_zeta.errors import PrecisionError
-from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, Add, E2Slot,
-                                     Leaf, Mul, Pow, Scal, leaf)
+from instanton_zeta.formexpr import (CLOSED_FORMS, DERIVED_FORMS, TREES, Add,
+                                     E2Slot, Leaf, Mul, Pow, Scal, leaf)
 from instanton_zeta.forms import (DIVISOR_LEAVES, GAUSSIAN_LEAVES, as_qseries,
                                   gen_form, sigma_odd_n_table,
                                   sigma_odd_table, sigma_table)
@@ -214,10 +214,19 @@ def _exact_cutoff(q, eps, w, lead, degree):
     return _tail_cutoff(absq, eps * (absq if lead else 1) / abs(w), degree)
 
 
+def reduced(w, q):
+    """w with its real part moved into [-q/2, q/2] by an integer multiple
+    of q, a period of exp(2 pi i w / q)."""
+    if abs(float(w.real)) <= q / 2:
+        return w
+    return w - q * mp.nint(w.real / q)
+
+
 def per_leaf_recipe(name, tau, eps):
     """A primitive leaf as each kernel once computed it alone: its own
-    mp.exp for the nome, and the divisor cutoff from abs(q) by the mpf
-    rule."""
+    mp.exp for the nome, at its argument with the real part reduced by the
+    nome's period, and the divisor cutoff from abs(q) by the mpf rule."""
+    tau = reduced(tau, _modulus(name))
     if name in DIVISOR_LEAVES:
         c0, w, _, degree = DIVISOR_LEAVES[name]
         q = mp.exp(2j * mp.pi * tau)
@@ -295,6 +304,26 @@ def test_eval_form_of_a_leaf_matches_the_per_leaf_recipe(x, y, half_shift,
             assert got._mpc_ == per_leaf_recipe(name, tau, eps)._mpc_, name
 
 
+# theta2(3 tau) has the unit 3/8, a numerator above 1
+_PERIODIC = {**CLOSED_FORMS, "theta2(3 tau)": leaf("theta2", 3)}
+
+
+@pytest.mark.parametrize("name", list(_PERIODIC))
+def test_a_period_of_the_root_nome_leaves_every_value_unchanged(name):
+    # x = exp(2 pi i w / q), w = p tau for the unit u = p / q, has period q
+    # in tau; eval_form reduces Re w exactly, so a real part of 48 * 10^29
+    # costs no digit
+    expr = _PERIODIC[name]
+    period = numeric._program(expr).unit.denominator
+    with mp.workprec(300):
+        tau0 = mp.mpc(mp.mpf(1) / 4, mp.mpf("1.1"))
+        shifted = [tau0 + k * period for k in (10 ** 8, 10 ** 29)]
+    for mode in ("anomaly", "E2"):
+        want = eval_form(expr, tau0, 40, mode)._mpc_
+        for tau in shifted:
+            assert eval_form(expr, tau, 40, mode)._mpc_ == want, (tau, mode)
+
+
 def test_precision_constants_follow_every_switch_of_precision():
     # the nome's 2 pi i, eval_form's eps and the S-duality threshold are
     # built once per working precision; moving the precision down, up and
@@ -328,12 +357,12 @@ def leaf_at(name, tt, eps, x=None):
     return numeric._gauss_sums(x, ((c0, progressions),), eps)[0]
 
 
-def _walk_leaf(name, tt, at, eps, values, nome):
+def _walk_leaf(name, tt, at, eps, e2_mode, values, nome):
     key = (name, tt, eps)
     if key not in values:
-        if name in DERIVED_FORMS:
-            values[key] = walk_node(DERIVED_FORMS[name], tt, eps, "E2",
-                                    values, nome, at)
+        if name in TREES:
+            values[key] = walk_node(TREES[name], tt, eps, e2_mode, values,
+                                    nome, at)
         else:
             values[key] = leaf_at(name, tt, eps,
                                   nome(name, *at) if nome else None)
@@ -344,16 +373,16 @@ def walk_node(node, tau, eps, e2_mode, values, nome=None,
               at=(Fraction(1), Fraction(0))):
     """Value of an expression tree, revisiting every occurrence of a
     subtree; ``values`` holds the leaf values already computed, keyed on
-    (name, argument, eps).  ``at`` is (r, s), the node's argument
-    r tau0 + s over the root tau0, and ``nome(name, r, s)``, when given, is
-    the nome a leaf there reads."""
+    (name, argument, eps), a named tree walked at its leaf's argument.
+    ``at`` is (r, s), the node's argument r tau0 + s over the root tau0, and
+    ``nome(name, r, s)``, when given, is the nome a leaf there reads."""
     if isinstance(node, (Leaf, E2Slot)):
         tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
         if node.half_shift:
             tt = tt + mp.mpf(1) / 2
         r, s = at
         inner = (node.scale * r, node.scale * s + Fraction(node.half_shift, 2))
-        val = _walk_leaf(node.name, tt, inner, eps, values, nome)
+        val = _walk_leaf(node.name, tt, inner, eps, e2_mode, values, nome)
         if isinstance(node, E2Slot) and e2_mode == "anomaly":
             val -= 3 / (mp.pi * mp.im(tt))
         return val
@@ -381,11 +410,11 @@ def _modulus(name):
 
 def _primitive_leaves(node, r, s):
     """(name, r, s) of every primitive leaf under ``node`` at the argument
-    r tau + s, the derived forms expanded."""
+    r tau + s, the named trees expanded."""
     if isinstance(node, (Leaf, E2Slot)):
         r, s = node.scale * r, node.scale * s + Fraction(node.half_shift, 2)
-        if node.name in DERIVED_FORMS and isinstance(node, Leaf):
-            yield from _primitive_leaves(DERIVED_FORMS[node.name], r, s)
+        if node.name in TREES:
+            yield from _primitive_leaves(TREES[node.name], r, s)
         else:
             yield node.name, r, s
         return
@@ -399,12 +428,14 @@ def power_rule(expr, tau):
     """The nome of each leaf by the x^k rule, rebuilt from the tree: x =
     exp(2 pi i u tau) for the largest rational u dividing every r / m, x^k
     as the square of x^(k/2) or x^(k-1) x, and the phase exp(2 pi i s / m)
-    as a sign or a product."""
+    as a sign or a product.  x is taken at u tau with its real part reduced
+    into [-1/2, 1/2]."""
     ratios = [r / _modulus(name)
               for name, r, _ in _primitive_leaves(expr, Fraction(1), 0)]
     den = math.lcm(*(e.denominator for e in ratios))
     unit = Fraction(math.gcd(*(int(e * den) for e in ratios)), den)
-    powers = {1: numeric._nome(tau * unit.numerator, unit.denominator)}
+    powers = {1: numeric._nome(reduced(tau * unit.numerator,
+                                       unit.denominator), unit.denominator)}
 
     def power(k):
         if k not in powers:
@@ -442,7 +473,7 @@ def _outcome(evaluate, *args):
         return type(exc)
 
 
-NAMED_LEAVES = (*DIVISOR_LEAVES, *GAUSSIAN_LEAVES, *DERIVED_FORMS)
+NAMED_LEAVES = (*DIVISOR_LEAVES, *GAUSSIAN_LEAVES, *TREES)
 _SCALES = (Fraction(1, 2), Fraction(1), Fraction(2))
 _FRACTIONS = st.fractions(-7, 7, max_denominator=12)
 
@@ -497,16 +528,17 @@ def test_closed_forms_match_the_tree_walk(name):
 def magnitude(node, tau, eps, e2_mode, values):
     """An error scale of the walked value, |value| where no sum cancels: a
     sum adds its terms' scales, a product multiplies them, and a power
-    raises the base's ratio of scale to size to |n|, with the derived forms
+    raises the base's ratio of scale to size to |n|, with the named trees
     expanded.  Leaves accurate to eps relative leave the value within about
     eps times this scale."""
     if isinstance(node, (Leaf, E2Slot)):
         tt = tau * mp.mpf(node.scale.numerator) / node.scale.denominator
         if node.half_shift:
             tt = tt + mp.mpf(1) / 2
-        if node.name in DERIVED_FORMS and isinstance(node, Leaf):
-            return magnitude(DERIVED_FORMS[node.name], tt, eps, "E2", values)
-        size = abs(_walk_leaf(node.name, tt, None, eps, values, None))
+        if node.name in TREES:
+            return magnitude(TREES[node.name], tt, eps, e2_mode, values)
+        size = abs(_walk_leaf(node.name, tt, None, eps, e2_mode, values,
+                              None))
         if isinstance(node, E2Slot) and e2_mode == "anomaly":
             size += 3 / (mp.pi * mp.im(tt))
         return size

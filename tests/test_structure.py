@@ -5,6 +5,8 @@ import ast
 from pathlib import Path
 
 import instanton_zeta
+from instanton_zeta.formexpr import TREES, E2Slot, FormExpr, Leaf
+from instanton_zeta.forms import DIVISOR_LEAVES, GAUSSIAN_LEAVES
 from instanton_zeta.laurent import LPoly
 
 PACKAGE = Path(instanton_zeta.__file__).parent
@@ -128,6 +130,41 @@ def test_formexpr_holds_trees_and_only_forms_expands_them_exactly():
     numeric_reads = {m for node in _imports(_tree(PACKAGE / "numeric.py"))
                      for m in _imported_modules(node)}
     assert ".qseries" not in numeric_reads
+
+
+def _subtrees(node):
+    """The proper subtrees of a form tree, with repeats."""
+    for value in vars(node).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, FormExpr):
+                yield child
+                yield from _subtrees(child)
+
+
+def test_every_named_tree_is_reached_only_through_its_name():
+    primitive = {*DIVISOR_LEAVES, *GAUSSIAN_LEAVES}
+    reads = {}
+    for name, tree in TREES.items():
+        leaves = {sub.name for sub in (tree, *_subtrees(tree))
+                  if isinstance(sub, (Leaf, E2Slot))}
+        # every leaf name resolves, to a primitive leaf or a named tree
+        assert leaves <= primitive | set(TREES), name
+        reads[name] = leaves & set(TREES)
+    assert reads["Z_SO3"] == {"Z0", "Z_even", "Z_odd"}
+
+    def reach(name, seen):
+        for inner in reads[name] - seen:
+            seen.add(inner)
+            reach(inner, seen)
+        return seen
+
+    # no name reaches itself
+    assert [name for name in TREES if name in reach(name, set())] == []
+    # no named tree sits inside another as an object: a shared tree goes
+    # through leaf(name), so through the cache of the exact layer
+    named = {id(tree): name for name, tree in TREES.items()}
+    assert [(outer, named[id(sub)]) for outer, tree in TREES.items()
+            for sub in _subtrees(tree) if id(sub) in named] == []
 
 
 def test_t_coefficients_carry_no_denominator():
