@@ -258,17 +258,6 @@ def wall_sum_oracle(tag, trunc):
     # integer bound on 4 (delta, delta)_* and on -(2 xi, 2 xi), both integers
     max_q = floor(4 * trunc)
 
-    # coset self-check: representatives must be integral classes and the
-    # glue must recover a unimodular overlattice (checked in SurfaceData);
-    # here: each stratum representative lies in H^2 + l/2.
-    for eps1, eps2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        shift2 = [2 * x for x in _coset_shift(c1, eps1, eps2)]
-        rep2 = vec_add(vec_scale(eps1, s.f), vec_scale(eps2, s.g),
-                       s.from_e_coords(shift2))
-        if any((x - r) % 2 for x, r in zip(rep2, c1.rep)):
-            raise ConfigurationError(
-                f"stratum ({eps1},{eps2}) does not lie in H^2 + l/2")
-
     # (4 q-exponent, t-power) -> integer coefficient of the numerator over
     # DEN; the wall prefactor 1/(t (t-1)) is 2 (t^2-1)/DEN
     num = {}
@@ -282,43 +271,45 @@ def wall_sum_oracle(tag, trunc):
 
     f, g, K = s.f, s.g, s.K
     for eps1, eps2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        shift = _coset_shift(c1, eps1, eps2)
+        # coset self-check: the stratum representative lies in H^2 + l/2
+        # (the glue recovering a unimodular overlattice is checked in
+        # SurfaceData)
+        rep2 = vec_add(vec_scale(eps1, f), vec_scale(eps2, g),
+                       s.from_e_coords([2 * x for x in shift]))
+        if any((x - r) % 2 for x, r in zip(rep2, c1.rep)):
+            raise ConfigurationError(
+                f"stratum ({eps1},{eps2}) does not lie in H^2 + l/2")
         A_min = 1 if eps1 else 2   # smallest positive A
         B_min = 1 if eps2 else 2   # smallest positive B
         # a point with 4 A_min B_min + qd > max_q fits in no cone, and only
         # the eps1 = 0 strata have a degenerate ray
         budget = max_q - 4 * A_min * B_min if eps1 else max_q
-        for y, qd in coset_points(s.e_gram, _coset_shift(c1, eps1, eps2),
-                                  budget):
+        for y, qd in coset_points(s.e_gram, shift, budget):
             d2 = s.from_e_coords(y)   # 2 delta, (2 delta, 2 delta)_* = qd
             if pair(d2, f) or pair(d2, g):
                 raise ConfigurationError("delta not orthogonal to <f, g>")
-
-            def emit(A, B, sign):
-                xi2 = tuple([A * a + B * b + c for a, b, c in zip(f, g, d2)])
-                norm4 = -pair(xi2, xi2)   # 4 q-exponent
-                tpow2 = norm4 + pair(xi2, K)
-                if tpow2 % 2 or norm4 != -4 * A * B + qd:
-                    raise IntegrityError(f"{tag}: 2 xi at A = {A}, B = {B} "
-                                         f"breaks its norm or t-parity")
-                add(norm4, tpow2 // 2, wall, sign)
-
-            # first cone: (xi, g) > 0, (xi, f) < 0, i.e. A > 0 > B
-            A = A_min
-            while 4 * A * B_min + qd <= max_q:
-                B = -B_min
-                while 4 * A * (-B) + qd <= max_q:
-                    emit(A, B, +1)
-                    B -= 2
-                A += 2
-            # second cone: (xi, g) < 0 < (xi, f); the A = 0 boundary of the
+            # the two mixed-sign cones, A = sign a and B = -sign b with
+            # a, b > 0: sign +1 is (xi, g) > 0 > (xi, f), sign -1 is
+            # (xi, g) < 0 < (xi, f); the A = 0 boundary of the latter's
             # (xi, g) <= 0 condition is the degenerate ray handled below
-            A = -A_min
-            while 4 * (-A) * B_min + qd <= max_q:
-                B = B_min
-                while 4 * (-A) * B + qd <= max_q:
-                    emit(A, B, -1)
-                    B += 2
-                A -= 2
+            for sign in (1, -1):
+                a = A_min
+                while 4 * a * B_min + qd <= max_q:
+                    b = B_min
+                    while 4 * a * b + qd <= max_q:
+                        A, B = sign * a, -sign * b
+                        xi2 = tuple([A * u + B * v + w
+                                     for u, v, w in zip(f, g, d2)])
+                        norm4 = -pair(xi2, xi2)   # 4 q-exponent
+                        tpow2 = norm4 + pair(xi2, K)
+                        if tpow2 % 2 or norm4 != -4 * A * B + qd:
+                            raise IntegrityError(
+                                f"{tag}: 2 xi at A = {A}, B = {B} breaks "
+                                f"its norm or t-parity")
+                        add(norm4, tpow2 // 2, wall, sign)
+                        b += 2
+                    a += 2
             if eps1 == 0:
                 # degenerate ray a = 0, b > 0: q-power = (delta, delta)_*,
                 # t-power 2*(that) - 2b; the sum of t^(-2b) over b is

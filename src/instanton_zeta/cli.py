@@ -68,30 +68,32 @@ _TAU_IMAG = re.compile(r"^(?P<im>[+-]?\d*(?:\.\d+)?)[ij]$")
 
 def parse_tau(text):
     """Parse 'a+bi' (also 'i', '2j', '-0.2+0.9i'); upper half-plane only.
-    A real number parses, and is rejected as off the half-plane."""
+    A real number parses, and is rejected as off the half-plane.  Returns
+    the real and imaginary parts as decimal strings, so that ``_mp_tau``
+    rounds tau once from its exact digits."""
     compact = text.replace(" ", "")
     m = _TAU_FULL.match(compact)
     if m:
-        re_part = float(m.group("re"))
+        re_part = m.group("re")
         im_raw = m.group("im")
     else:
         m = _TAU_IMAG.match(compact)
         if not m:
             raise ValueError(f"cannot parse tau from {text!r}")
-        re_part = 0.0
+        re_part = "0"
         im_raw = m.group("im")
-    if im_raw is None:
-        im_part = 0.0
-    elif im_raw in ("", "+"):
-        im_part = 1.0
-    elif im_raw == "-":
-        im_part = -1.0
-    else:
-        im_part = float(im_raw)
-    if im_part <= 0:
+    im_part = {None: "0", "": "1", "+": "1", "-": "-1"}.get(im_raw, im_raw)
+    if Fraction(im_part) <= 0:
         raise ValueError(f"tau = {text} is not in the upper half-plane "
                          f"(Im(tau) must be positive)")
-    return complex(re_part, im_part)
+    return re_part, im_part
+
+
+def _mp_tau(tau):
+    """The parsed tau at the current mpmath precision, rounded once from
+    its decimal digits; ``mp.mpc`` of it at the same precision is exact."""
+    from mpmath import mp
+    return mp.mpc(*map(mp.mpf, tau))
 
 
 def build_parser():
@@ -311,9 +313,9 @@ def cmd_eval(args):
         # k tau at the working precision of eval_form, which checks it
         # against the minimum Im tau
         with mp.workdps(args.digits + 15):
-            ktau = mp.mpc(tau) * mp.mpf(k.numerator) / k.denominator
+            ktau = _mp_tau(tau) * mp.mpf(k.numerator) / k.denominator
             val = eval_form(expr, ktau, args.digits, e2_mode=args.e2)
-        out["tau"] = str(tau)
+        out["tau"] = str(complex(*map(float, tau)))
         out["value"] = {"re": _json_float(val.real),
                         "im": _json_float(val.imag)}
         out["value_str"] = mp.nstr(val, args.digits)
@@ -335,10 +337,14 @@ def cmd_eval(args):
 # -- sduality ------------------------------------------------------------------
 
 def cmd_sduality(args):
+    from mpmath import mp
     from .numeric import sduality_check
     tau = parse_tau(args.tau)  # ValueError -> exit 2 in main()
     resolution = "E2" if args.holomorphic else "anomaly"
-    report = sduality_check(tau, digits=args.digits, resolution=resolution)
+    # tau at the working precision of sduality_check
+    with mp.workdps(args.digits + 15):
+        report = sduality_check(_mp_tau(tau), digits=args.digits,
+                                resolution=resolution)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     else:

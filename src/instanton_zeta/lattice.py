@@ -12,9 +12,11 @@ engine per job:
   norm at most the bound.  The wall-sum oracle walks its cosets with it;
 * ``zn_shell_counts_dp`` counts the shells of a coset of Z^m, or of its
   even-sum sublattice, by a convolution over coordinates in doubled
-  integer coordinates; its one reader is ``d8_theta_ambient``, the one
-  rank-8 coset theta, which the assembly and ``e8_theta_series`` read.
-  The tests compare it against point-by-point enumeration;
+  integer coordinates, one integer per residue of sum(y) mod 4 in the
+  packed slot layout of ``laurent``; its one reader is
+  ``d8_theta_ambient``, the one rank-8 coset theta, which the assembly
+  and ``e8_theta_series`` read.  The tests compare it against
+  point-by-point enumeration;
 * ``b_substituted`` sums the one-dimensional theta with character in one
   loop over n in shift + Z, for the shifts 0 and 1/2.
 """
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import floor, isqrt, lcm
 
 from .errors import ConfigurationError
-from .laurent import LPoly
+from .laurent import LPoly, _slot_bytes, _unpack
 from .qseries import LAURENT, QQ, QSeries
 from .report import VerifyReport, compare
 
@@ -150,32 +152,27 @@ def zn_shell_counts_dp(parities, target4, max_q):
     """Counts of sum(y_i^2) <= max_q, keyed by that sum, over integer
     vectors y with prescribed coordinate parities and, unless ``target4``
     is None, with sum(y) congruent to ``target4`` mod 4: a convolution
-    over coordinates that tracks the coordinate sum mod 4."""
-    f = [[0] * (max_q + 1) for _ in range(4)]
-    f[0][0] = 1
+    over coordinates that tracks the coordinate sum mod 4.  The counts of
+    each residue are one integer in the packed layout of ``laurent``, the
+    count at norm q in slot q, so a coordinate value y shifts it by y^2
+    slots; slots above max_q are masked off after each coordinate."""
+    r = isqrt(max_q)
+    # no slot carries: every count is non-negative and at most the number
+    # of vectors in the box |y_i| <= r, which ``_slot_bytes`` holds
+    nbytes = _slot_bytes((2 * r + 1) ** len(parities))
+    width = 8 * nbytes
+    mask = (1 << width * (max_q + 1)) - 1
+    f = [1, 0, 0, 0]
     for p in parities:
-        onedim = []
-        y = p
-        while y * y <= max_q:
-            onedim.append((y % 4, y * y))
-            if y:
-                onedim.append(((-y) % 4, y * y))
-            y += 2
-        g = [[0] * (max_q + 1) for _ in range(4)]
-        for r in range(4):
-            row = f[r]
-            for res, q1 in onedim:
-                grow = g[(r + res) % 4]
-                for q in range(max_q + 1 - q1):
-                    v = row[q]
-                    if v:
-                        grow[q + q1] += v
-        f = g
-    if target4 is None:
-        total = [sum(f[r][q] for r in range(4)) for q in range(max_q + 1)]
-    else:
-        total = f[target4 % 4]
-    return {q: c for q, c in enumerate(total) if c}
+        g = [0, 0, 0, 0]
+        for y in range(-r + (r + p) % 2, r + 1, 2):
+            shift = width * y * y
+            for res, v in enumerate(f):
+                g[(res + y) % 4] += v << shift
+        f = [v & mask for v in g]
+    total = sum(f) if target4 is None else f[target4 % 4]
+    return {q: c for q, c in enumerate(_unpack(total, nbytes, max_q + 1))
+            if c}
 
 
 # -- rank-8 coset thetas ----------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from instanton_zeta.assembly import (DEN, a_sum, check_asum_closed_forms,
                                      theta_coset_sub, vacuum_product,
                                      wall_sum_oracle, zeta_factors,
                                      zeta_product_x)
-from instanton_zeta.errors import IntegrityError
+from instanton_zeta.errors import ConfigurationError, IntegrityError
 from instanton_zeta.laurent import LPoly
 from instanton_zeta.qseries import LAURENT, QQ, QSeries, euler_product
 from instanton_zeta.tratfunc import exact_quotient, value_at_one
@@ -340,4 +341,22 @@ def test_wall_oracle_odd_t_power_is_an_integrity_error(monkeypatch):
     surface.K = vec_add(SURFACE.K, SURFACE.H)
     monkeypatch.setattr(assembly, "SURFACE", surface)
     with pytest.raises(IntegrityError, match="breaks its norm or t-parity"):
+        wall_sum_oracle("vEven", 2)
+
+
+def test_wall_oracle_stratum_off_its_coset_is_a_configuration_error(
+        monkeypatch):
+    # the (0, 1) stratum moved by half a basis vector leaves H^2 + l/2
+    from instanton_zeta import assembly
+    coset_shift = assembly._coset_shift
+
+    def moved(c1, eps1, eps2):
+        shift = coset_shift(c1, eps1, eps2)
+        if (eps1, eps2) == (0, 1):
+            return (shift[0] + Fraction(1, 2),) + shift[1:]
+        return shift
+
+    monkeypatch.setattr(assembly, "_coset_shift", moved)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "stratum (0,1) does not lie in H^2 + l/2")):
         wall_sum_oracle("vEven", 2)

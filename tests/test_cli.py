@@ -34,10 +34,12 @@ def run_cli(*args, module="instanton_zeta.cli"):
 
 
 def test_parse_tau():
-    assert parse_tau("i") == 1j
-    assert parse_tau("0.3+1.1i") == complex(0.3, 1.1)
-    assert parse_tau("-0.2+0.9i") == complex(-0.2, 0.9)
-    assert parse_tau("2j") == 2j
+    # the decimal digits of each part, exact, not their nearest doubles
+    assert parse_tau("i") == ("0", "1")
+    assert parse_tau("0.3+1.1i") == ("0.3", "+1.1")
+    assert parse_tau("-0.2+0.9i") == ("-0.2", "+0.9")
+    assert parse_tau("2j") == ("0", "2")
+    assert parse_tau("0.5+.5i") == ("0.5", "+.5")
     with pytest.raises(ValueError):
         parse_tau("1.0")
     with pytest.raises(ValueError):
@@ -315,6 +317,19 @@ def test_eval_numeric(capsys):
     data = json.loads(capsys.readouterr().out)
     assert abs(data["value"]["re"] - 1.0864348112133080) < 1e-12
     assert abs(data["value"]["im"]) < 1e-12
+
+
+def test_eval_reads_tau_exactly_from_its_digits(capsys):
+    # 0.1 is not a double: E4 at the nearest double differs from E4 at
+    # 1/10 + i from the 17th digit on
+    assert main(["eval", "--form", "E4", "--tau", "0.1+1i", "--digits", "40",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["tau"] == "(0.1+1j)"
+    with mp.workdps(55):
+        want = eval_form(leaf("E4"), mp.mpc(mp.mpf(1) / 10, 1), 40)
+        assert data["value_str"] == mp.nstr(want, 40)
+    assert data["value_str"].startswith("(1.364904320524988707977")
 
 
 def _strict_json(text):

@@ -256,8 +256,10 @@ def test_d8_theta_low_shells():
 
 
 def test_e8_equals_e4():
-    e4 = gen_form("E4", 25)
-    assert e8_theta_series(25).first_difference(e4) is None
+    # to q^80, the doubled norm 640 that table --max-delta 160 reads, where
+    # the packed shell counts need 6-byte slots
+    e4 = gen_form("E4", 80)
+    assert e8_theta_series(80).first_difference(e4) is None
 
 
 def test_e8_cartan_generic_enumeration_matches_glue():
@@ -398,6 +400,18 @@ def test_coset_points_on_oracle_cosets():
             assert q == sum([c * y[i] * y[j] for i, j, c in terms])
         want = zn_shell_counts_dp(*coset_parities(d8_ambient(shift)), 40)
         assert Counter(q for _, q in points) == want, (tag, eps)
+
+
+def test_zn_counts_slot_width_is_load_bearing(monkeypatch):
+    # the spinor coset to doubled norm 40 has counts up to 16,128, which
+    # carry out of 1-byte slots
+    from instanton_zeta import lattice
+    args = (*coset_parities((Fraction(1, 2),) * 8), 40)
+    want = zn_shell_counts(*args)
+    assert max(want.values()) == 16128
+    assert zn_shell_counts_dp(*args) == want
+    monkeypatch.setattr(lattice, "_slot_bytes", lambda bound: 1)
+    assert zn_shell_counts_dp(*args) != want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
